@@ -12,13 +12,12 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from . import engine, report
 from .config import KIND_ALIASES, ConfigError, SimConfig, default_config, load_config, with_kind
 from .mapper import map_model
-from .platform import build_topology
+from .platform import PlatformTopology, build_topology
 from .workload import (DescriptorError, DnnModelSpec, ModelValidationError, load_model_file,
                        load_shipped_model, param_count, shipped_model_names)
 
@@ -96,17 +95,8 @@ def _resolve_models(spec: str) -> list[DnnModelSpec]:
     return [_resolve_model(n.strip()) for n in spec.split(",") if n.strip()]
 
 
-def _write(text: str, destination: str) -> None:
-    if destination == "-":
-        sys.stdout.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
-
-
-def _run_one(model: DnnModelSpec, cfg: SimConfig, kind: str) -> engine.RunMetrics:
-    variant = with_kind(cfg, kind)
-    topology = build_topology(variant)
+def _run_one(model: DnnModelSpec, variant: SimConfig,
+             topology: PlatformTopology) -> engine.RunMetrics:
     plan = map_model(model, topology)
     return engine.simulate_model(model, topology, plan, variant.devices, variant.options)
 
@@ -173,11 +163,13 @@ def _metrics_table(metrics: engine.RunMetrics, sep: str) -> str:
 def _cmd_simulate(args) -> int:
     cfg = _apply_flags(_load_config(args.config), args)
     model = _resolve_model(args.model)
-    metrics = _run_one(model, cfg, args.platform)
+    variant = with_kind(cfg, args.platform)
+    metrics = _run_one(model, variant, build_topology(variant))
     if args.format == "json":
-        _write(_metrics_json(model.name, KIND_ALIASES[args.platform], metrics), args.out)
+        text = _metrics_json(model.name, KIND_ALIASES[args.platform], metrics)
     else:
-        _write(_metrics_table(metrics, "," if args.format == "csv" else "\t"), args.out)
+        text = _metrics_table(metrics, "," if args.format == "csv" else "\t")
+    report.write_text(text, args.out)
     return 0
 
 
@@ -193,11 +185,12 @@ def _cmd_compare(args, parser: argparse.ArgumentParser) -> int:
     if not models or not platforms:
         parser.error("nothing to sweep: need at least one model and one platform")
 
-    pairs = [(model, platform) for model in models for platform in platforms]
-    with ThreadPoolExecutor(max_workers=min(8, len(pairs))) as pool:
-        futures = [pool.submit(_run_one, model, cfg, platform) for model, platform in pairs]
-        runs = [report.LabeledRun(KIND_ALIASES[platform], model.name, f.result())
-                for (model, platform), f in zip(pairs, futures)]
+    # one topology per platform, shared by every model
+    variants = {platform: with_kind(cfg, platform) for platform in platforms}
+    topologies = {platform: build_topology(v) for platform, v in variants.items()}
+    runs = [report.LabeledRun(KIND_ALIASES[platform], model.name,
+                              _run_one(model, variants[platform], topologies[platform]))
+            for model in models for platform in platforms]
 
     rows = report.comparison_table(runs, KIND_ALIASES[args.baseline])
     if not args.no_references:
@@ -238,7 +231,7 @@ def _cmd_topology(args) -> int:
             for r in topology.routes
         ],
     }
-    _write(json.dumps(doc, indent=2) + "\n", args.out)
+    report.write_text(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
 

@@ -20,13 +20,11 @@ AMORPHOUS = "amorphous"
 @dataclass(frozen=True)
 class PcmcState:
     """Phase-change coupler state. ``t`` is the cross fraction for the
-    partially crystalline state; cl_ratio records the coupling-length knob
-    that realizes the state (metadata only, no transfer effect)."""
+    partially crystalline state."""
 
     phase: str  # CRYSTALLINE | PARTIAL | AMORPHOUS
     t: float = 0.0
     excess_loss_db: float = 0.0
-    cl_ratio: float = 1.0
 
     def validate(self) -> None:
         if self.phase not in (CRYSTALLINE, PARTIAL, AMORPHOUS):
@@ -35,8 +33,6 @@ class PcmcState:
             raise ValueError(f"partial cross fraction {self.t} outside [0, 1]")
         if self.excess_loss_db < 0.0:
             raise ValueError("excess loss must be >= 0 dB")
-        if self.cl_ratio <= 0.0:
-            raise ValueError("coupling-length ratio must be > 0")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """End-to-end execution model.
 
-Layers run strictly in order. Per layer the engine prices compute time on
-the assigned MAC arrays, read/write transfer time over the platform's
-interconnect, and the energy drawn by lasers, ring tuning, conversions, MAC
-arrays, and (for the electrical variants) the mesh or off-chip interface.
+Layers run strictly in order, through one loop for every platform. Per
+layer the loop prices compute time on the assigned MAC arrays, MAC ring
+tuning and MAC energy, and asks the platform's interconnect (photonic
+gateways, electrical mesh or off-chip link) for the read/write transfer
+time, any reconfiguration stall, and the energy its lasers, conversions,
+gateway electronics, controller, mesh or off-chip interface draw.
 
 On the photonic interposer an epoch controller re-evaluates traffic before
 every layer and retunes the phase-change couplers so only the gateways the
@@ -18,14 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .config import ELEC, MONO, SIPH, SimOptions, default_config
 from .devices import (DeviceParams, PcmcState, mr_tuning_power, pcmc_chain_for_equal_split,
                       required_laser_power, serialization_time)
 from .mapper import LayerAssignment, MappingError, MappingPlan, map_model
-from .platform import (PlatformTopology, WaveguideRoute, build_topology, electrical_hops,
-                       gateway_peak_bandwidth)
-from .workload import DnnModelSpec, layer_traffic, model_total_bits
+from .platform import (SWMR, SWSR, PlatformTopology, WaveguideRoute, build_topology,
+                       electrical_hops, gateway_peak_bandwidth)
+from .workload import DnnModelSpec, TrafficVolume, layer_traffic, model_total_bits
 
 ENERGY_CATEGORIES = ("laser", "tuning", "conversion", "mac", "gateway_elec",
                      "controller", "electrical_noc")
@@ -33,7 +36,6 @@ ENERGY_CATEGORIES = ("laser", "tuning", "conversion", "mac", "gateway_elec",
 
 @dataclass(frozen=True)
 class ControllerState:
-    epoch_s: float
     active_gateways: dict[str, int]          # chiplet id -> lit gateways
     pcmc_settings: dict[str, PcmcState]      # writer gateway -> coupler state
     current_laser_w: float
@@ -107,55 +109,45 @@ def transfer_time_electrical(bits: float, hops: int, topology: PlatformTopology,
 # ------------------------------------------------------- epoch controller
 
 
-def _active_route_map(topology: PlatformTopology,
-                      active: dict[str, int]) -> dict[str, WaveguideRoute]:
-    lit = {}
-    for route in topology.routes:
-        chiplet_id, gw = route.writer_gateway.rsplit(":g", 1)
-        if int(gw) < active.get(chiplet_id, 0):
-            lit[route.writer_gateway] = route
-    return lit
-
-
 def _pcmc_settings(topology: PlatformTopology, active: dict[str, int]) -> dict[str, PcmcState]:
     """Per-writer coupler states: each chiplet's laser trunk is split
     equally over its lit gateways, dark gateways pass the trunk along."""
     settings: dict[str, PcmcState] = {}
     for chiplet in topology.chiplets:
         gws = chiplet.gateway_ids()
-        if not gws:
-            continue
         lit = active.get(chiplet.id, 0)
-        chain = pcmc_chain_for_equal_split([k < lit for k in range(len(gws))])
-        settings.update(zip(gws, chain))
+        settings.update(zip(gws, pcmc_chain_for_equal_split([k < lit for k in range(len(gws))])))
     return settings
 
 
 def _laser_power(topology: PlatformTopology, active: dict[str, int],
                  params: DeviceParams) -> float:
-    routes = _active_route_map(topology, active)
-    paths = [r.path for r in routes.values()]
-    if not paths:
-        return 0.0
-    return required_laser_power(paths, topology.n_wavelengths, params)
+    """Wall-plug watts to drive every route whose writer gateway is lit."""
+    paths = []
+    for route in topology.routes:
+        chiplet_id, gw = route.writer_gateway.rsplit(":g", 1)
+        if int(gw) < active.get(chiplet_id, 0):
+            paths.append(route.path)
+    return required_laser_power(paths, topology.n_wavelengths, params) if paths else 0.0
 
 
-def initial_controller_state(topology: PlatformTopology, params: DeviceParams,
-                             epoch_s: float) -> ControllerState:
+def _controller_state(topology: PlatformTopology, active: dict[str, int],
+                      params: DeviceParams, reconfig_count: int) -> ControllerState:
+    return ControllerState(active, _pcmc_settings(topology, active),
+                           _laser_power(topology, active, params), reconfig_count)
+
+
+def initial_controller_state(topology: PlatformTopology, params: DeviceParams) -> ControllerState:
     """Power-on state: every gateway lit, couplers splitting evenly."""
-    active = {c.id: c.gateways for c in topology.chiplets}
-    return ControllerState(
-        epoch_s=epoch_s,
-        active_gateways=active,
-        pcmc_settings=_pcmc_settings(topology, active),
-        current_laser_w=_laser_power(topology, active, params),
-        reconfig_count=0,
-    )
+    return _controller_state(topology, {c.id: c.gateways for c in topology.chiplets}, params, 0)
 
 
-def _reconfigure(demand_bps: dict[str, float], state: ControllerState,
-                 topology: PlatformTopology, params: DeviceParams) -> tuple[ControllerState, int]:
-    """Returns the new state and the number of couplers that were retuned."""
+def reconfigure_epoch(demand_bps: dict[str, float], state: ControllerState,
+                      topology: PlatformTopology,
+                      params: DeviceParams) -> tuple[ControllerState, int]:
+    """Resize each chiplet's lit-gateway set to carry its demand, retune the
+    couplers and the laser budget accordingly. Returns the new state (the
+    same object when nothing changes) and the number of couplers retuned."""
     gw_bw = gateway_peak_bandwidth(topology)
     active = {}
     for chiplet in topology.chiplets:
@@ -163,24 +155,127 @@ def _reconfigure(demand_bps: dict[str, float], state: ControllerState,
         active[chiplet.id] = max(1, min(wanted, chiplet.gateways))
     if active == state.active_gateways:
         return state, 0
-    settings = _pcmc_settings(topology, active)
-    switched = sum(1 for gw, s in settings.items() if state.pcmc_settings.get(gw) != s)
-    new_state = ControllerState(
-        epoch_s=state.epoch_s,
-        active_gateways=active,
-        pcmc_settings=settings,
-        current_laser_w=_laser_power(topology, active, params),
-        reconfig_count=state.reconfig_count + 1,
-    )
+    new_state = _controller_state(topology, active, params, state.reconfig_count + 1)
+    switched = sum(1 for gw, s in new_state.pcmc_settings.items()
+                   if state.pcmc_settings.get(gw) != s)
     return new_state, switched
 
 
-def reconfigure_epoch(demand_bps: dict[str, float], state: ControllerState,
-                      topology: PlatformTopology, params: DeviceParams) -> ControllerState:
-    """Resize each chiplet's lit-gateway set to carry its demand, retune the
-    couplers and the laser budget accordingly."""
-    new_state, _ = _reconfigure(demand_bps, state, topology, params)
-    return new_state
+# ---------------------------------------------------------- interconnects
+# One factory per platform kind works out the per-topology constants once and
+# returns (layer, tuning_w): a function pricing one layer's data movement as
+# (read_s, write_s, overhead_s, bits_moved, joules, watts), and the ring trim
+# power. ``joules`` holds the energy of the interconnect's own categories,
+# ``watts`` the power of those it draws for the whole layer.
+
+
+def _photonic(topology: PlatformTopology, params: DeviceParams, options: SimOptions):
+    """Photonic interposer: the epoch controller resizes the lit gateways
+    before every layer; a resize stalls for one phase-change transition."""
+    gw_bw = gateway_peak_bandwidth(topology)
+    memory_ids = [c.id for c in topology.memory_chiplets()]
+    by_length = attrgetter("length_mm")
+    read_route = max((r for r in topology.routes if r.protocol == SWMR), key=by_length)
+    swsr = {r.writer_gateway: r for r in topology.routes if r.protocol == SWSR}
+    write_routes = {c.id: max((swsr[gw] for gw in c.gateway_ids()), key=by_length)
+                    for c in topology.compute_chiplets()}
+    freq, cycles = topology.gateway_freq_hz, options.gateway_overhead_cycles
+    state = initial_controller_state(topology, params)
+    previous_demand: dict[str, float] = {}
+
+    def layer(traffic: TrafficVolume, assignment: LayerAssignment, compute_s: float):
+        nonlocal state, previous_demand
+        ids = assignment.chiplet_ids
+        weight_bits = traffic.weight_bits * options.weight_refetch_factor
+        read_bits = weight_bits + traffic.input_bits
+        write_bits = float(traffic.output_bits)
+
+        overhead_s = 0.0
+        switched = 0
+        if options.resipi_enabled:
+            window = max(compute_s, options.epoch_s)
+            demand = {cid: (traffic.input_bits + (weight_bits + traffic.output_bits) / len(ids))
+                      / window for cid in ids}
+            for mem_id in memory_ids:
+                demand[mem_id] = (read_bits + write_bits) / window / len(memory_ids)
+            applied = demand if options.demand_mode == "upcoming" else previous_demand
+            new_state, switched = reconfigure_epoch(applied, state, topology, params)
+            if new_state.reconfig_count != state.reconfig_count:
+                overhead_s = params.pcm_transition_s
+            state, previous_demand = new_state, demand
+
+        active = state.active_gateways
+        memory_bw = sum(active[m] for m in memory_ids) * gw_bw
+        assigned_bw = sum(active[c] for c in ids) * gw_bw
+        write_route = max((write_routes[c] for c in ids), key=by_length)
+        read_s = transfer_time_photonic(read_bits, memory_bw, assigned_bw, read_route,
+                                        params, freq, cycles)
+        write_s = transfer_time_photonic(write_bits, assigned_bw, memory_bw, write_route,
+                                         params, freq, cycles)
+
+        bits = read_bits + write_bits
+        joules = {
+            "conversion": bits * (params.modulator_energy_pj_per_bit
+                                  + params.filter_pd_energy_pj_per_bit) * 1e-12,
+            "gateway_elec": bits * params.gateway_elec_energy_pj_per_bit * 1e-12,
+            "controller": switched * options.pcmc_switch_energy_pj * 1e-12,
+        }
+        return read_s, write_s, overhead_s, bits, joules, {"laser": state.current_laser_w}
+
+    # interposer rings stay locked to the WDM grid whether or not their
+    # gateway is lit; deactivation saves laser power, not trim power
+    return layer, mr_tuning_power(topology.total_mrs(), params)
+
+
+def _mesh(topology: PlatformTopology, params: DeviceParams, options: SimOptions):
+    """Electrical mesh interposer: one router per chiplet, each drawing
+    static power for the whole layer."""
+    memory_ids = [c.id for c in topology.memory_chiplets()]
+    if not memory_ids:
+        raise MappingError("electrical topology has no memory chiplet")
+    n_routers = topology.mesh_dims[0] * topology.mesh_dims[1]
+    watts = {"electrical_noc": topology.noc_router_static_w * n_routers}
+
+    def layer(traffic: TrafficVolume, assignment: LayerAssignment, compute_s: float):
+        ids = assignment.chiplet_ids
+        weight_bits = traffic.weight_bits * options.weight_refetch_factor
+        # broadcast is replicated on the mesh: every assigned chiplet
+        # receives its own copy of the input tensor
+        read_bits = weight_bits + traffic.input_bits * len(ids)
+        write_bits = float(traffic.output_bits)
+        hops = {cid: electrical_hops(memory_ids[i % len(memory_ids)], cid, topology)
+                for i, cid in enumerate(ids)}
+        worst_hops = max(hops.values())
+        congestion = options.elec_congestion_factor if len(ids) > 1 else 1.0
+        read_s = transfer_time_electrical(read_bits, worst_hops, topology, congestion,
+                                          options.router_latency_cycles)
+        write_s = transfer_time_electrical(write_bits, worst_hops, topology, congestion,
+                                           options.router_latency_cycles)
+
+        per_chiplet_bits = (weight_bits + traffic.output_bits) / len(ids) + traffic.input_bits
+        noc_dynamic_j = sum(per_chiplet_bits * h for h in hops.values()) \
+            * topology.noc_energy_pj_per_bit_hop * 1e-12
+        return (read_s, write_s, 0.0, read_bits + write_bits,
+                {"electrical_noc": noc_dynamic_j}, watts)
+
+    return layer, 0.0
+
+
+def _offchip(topology: PlatformTopology, params: DeviceParams, options: SimOptions):
+    """Monolithic chip: every tensor crosses the off-chip memory interface."""
+    bw = topology.offchip_bw_bps
+
+    def layer(traffic: TrafficVolume, assignment: LayerAssignment, compute_s: float):
+        read_bits = traffic.weight_bits * options.weight_refetch_factor + traffic.input_bits
+        write_bits = float(traffic.output_bits)
+        bits = read_bits + write_bits
+        joules = {"electrical_noc": bits * topology.offchip_energy_pj_per_bit * 1e-12}
+        return read_bits / bw, write_bits / bw, 0.0, bits, joules, {}
+
+    return layer, 0.0
+
+
+_INTERCONNECTS = {SIPH: _photonic, ELEC: _mesh, MONO: _offchip}
 
 
 # ------------------------------------------------------------- simulation
@@ -197,7 +292,7 @@ def _check_plan(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPl
 
 
 def _zeros() -> dict[str, float]:
-    return {k: 0.0 for k in ENERGY_CATEGORIES}
+    return dict.fromkeys(ENERGY_CATEGORIES, 0.0)
 
 
 def _combine(layer_results: list[LayerResult], total_bits: int) -> RunMetrics:
@@ -224,168 +319,41 @@ def _mac_energy_j(assignment: LayerAssignment, params: DeviceParams) -> float:
     return assignment.invocations * per_invocation_pj * 1e-12
 
 
-def _simulate_photonic(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPlan,
-                       params: DeviceParams, options: SimOptions) -> RunMetrics:
-    gw_bw = gateway_peak_bandwidth(topology)
-    memory_ids = [c.id for c in topology.memory_chiplets()]
-    swmr_routes = [r for r in topology.routes if r.protocol == "SWMR"]
-    swsr_by_writer = {r.writer_gateway: r for r in topology.routes if r.protocol == "SWSR"}
-    read_route = max(swmr_routes, key=lambda r: r.length_mm)
-    # interposer rings stay locked to the WDM grid whether or not their
-    # gateway is lit; deactivation saves laser power, not trim power
-    interposer_tuning_w = mr_tuning_power(topology.total_mrs(), params)
-
-    state = initial_controller_state(topology, params, options.epoch_s)
-    results: list[LayerResult] = []
-    previous_demand: dict[str, float] = {}
-
-    for layer, assignment in zip(model.layers, plan.assignments):
-        traffic = layer_traffic(layer)
-        read_bits = traffic.weight_bits * options.weight_refetch_factor + traffic.input_bits
-        write_bits = float(traffic.output_bits)
-        compute_s = compute_time(assignment, options.mac_rate_hz)
-
-        window = max(compute_s, options.epoch_s)
-        n_assigned = len(assignment.chiplet_ids)
-        demand = {cid: (traffic.input_bits
-                        + (traffic.weight_bits * options.weight_refetch_factor
-                           + traffic.output_bits) / n_assigned) / window
-                  for cid in assignment.chiplet_ids}
-        for mem_id in memory_ids:
-            demand[mem_id] = (read_bits + write_bits) / window / len(memory_ids)
-
-        overhead_s = 0.0
-        switched = 0
-        if options.resipi_enabled:
-            applied = demand if options.demand_mode == "upcoming" else previous_demand
-            new_state, switched = _reconfigure(applied, state, topology, params)
-            if new_state.reconfig_count != state.reconfig_count:
-                overhead_s = params.pcm_transition_s
-            state = new_state
-            previous_demand = demand
-
-        active_mem_gw = sum(state.active_gateways[m] for m in memory_ids)
-        active_assigned_gw = sum(state.active_gateways[c] for c in assignment.chiplet_ids)
-        write_route = max((swsr_by_writer[gw] for cid in assignment.chiplet_ids
-                           for gw in topology.chiplet(cid).gateway_ids()),
-                          key=lambda r: r.length_mm)
-        read_s = transfer_time_photonic(read_bits, active_mem_gw * gw_bw,
-                                        active_assigned_gw * gw_bw, read_route, params,
-                                        topology.gateway_freq_hz, options.gateway_overhead_cycles)
-        write_s = transfer_time_photonic(write_bits, active_assigned_gw * gw_bw,
-                                         active_mem_gw * gw_bw, write_route, params,
-                                         topology.gateway_freq_hz, options.gateway_overhead_cycles)
-
-        if options.overlap:
-            base = max(compute_s, read_s, write_s)
-        else:
-            base = compute_s + read_s + write_s
-        latency = base + overhead_s
-
-        bits_moved = read_bits + write_bits
-        mac_mr_tuning_w = mr_tuning_power(assignment.total_macs * assignment.mac_type.vector_len,
-                                          params)
-        energy = _zeros()
-        energy["laser"] = state.current_laser_w * latency
-        energy["tuning"] = (interposer_tuning_w + mac_mr_tuning_w) * latency
-        energy["conversion"] = bits_moved * (params.modulator_energy_pj_per_bit
-                                             + params.filter_pd_energy_pj_per_bit) * 1e-12
-        energy["gateway_elec"] = bits_moved * params.gateway_elec_energy_pj_per_bit * 1e-12
-        energy["mac"] = _mac_energy_j(assignment, params)
-        energy["controller"] = switched * options.pcmc_switch_energy_pj * 1e-12
-        results.append(LayerResult(layer.index, compute_s, read_s, write_s, overhead_s,
-                                   latency, energy, bits_moved))
-
-    return _combine(results, model_total_bits(model))
-
-
-def _simulate_electrical(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPlan,
-                         params: DeviceParams, options: SimOptions) -> RunMetrics:
-    memory = topology.memory_chiplets()
-    if not memory:
-        raise MappingError("electrical topology has no memory chiplet")
-    n_routers = topology.mesh_dims[0] * topology.mesh_dims[1]
-    results: list[LayerResult] = []
-
-    for layer, assignment in zip(model.layers, plan.assignments):
-        traffic = layer_traffic(layer)
-        weight_bits = traffic.weight_bits * options.weight_refetch_factor
-        n_assigned = len(assignment.chiplet_ids)
-        # broadcast is replicated on the mesh: every assigned chiplet
-        # receives its own copy of the input tensor
-        read_delivered = weight_bits + traffic.input_bits * n_assigned
-        write_delivered = float(traffic.output_bits)
-        hops = {cid: electrical_hops(memory[i % len(memory)].id, cid, topology)
-                for i, cid in enumerate(assignment.chiplet_ids)}
-        worst_hops = max(hops.values())
-        congestion = options.elec_congestion_factor if n_assigned > 1 else 1.0
-
-        compute_s = compute_time(assignment, options.mac_rate_hz)
-        read_s = transfer_time_electrical(read_delivered, worst_hops, topology,
-                                          congestion, options.router_latency_cycles)
-        write_s = transfer_time_electrical(write_delivered, worst_hops, topology,
-                                           congestion, options.router_latency_cycles)
-        if options.overlap:
-            latency = max(compute_s, read_s, write_s)
-        else:
-            latency = compute_s + read_s + write_s
-
-        per_chiplet_bits = (weight_bits + traffic.output_bits) / n_assigned + traffic.input_bits
-        noc_dynamic_j = sum(per_chiplet_bits * h for h in hops.values()) \
-            * topology.noc_energy_pj_per_bit_hop * 1e-12
-        mac_mr_tuning_w = mr_tuning_power(assignment.total_macs * assignment.mac_type.vector_len,
-                                          params)
-        energy = _zeros()
-        energy["electrical_noc"] = noc_dynamic_j \
-            + topology.noc_router_static_w * n_routers * latency
-        energy["tuning"] = mac_mr_tuning_w * latency
-        energy["mac"] = _mac_energy_j(assignment, params)
-        results.append(LayerResult(layer.index, compute_s, read_s, write_s, 0.0,
-                                   latency, energy, read_delivered + write_delivered))
-
-    return _combine(results, model_total_bits(model))
-
-
-def _simulate_monolithic(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPlan,
-                         params: DeviceParams, options: SimOptions) -> RunMetrics:
-    results: list[LayerResult] = []
-    for layer, assignment in zip(model.layers, plan.assignments):
-        traffic = layer_traffic(layer)
-        read_bits = traffic.weight_bits * options.weight_refetch_factor + traffic.input_bits
-        write_bits = float(traffic.output_bits)
-        compute_s = compute_time(assignment, options.mac_rate_hz)
-        read_s = read_bits / topology.offchip_bw_bps
-        write_s = write_bits / topology.offchip_bw_bps
-        if options.overlap:
-            latency = max(compute_s, read_s, write_s)
-        else:
-            latency = compute_s + read_s + write_s
-
-        bits_moved = read_bits + write_bits
-        mac_mr_tuning_w = mr_tuning_power(assignment.total_macs * assignment.mac_type.vector_len,
-                                          params)
-        energy = _zeros()
-        energy["electrical_noc"] = bits_moved * topology.offchip_energy_pj_per_bit * 1e-12
-        energy["tuning"] = mac_mr_tuning_w * latency
-        energy["mac"] = _mac_energy_j(assignment, params)
-        results.append(LayerResult(layer.index, compute_s, read_s, write_s, 0.0,
-                                   latency, energy, bits_moved))
-    return _combine(results, model_total_bits(model))
-
-
 def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPlan,
                    params: DeviceParams, options: SimOptions | None = None) -> RunMetrics:
     """Run ``model`` as mapped by ``plan`` on ``topology``."""
     options = options or SimOptions()
     options.validate()
     _check_plan(model, topology, plan)
-    if topology.kind == SIPH:
-        return _simulate_photonic(model, topology, plan, params, options)
-    if topology.kind == ELEC:
-        return _simulate_electrical(model, topology, plan, params, options)
-    if topology.kind == MONO:
-        return _simulate_monolithic(model, topology, plan, params, options)
-    raise ValueError(f"unknown topology kind {topology.kind!r}")
+    interconnect = _INTERCONNECTS.get(topology.kind)
+    if interconnect is None:
+        raise ValueError(f"unknown topology kind {topology.kind!r}")
+    price, link_tuning_w = interconnect(topology, params, options)
+    overlap, mac_rate_hz = options.overlap, options.mac_rate_hz
+    results: list[LayerResult] = []
+
+    for layer, assignment in zip(model.layers, plan.assignments):
+        traffic = layer_traffic(layer)
+        compute_s = compute_time(assignment, mac_rate_hz)
+        read_s, write_s, overhead_s, bits_moved, joules, watts = price(traffic, assignment,
+                                                                       compute_s)
+        if overlap:
+            latency = max(compute_s, read_s, write_s) + overhead_s
+        else:
+            latency = compute_s + read_s + write_s + overhead_s
+
+        energy = _zeros()
+        energy.update(joules)
+        for category, w in watts.items():
+            energy[category] += w * latency
+        mac_tuning_w = mr_tuning_power(assignment.total_macs * assignment.mac_type.vector_len,
+                                       params)
+        energy["tuning"] = (link_tuning_w + mac_tuning_w) * latency
+        energy["mac"] = _mac_energy_j(assignment, params)
+        results.append(LayerResult(layer.index, compute_s, read_s, write_s, overhead_s,
+                                   latency, energy, bits_moved))
+
+    return _combine(results, model_total_bits(model))
 
 
 def simulate_monolithic(model: DnnModelSpec, params: DeviceParams,

@@ -8,7 +8,7 @@ and the monolithic single-chip baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import ELEC, MONO, SIPH, ChipletConfig, ConfigError, SimConfig, default_config
 from .devices import OpticalPath
@@ -85,7 +85,6 @@ class PlatformTopology:
     noc_router_static_w: float = 0.5
     offchip_bw_bps: float = 256e9            # monolithic only
     offchip_energy_pj_per_bit: float = 15.0
-    swsr_reader_of: dict = field(default_factory=dict)   # compute gw -> memory gw
 
     def compute_chiplets(self) -> list[ChipletSpec]:
         return [c for c in self.chiplets if c.role == "compute"]
@@ -107,9 +106,6 @@ class PlatformTopology:
 
     def total_mrs(self) -> int:
         return sum(m.total_mrs for m in self.mrgs)
-
-    def routes_by_writer(self) -> dict[str, WaveguideRoute]:
-        return {r.writer_gateway: r for r in self.routes}
 
 
 def route_length(src: tuple[float, float], dst_set: list[tuple[float, float]],
@@ -178,7 +174,7 @@ def _chiplet_spec(entry: ChipletConfig, cell: tuple[int, int], p) -> ChipletSpec
                        entry.macs // entry.macs_per_gateway, position, cell)
 
 
-def _wire_photonic(chiplets: list[ChipletSpec], p) -> tuple[list[WaveguideRoute], list[Mrg], dict]:
+def _wire_photonic(chiplets: list[ChipletSpec], p) -> tuple[list[WaveguideRoute], list[Mrg]]:
     compute = [c for c in chiplets if c.role == "compute"]
     memory = [c for c in chiplets if c.role == "memory"]
     if not memory:
@@ -188,7 +184,6 @@ def _wire_photonic(chiplets: list[ChipletSpec], p) -> tuple[list[WaveguideRoute]
 
     routes: list[WaveguideRoute] = []
     mrgs: list[Mrg] = []
-    swsr_reader_of: dict[str, str] = {}
     fan_in = {gw: 0 for gw, _ in memory_gws}
 
     # Compute writers: one SWSR route each, partitioned round-robin across
@@ -199,7 +194,6 @@ def _wire_photonic(chiplets: list[ChipletSpec], p) -> tuple[list[WaveguideRoute]
         path = OpticalPath(length_mm=length, mrs_passed=p.n_wavelengths,
                            drop_stages=1, split_fanout=1, couplers=1)
         routes.append(WaveguideRoute(gw, SWSR, (mem_gw,), length, path))
-        swsr_reader_of[gw] = mem_gw
         fan_in[mem_gw] += 1
         mrgs.append(Mrg(gw, filter_rows=1, modulator_rows=1, mrs_per_row=p.n_wavelengths))
 
@@ -214,7 +208,7 @@ def _wire_photonic(chiplets: list[ChipletSpec], p) -> tuple[list[WaveguideRoute]
         routes.append(WaveguideRoute(gw, SWMR, reader_ids, length, path))
         mrgs.append(Mrg(gw, filter_rows=fan_in[gw], modulator_rows=1,
                         mrs_per_row=p.n_wavelengths))
-    return routes, mrgs, swsr_reader_of
+    return routes, mrgs
 
 
 def build_topology(cfg: SimConfig, kind: str | None = None) -> PlatformTopology:
@@ -246,10 +240,9 @@ def build_topology(cfg: SimConfig, kind: str | None = None) -> PlatformTopology:
                                 mesh_dims=(p.grid_rows, p.grid_cols), **common)
     if kind != SIPH:
         raise ConfigError(f"unknown platform kind {kind!r}")
-    routes, mrgs, swsr_reader_of = _wire_photonic(chiplets, p)
+    routes, mrgs = _wire_photonic(chiplets, p)
     return PlatformTopology(kind=SIPH, chiplets=tuple(chiplets), routes=tuple(routes),
-                            mrgs=tuple(mrgs), mesh_dims=(p.grid_rows, p.grid_cols),
-                            swsr_reader_of=swsr_reader_of, **common)
+                            mrgs=tuple(mrgs), mesh_dims=(p.grid_rows, p.grid_cols), **common)
 
 
 def default_platform() -> PlatformTopology:

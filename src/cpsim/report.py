@@ -69,6 +69,12 @@ def comparison_table(runs: list[LabeledRun], baseline: str) -> list[ComparisonRo
     """Normalized comparison rows plus one geometric-mean row per platform."""
     if not runs:
         raise ValueError("no runs to compare")
+    # a second run of a pair would take over the model's baseline or count
+    # twice in the platform's geomean
+    pairs = [(r.platform, r.model) for r in runs]
+    duplicated = sorted({pair for pair in pairs if pairs.count(pair) > 1})
+    if duplicated:
+        raise ValueError(f"duplicate (platform, model) runs: {duplicated}")
     platforms = list(dict.fromkeys(r.platform for r in runs))
     if baseline not in platforms:
         raise ValueError(f"baseline {baseline!r} not among runs ({', '.join(platforms)})")
@@ -152,13 +158,17 @@ def render_report(rows: list[ComparisonRow], format: str) -> str:
     raise ValueError(f"unknown report format {format!r}")
 
 
-def emit_report(rows: list[ComparisonRow], format: str, destination: str) -> None:
-    """Write the report to a path, or stdout when destination is '-'."""
-    if not rows:
-        raise ValueError("no rows to emit")
-    text = render_report(rows, format)
+def write_text(text: str, destination: str) -> None:
+    """Write ``text`` to a path, or to stdout when destination is '-'."""
     if destination == "-":
         sys.stdout.write(text)
         return
     with open(destination, "w", encoding="utf-8", newline="") as f:
         f.write(text)
+
+
+def emit_report(rows: list[ComparisonRow], format: str, destination: str) -> None:
+    """Write the report to a path, or stdout when destination is '-'."""
+    if not rows:
+        raise ValueError("no rows to emit")
+    write_text(render_report(rows, format), destination)

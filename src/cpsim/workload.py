@@ -199,6 +199,9 @@ def load_model(descriptor_text: str) -> DnnModelSpec:
     for key in ("name", "declared_param_count", "layers"):
         if key not in doc:
             raise DescriptorError(f"missing model key {key!r}")
+    for key in ("declared_param_count", "declared_conv_layers", "declared_fc_layers"):
+        if key in doc and type(doc[key]) is not int:
+            raise DescriptorError(f"{key} must be an integer, got {doc[key]!r}")
     entries = doc["layers"]
     if not isinstance(entries, list):
         raise DescriptorError("layers must be an array")
@@ -206,7 +209,7 @@ def load_model(descriptor_text: str) -> DnnModelSpec:
     model = DnnModelSpec(
         name=str(doc["name"]),
         layers=layers,
-        declared_param_count=int(doc["declared_param_count"]),
+        declared_param_count=doc["declared_param_count"],
     )
     model.validate()
     _check_kind_counts(model, doc)

@@ -154,12 +154,12 @@ def test_criterion_6_device_model_properties():
 def test_criterion_7_controller_properties(cfg):
     with criterion(7, "epoch controller properties"):
         topo = default_platform()
-        state = initial_controller_state(topo, cfg.devices, cfg.options.epoch_s)
+        state = initial_controller_state(topo, cfg.devices)
         rng = random.Random(99)
         gw_bw = topo.n_wavelengths * topo.link_rate_bps
         for _ in range(100):
             demand = {c.id: rng.uniform(0, 5e12) for c in topo.chiplets}
-            state = reconfigure_epoch(demand, state, topo, cfg.devices)
+            state, _ = reconfigure_epoch(demand, state, topo, cfg.devices)
             for c in topo.chiplets:
                 wanted = math.ceil(demand[c.id] / gw_bw)
                 assert state.active_gateways[c.id] == max(1, min(wanted, c.gateways))
@@ -176,10 +176,10 @@ def test_criterion_7_controller_properties(cfg):
         enabled = simulate_model(toy, topo, plan, cfg.devices, cfg.options)
         disabled = simulate_model(toy, topo, plan, cfg.devices,
                                   replace(cfg.options, resipi_enabled=False))
-        idle_enabled = reconfigure_epoch(
-            {}, initial_controller_state(topo, cfg.devices, cfg.options.epoch_s),
+        idle_enabled, _ = reconfigure_epoch(
+            {}, initial_controller_state(topo, cfg.devices),
             topo, cfg.devices)
-        idle_disabled = initial_controller_state(topo, cfg.devices, cfg.options.epoch_s)
+        idle_disabled = initial_controller_state(topo, cfg.devices)
         assert idle_disabled.current_laser_w >= idle_enabled.current_laser_w
         assert (disabled.energy_breakdown["laser"] / disabled.total_latency_s
                 >= enabled.energy_breakdown["laser"] / enabled.total_latency_s)

@@ -13,8 +13,7 @@ PARAMS = DeviceParams()
 
 def random_pcmc_state(rng):
     phase = rng.choice((CRYSTALLINE, PARTIAL, AMORPHOUS))
-    return PcmcState(phase, t=rng.random(), excess_loss_db=rng.uniform(0.0, 3.0),
-                     cl_ratio=rng.uniform(0.5, 2.0))
+    return PcmcState(phase, t=rng.random(), excess_loss_db=rng.uniform(0.0, 3.0))
 
 
 # ------------------------------------------------------------------ PCMC

@@ -76,30 +76,30 @@ def test_electrical_transfer_examples(cfg):
 
 def test_controller_zero_demand_floors_at_one(cfg):
     topo = default_platform()
-    state = initial_controller_state(topo, cfg.devices, 5e-6)
-    state = reconfigure_epoch({}, state, topo, cfg.devices)
+    state = initial_controller_state(topo, cfg.devices)
+    state, _ = reconfigure_epoch({}, state, topo, cfg.devices)
     assert all(v == 1 for v in state.active_gateways.values())
     assert state.reconfig_count == 1
 
 
 def test_controller_clamp_arithmetic(cfg):
     topo = default_platform()
-    state = initial_controller_state(topo, cfg.devices, 5e-6)
-    state = reconfigure_epoch({"conv3a": 1.6e12}, state, topo, cfg.devices)
+    state = initial_controller_state(topo, cfg.devices)
+    state, _ = reconfigure_epoch({"conv3a": 1.6e12}, state, topo, cfg.devices)
     assert state.active_gateways["conv3a"] == 3  # ceil(1.6e12 / 768e9)
-    state = reconfigure_epoch({"conv3a": 1e13}, state, topo, cfg.devices)
+    state, _ = reconfigure_epoch({"conv3a": 1e13}, state, topo, cfg.devices)
     assert state.active_gateways["conv3a"] == 4  # clamped at the gateway count
 
 
 def test_controller_monotone_in_demand(cfg):
     topo = default_platform()
-    state = initial_controller_state(topo, cfg.devices, 5e-6)
+    state = initial_controller_state(topo, cfg.devices)
     rng = random.Random(17)
     for _ in range(50):
         low = {c.id: rng.uniform(0, 3e12) for c in topo.chiplets}
         high = {cid: v * rng.uniform(1.0, 3.0) for cid, v in low.items()}
-        s_low = reconfigure_epoch(low, state, topo, cfg.devices)
-        s_high = reconfigure_epoch(high, state, topo, cfg.devices)
+        s_low, _ = reconfigure_epoch(low, state, topo, cfg.devices)
+        s_high, _ = reconfigure_epoch(high, state, topo, cfg.devices)
         for cid in low:
             assert s_high.active_gateways[cid] >= s_low.active_gateways[cid]
             assert 1 <= s_low.active_gateways[cid] <= topo.chiplet(cid).gateways
@@ -107,11 +107,11 @@ def test_controller_monotone_in_demand(cfg):
 
 def test_controller_laser_audit_and_pcmc_states(cfg):
     topo = default_platform()
-    state = initial_controller_state(topo, cfg.devices, 5e-6)
+    state = initial_controller_state(topo, cfg.devices)
     rng = random.Random(23)
     for _ in range(25):
         demand = {c.id: rng.uniform(0, 4e12) for c in topo.chiplets}
-        state = reconfigure_epoch(demand, state, topo, cfg.devices)
+        state, _ = reconfigure_epoch(demand, state, topo, cfg.devices)
         lit_paths = []
         for route in topo.routes:
             chiplet_id, gw = route.writer_gateway.rsplit(":g", 1)
@@ -125,11 +125,12 @@ def test_controller_laser_audit_and_pcmc_states(cfg):
 
 def test_reconfiguration_count_only_moves_on_change(cfg):
     topo = default_platform()
-    state = initial_controller_state(topo, cfg.devices, 5e-6)
-    state = reconfigure_epoch({}, state, topo, cfg.devices)
-    again = reconfigure_epoch({}, state, topo, cfg.devices)
+    state = initial_controller_state(topo, cfg.devices)
+    state, switched = reconfigure_epoch({}, state, topo, cfg.devices)
+    again, switched_again = reconfigure_epoch({}, state, topo, cfg.devices)
     assert again.reconfig_count == state.reconfig_count == 1
     assert again is state
+    assert switched > 0 and switched_again == 0
 
 
 # -------------------------------------------------- single-layer fc traces
@@ -252,8 +253,8 @@ def test_resipi_disabled_is_never_slower_and_burns_more_idle_laser(cfg):
                               replace(cfg.options, resipi_enabled=False))
     assert disabled.total_latency_s <= enabled.total_latency_s
     # idle (zero demand) laser power: all-active vs reconfigured minimum
-    state = initial_controller_state(topo, cfg.devices, cfg.options.epoch_s)
-    idle = reconfigure_epoch({}, state, topo, cfg.devices)
+    state = initial_controller_state(topo, cfg.devices)
+    idle, _ = reconfigure_epoch({}, state, topo, cfg.devices)
     assert state.current_laser_w >= idle.current_laser_w
     assert disabled.energy_breakdown["laser"] / disabled.total_latency_s >= \
         enabled.energy_breakdown["laser"] / enabled.total_latency_s

@@ -59,7 +59,7 @@ def test_golden_output(name, tmp_path, trailing_config):
 def test_flag_cases_differ_from_default():
     """Each flag case pins a branch only if it changes resnet50's output."""
     for name in CASES:
-        if name.startswith("simulate_resnet50_") and name.count("_") > 2:
-            kind = name.split("_")[2]
-            base = (GOLDEN / f"simulate_resnet50_{kind}.json").read_bytes()
-            assert (GOLDEN / name).read_bytes() != base, name
+        parts = name.removesuffix(".json").split("_")   # simulate, model, platform, flag
+        if parts[0] == "simulate" and len(parts) > 3:
+            default = GOLDEN / f"simulate_{parts[1]}_{parts[2]}.json"
+            assert (GOLDEN / name).read_bytes() != default.read_bytes(), name

@@ -91,6 +91,12 @@ def test_baseline_missing_model_rejected():
         comparison_table(runs, baseline="siph")
 
 
+def test_duplicate_pair_rejected():
+    runs = runs_for("a") + [LabeledRun("elec", "a", metrics_of(45.3, 60e-3, 22e-9))]
+    with pytest.raises(ValueError, match="'elec', 'a'"):
+        comparison_table(runs, baseline="siph")
+
+
 # ------------------------------------------------------------- emit_report
 
 
@@ -226,6 +232,18 @@ def test_compare_env_var_config(tmp_path, monkeypatch):
     assert cli_main(["compare", "--models", "lenet5", "--platforms", "siph,mono",
                      "--baseline", "mono", "--out", str(out)]) == 0
     assert "siph_interposer,lenet5" in out.read_text()
+
+
+def test_compare_rejects_duplicate_pairs(tmp_path, capsys):
+    fc = "- {kind: fc, channels_in: 100, channels_out: %d}\n"
+    for name, fout in (("a", 10), ("b", 20)):
+        (tmp_path / f"{name}.desc").write_text(
+            f"name: x\ndeclared_param_count: {101 * fout}\nlayers:\n" + fc % fout)
+    models = f"{tmp_path / 'a.desc'},{tmp_path / 'b.desc'}"
+    assert cli_main(["compare", "--models", models, "--platforms", "siph,mono"]) == 1
+    assert "('monolithic', 'x')" in capsys.readouterr().err
+    assert cli_main(["compare", "--models", "lenet5", "--platforms", "siph,siph,mono"]) == 1
+    assert "('siph_interposer', 'lenet5')" in capsys.readouterr().err
 
 
 def test_topology_dump(tmp_path):

@@ -214,6 +214,15 @@ def test_load_model_rejects_garbage():
         load_model("{::: not yaml")
     with pytest.raises(DescriptorError):
         load_model("- just\n- a\n- list\n")
+    fc = "layers:\n- {kind: fc, channels_in: 100, channels_out: 10}\n"
+    for header, key in (("declared_param_count: [1010]\n", "declared_param_count"),
+                        ("declared_param_count: true\n", "declared_param_count"),
+                        ("declared_param_count: 1010\ndeclared_fc_layers: '1'\n",
+                         "declared_fc_layers"),
+                        ("declared_param_count: 1010\ndeclared_conv_layers: 0.0\n",
+                         "declared_conv_layers")):
+        with pytest.raises(DescriptorError, match=key):
+            load_model("name: bad\n" + header + fc)
 
 
 def test_load_model_checks_declared_kind_counts():
