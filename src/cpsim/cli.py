@@ -184,6 +184,8 @@ def _cmd_compare(args, parser: argparse.ArgumentParser) -> int:
     models = _resolve_models(args.models)
     if not models or not platforms:
         parser.error("nothing to sweep: need at least one model and one platform")
+    report.reject_duplicate_pairs([(KIND_ALIASES[platform], model.name)
+                                   for model in models for platform in platforms])
 
     # one topology per platform, shared by every model
     variants = {platform: with_kind(cfg, platform) for platform in platforms}

@@ -7,6 +7,7 @@ The bundled default config mirrors the reference platform sizing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import yaml
@@ -100,8 +101,10 @@ class SimOptions:
     def validate(self) -> None:
         if self.demand_mode not in ("upcoming", "trailing"):
             raise ConfigError(f"unknown demand mode {self.demand_mode!r}")
-        if self.epoch_s <= 0 or self.mac_rate_hz <= 0:
-            raise ConfigError("epoch and MAC rate must be > 0")
+        for name in ("epoch_s", "mac_rate_hz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         if self.weight_refetch_factor < 1.0:
             raise ConfigError("weight refetch factor must be >= 1")
         if self.elec_congestion_factor < 1.0:

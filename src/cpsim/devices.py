@@ -1,8 +1,8 @@
 """Analytical photonic device models.
 
 Pure functions over immutable inputs: phase-change coupler transfer,
-link-budget composition, laser power solving, serialization timing, and
-electro-optic conversion energy. Numeric defaults in DeviceParams are
+link-budget composition, laser power solving, serialization timing and
+microring tuning power. Numeric defaults in DeviceParams are
 calibration values with physically typical magnitudes, not measured data.
 """
 
@@ -54,19 +54,17 @@ class DeviceParams:
     group_velocity_mm_per_s: float = 7.5e10  # ~c / 4 in an SOI waveguide
 
     def validate(self) -> None:
-        losses = (self.coupler_loss_db, self.propagation_loss_db_per_mm,
-                  self.mr_through_loss_db, self.mr_drop_loss_db, self.splitter_excess_db)
-        if any(v < 0.0 for v in losses):
-            raise ValueError("losses must be >= 0 dB")
+        for name in ("coupler_loss_db", "propagation_loss_db_per_mm", "mr_through_loss_db",
+                     "mr_drop_loss_db", "splitter_excess_db", "mr_tuning_mw",
+                     "modulator_energy_pj_per_bit", "filter_pd_energy_pj_per_bit",
+                     "gateway_elec_energy_pj_per_bit", "dac_energy_pj", "adc_energy_pj",
+                     "pcm_transition_s"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 < self.laser_efficiency <= 1.0:
-            raise ValueError("laser efficiency must be in (0, 1]")
-        energies = (self.mr_tuning_mw, self.modulator_energy_pj_per_bit,
-                    self.filter_pd_energy_pj_per_bit, self.gateway_elec_energy_pj_per_bit,
-                    self.dac_energy_pj, self.adc_energy_pj, self.pcm_transition_s)
-        if any(v < 0.0 for v in energies):
-            raise ValueError("energies and transition time must be >= 0")
+            raise ValueError(f"laser_efficiency must be in (0, 1], got {self.laser_efficiency}")
         if self.group_velocity_mm_per_s <= 0.0:
-            raise ValueError("group velocity must be > 0")
+            raise ValueError("group_velocity_mm_per_s must be > 0")
 
 
 @dataclass(frozen=True)
@@ -149,15 +147,6 @@ def serialization_time(bits: int, n_wavelengths: int, rate_bps: float) -> float:
 def mr_tuning_power(active_mrs: int, params: DeviceParams) -> float:
     """Watts to hold ``active_mrs`` microrings on their resonances."""
     return active_mrs * params.mr_tuning_mw / 1e3
-
-
-def conversion_energy(bits: int, params: DeviceParams) -> float:
-    """Joules for modulation, filtering/detection, and gateway electronics
-    of ``bits`` crossing one writer-to-reader hop."""
-    per_bit_pj = (params.modulator_energy_pj_per_bit
-                  + params.filter_pd_energy_pj_per_bit
-                  + params.gateway_elec_energy_pj_per_bit)
-    return bits * per_bit_pj * 1e-12
 
 
 def pcmc_chain_for_equal_split(active: Sequence[bool]) -> list[PcmcState]:

@@ -35,14 +35,6 @@ ENERGY_CATEGORIES = ("laser", "tuning", "conversion", "mac", "gateway_elec",
 
 
 @dataclass(frozen=True)
-class ControllerState:
-    active_gateways: dict[str, int]          # chiplet id -> lit gateways
-    pcmc_settings: dict[str, PcmcState]      # writer gateway -> coupler state
-    current_laser_w: float
-    reconfig_count: int
-
-
-@dataclass(frozen=True)
 class LayerResult:
     layer_index: int
     compute_s: float
@@ -86,7 +78,7 @@ def compute_time(assignment: LayerAssignment, mac_rate_hz: float) -> float:
 
 def transfer_time_photonic(bits: float, writer_bw: float, reader_bw: float,
                            route: WaveguideRoute, params: DeviceParams,
-                           gateway_freq_hz: float, overhead_cycles: int = 4) -> float:
+                           gateway_freq_hz: float, overhead_cycles: int) -> float:
     """Serialization at the slower endpoint, plus waveguide propagation and
     fixed store-and-forward gateway buffering."""
     if writer_bw <= 0 or reader_bw <= 0:
@@ -98,9 +90,9 @@ def transfer_time_photonic(bits: float, writer_bw: float, reader_bw: float,
 
 
 def transfer_time_electrical(bits: float, hops: int, topology: PlatformTopology,
-                             congestion: float = 1.0, router_cycles: int = 3) -> float:
-    """Per-hop router latency plus link serialization, optionally scaled by
-    a congestion factor when several chiplets contend for the memory node."""
+                             congestion: float, router_cycles: int) -> float:
+    """Per-hop router latency plus link serialization, scaled by a
+    congestion factor when several chiplets contend for the memory node."""
     link_bw = topology.noc_width_bits * topology.noc_freq_hz
     header = hops * router_cycles / topology.noc_freq_hz
     return header + bits * congestion / link_bw
@@ -109,56 +101,45 @@ def transfer_time_electrical(bits: float, hops: int, topology: PlatformTopology,
 # ------------------------------------------------------- epoch controller
 
 
-def _pcmc_settings(topology: PlatformTopology, active: dict[str, int]) -> dict[str, PcmcState]:
-    """Per-writer coupler states: each chiplet's laser trunk is split
-    equally over its lit gateways, dark gateways pass the trunk along."""
-    settings: dict[str, PcmcState] = {}
-    for chiplet in topology.chiplets:
-        gws = chiplet.gateway_ids()
-        lit = active.get(chiplet.id, 0)
-        settings.update(zip(gws, pcmc_chain_for_equal_split([k < lit for k in range(len(gws))])))
-    return settings
+class EpochController:
+    """The photonic interposer's epoch controller. Its state is the number of
+    lit gateways per chiplet, always the first ones on the chiplet's laser
+    trunk; the coupler settings and the laser power follow from it."""
 
+    def __init__(self, topology: PlatformTopology, params: DeviceParams) -> None:
+        self._n_wavelengths, self._params = topology.n_wavelengths, params
+        self._gw_bw = gateway_peak_bandwidth(topology)
+        self._gateways = {c.id: c.gateways for c in topology.chiplets}
+        writer = {gw: (c.id, k) for c in topology.chiplets
+                  for k, gw in enumerate(c.gateway_ids())}
+        # routes keep topology order, so the laser sum keeps its float order
+        self._routes = [(*writer[r.writer_gateway], r.path) for r in topology.routes]
+        self._light(dict(self._gateways))  # power-on: every gateway lit
 
-def _laser_power(topology: PlatformTopology, active: dict[str, int],
-                 params: DeviceParams) -> float:
-    """Wall-plug watts to drive every route whose writer gateway is lit."""
-    paths = []
-    for route in topology.routes:
-        chiplet_id, gw = route.writer_gateway.rsplit(":g", 1)
-        if int(gw) < active.get(chiplet_id, 0):
-            paths.append(route.path)
-    return required_laser_power(paths, topology.n_wavelengths, params) if paths else 0.0
+    def _light(self, active: dict[str, int]) -> None:
+        self.active = active
+        # every chiplet keeps gateway 0 lit, so some route is always driven
+        paths = [path for cid, k, path in self._routes if k < active[cid]]
+        self.laser_w = required_laser_power(paths, self._n_wavelengths, self._params)
 
+    def couplers(self, chiplet_id: str) -> list[PcmcState]:
+        """Coupler states along the chiplet's trunk: the trunk is split
+        equally over its lit gateways, dark gateways pass it along."""
+        lit = self.active[chiplet_id]
+        return pcmc_chain_for_equal_split([k < lit for k in range(self._gateways[chiplet_id])])
 
-def _controller_state(topology: PlatformTopology, active: dict[str, int],
-                      params: DeviceParams, reconfig_count: int) -> ControllerState:
-    return ControllerState(active, _pcmc_settings(topology, active),
-                           _laser_power(topology, active, params), reconfig_count)
-
-
-def initial_controller_state(topology: PlatformTopology, params: DeviceParams) -> ControllerState:
-    """Power-on state: every gateway lit, couplers splitting evenly."""
-    return _controller_state(topology, {c.id: c.gateways for c in topology.chiplets}, params, 0)
-
-
-def reconfigure_epoch(demand_bps: dict[str, float], state: ControllerState,
-                      topology: PlatformTopology,
-                      params: DeviceParams) -> tuple[ControllerState, int]:
-    """Resize each chiplet's lit-gateway set to carry its demand, retune the
-    couplers and the laser budget accordingly. Returns the new state (the
-    same object when nothing changes) and the number of couplers retuned."""
-    gw_bw = gateway_peak_bandwidth(topology)
-    active = {}
-    for chiplet in topology.chiplets:
-        wanted = math.ceil(demand_bps.get(chiplet.id, 0.0) / gw_bw)
-        active[chiplet.id] = max(1, min(wanted, chiplet.gateways))
-    if active == state.active_gateways:
-        return state, 0
-    new_state = _controller_state(topology, active, params, state.reconfig_count + 1)
-    switched = sum(1 for gw, s in new_state.pcmc_settings.items()
-                   if state.pcmc_settings.get(gw) != s)
-    return new_state, switched
+    def reconfigure(self, demand_bps: dict[str, float]) -> int:
+        """Resize each chiplet's lit-gateway set to carry its demand; returns
+        the number of couplers retuned (0 when no count changed)."""
+        active = {cid: max(1, min(math.ceil(demand_bps.get(cid, 0.0) / self._gw_bw), n))
+                  for cid, n in self._gateways.items()}
+        changed = [cid for cid, n in active.items() if n != self.active[cid]]
+        if not changed:
+            return 0
+        before = [self.couplers(cid) for cid in changed]
+        self._light(active)
+        return sum(a != b for cid, chain in zip(changed, before)
+                   for a, b in zip(chain, self.couplers(cid)))
 
 
 # ---------------------------------------------------------- interconnects
@@ -180,11 +161,11 @@ def _photonic(topology: PlatformTopology, params: DeviceParams, options: SimOpti
     write_routes = {c.id: max((swsr[gw] for gw in c.gateway_ids()), key=by_length)
                     for c in topology.compute_chiplets()}
     freq, cycles = topology.gateway_freq_hz, options.gateway_overhead_cycles
-    state = initial_controller_state(topology, params)
+    controller = EpochController(topology, params)
     previous_demand: dict[str, float] = {}
 
     def layer(traffic: TrafficVolume, assignment: LayerAssignment, compute_s: float):
-        nonlocal state, previous_demand
+        nonlocal previous_demand
         ids = assignment.chiplet_ids
         weight_bits = traffic.weight_bits * options.weight_refetch_factor
         read_bits = weight_bits + traffic.input_bits
@@ -199,12 +180,13 @@ def _photonic(topology: PlatformTopology, params: DeviceParams, options: SimOpti
             for mem_id in memory_ids:
                 demand[mem_id] = (read_bits + write_bits) / window / len(memory_ids)
             applied = demand if options.demand_mode == "upcoming" else previous_demand
-            new_state, switched = reconfigure_epoch(applied, state, topology, params)
-            if new_state.reconfig_count != state.reconfig_count:
+            # a changed count always retunes a coupler, so switched > 0 is a resize
+            switched = controller.reconfigure(applied)
+            if switched:
                 overhead_s = params.pcm_transition_s
-            state, previous_demand = new_state, demand
+            previous_demand = demand
 
-        active = state.active_gateways
+        active = controller.active
         memory_bw = sum(active[m] for m in memory_ids) * gw_bw
         assigned_bw = sum(active[c] for c in ids) * gw_bw
         write_route = max((write_routes[c] for c in ids), key=by_length)
@@ -220,7 +202,7 @@ def _photonic(topology: PlatformTopology, params: DeviceParams, options: SimOpti
             "gateway_elec": bits * params.gateway_elec_energy_pj_per_bit * 1e-12,
             "controller": switched * options.pcmc_switch_energy_pj * 1e-12,
         }
-        return read_s, write_s, overhead_s, bits, joules, {"laser": state.current_laser_w}
+        return read_s, write_s, overhead_s, bits, joules, {"laser": controller.laser_w}
 
     # interposer rings stay locked to the WDM grid whether or not their
     # gateway is lit; deactivation saves laser power, not trim power
@@ -324,6 +306,7 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
     """Run ``model`` as mapped by ``plan`` on ``topology``."""
     options = options or SimOptions()
     options.validate()
+    params.validate()
     _check_plan(model, topology, plan)
     interconnect = _INTERCONNECTS.get(topology.kind)
     if interconnect is None:

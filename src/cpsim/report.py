@@ -65,16 +65,19 @@ def _geomean(values: list[float]) -> float:
     return math.prod(values) ** (1.0 / len(values))
 
 
+def reject_duplicate_pairs(pairs: list[tuple[str, str]]) -> None:
+    """Raise naming each (platform, model) pair that occurs twice: its second
+    run would take over the model's baseline or count twice in the geomean."""
+    duplicated = sorted({pair for pair in pairs if pairs.count(pair) > 1})
+    if duplicated:
+        raise ValueError(f"duplicate (platform, model) runs: {duplicated}")
+
+
 def comparison_table(runs: list[LabeledRun], baseline: str) -> list[ComparisonRow]:
     """Normalized comparison rows plus one geometric-mean row per platform."""
     if not runs:
         raise ValueError("no runs to compare")
-    # a second run of a pair would take over the model's baseline or count
-    # twice in the platform's geomean
-    pairs = [(r.platform, r.model) for r in runs]
-    duplicated = sorted({pair for pair in pairs if pairs.count(pair) > 1})
-    if duplicated:
-        raise ValueError(f"duplicate (platform, model) runs: {duplicated}")
+    reject_duplicate_pairs([(r.platform, r.model) for r in runs])
     platforms = list(dict.fromkeys(r.platform for r in runs))
     if baseline not in platforms:
         raise ValueError(f"baseline {baseline!r} not among runs ({', '.join(platforms)})")

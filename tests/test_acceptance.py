@@ -11,8 +11,7 @@ import pytest
 from cpsim.cli import cli_main
 from cpsim.devices import (DeviceParams, OpticalPath, PcmcState, pcmc_transfer,
                            path_insertion_loss, required_laser_power, serialization_time)
-from cpsim.engine import (RunMetrics, initial_controller_state, reconfigure_epoch,
-                          simulate_model)
+from cpsim.engine import EpochController, RunMetrics, simulate_model
 from cpsim.mapper import chunks_per_dot, map_model
 from cpsim.platform import DEFAULT_MAC_TYPES, default_platform
 from cpsim.report import LabeledRun, comparison_table
@@ -154,19 +153,19 @@ def test_criterion_6_device_model_properties():
 def test_criterion_7_controller_properties(cfg):
     with criterion(7, "epoch controller properties"):
         topo = default_platform()
-        state = initial_controller_state(topo, cfg.devices)
+        controller = EpochController(topo, cfg.devices)
+        writer = {gw: (c.id, k) for c in topo.chiplets for k, gw in enumerate(c.gateway_ids())}
         rng = random.Random(99)
         gw_bw = topo.n_wavelengths * topo.link_rate_bps
         for _ in range(100):
             demand = {c.id: rng.uniform(0, 5e12) for c in topo.chiplets}
-            state, _ = reconfigure_epoch(demand, state, topo, cfg.devices)
+            controller.reconfigure(demand)
             for c in topo.chiplets:
                 wanted = math.ceil(demand[c.id] / gw_bw)
-                assert state.active_gateways[c.id] == max(1, min(wanted, c.gateways))
+                assert controller.active[c.id] == max(1, min(wanted, c.gateways))
             lit = [r.path for r in topo.routes
-                   if int(r.writer_gateway.rsplit(":g", 1)[1])
-                   < state.active_gateways[r.writer_gateway.rsplit(":g", 1)[0]]]
-            assert state.current_laser_w == pytest.approx(
+                   if writer[r.writer_gateway][1] < controller.active[writer[r.writer_gateway][0]]]
+            assert controller.laser_w == pytest.approx(
                 required_laser_power(lit, topo.n_wavelengths, cfg.devices), rel=1e-12)
 
         layers = (LayerSpec(0, "conv", 3, 3, 8, 16, 8, 8, 8, 8),
@@ -176,11 +175,10 @@ def test_criterion_7_controller_properties(cfg):
         enabled = simulate_model(toy, topo, plan, cfg.devices, cfg.options)
         disabled = simulate_model(toy, topo, plan, cfg.devices,
                                   replace(cfg.options, resipi_enabled=False))
-        idle_enabled, _ = reconfigure_epoch(
-            {}, initial_controller_state(topo, cfg.devices),
-            topo, cfg.devices)
-        idle_disabled = initial_controller_state(topo, cfg.devices)
-        assert idle_disabled.current_laser_w >= idle_enabled.current_laser_w
+        idle_enabled = EpochController(topo, cfg.devices)
+        idle_enabled.reconfigure({})
+        idle_disabled = EpochController(topo, cfg.devices)
+        assert idle_disabled.laser_w >= idle_enabled.laser_w
         assert (disabled.energy_breakdown["laser"] / disabled.total_latency_s
                 >= enabled.energy_breakdown["laser"] / enabled.total_latency_s)
 

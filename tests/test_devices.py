@@ -4,9 +4,9 @@ import random
 import pytest
 
 from cpsim.devices import (AMORPHOUS, CRYSTALLINE, PARTIAL, DeviceParams, OpticalPath,
-                           PcmcState, conversion_energy, mr_tuning_power,
-                           path_insertion_loss, pcmc_chain_for_equal_split, pcmc_for_split,
-                           pcmc_transfer, required_laser_power, serialization_time)
+                           PcmcState, mr_tuning_power, path_insertion_loss,
+                           pcmc_chain_for_equal_split, pcmc_for_split, pcmc_transfer,
+                           required_laser_power, serialization_time)
 
 PARAMS = DeviceParams()
 
@@ -173,16 +173,6 @@ def test_mr_tuning_power_examples():
     assert mr_tuning_power(0, PARAMS) == 0.0
     assert mr_tuning_power(64, PARAMS) == pytest.approx(0.032, rel=1e-12)
     assert mr_tuning_power(4096, PARAMS) == pytest.approx(2.048, rel=1e-12)
-
-
-def test_conversion_energy_examples():
-    params = DeviceParams(modulator_energy_pj_per_bit=1.0, filter_pd_energy_pj_per_bit=1.0,
-                          gateway_elec_energy_pj_per_bit=2.0)
-    assert conversion_energy(0, params) == 0.0
-    assert conversion_energy(10 ** 9, params) == pytest.approx(4e-3, rel=1e-12)
-    n = 123_456
-    assert conversion_energy(2 * n, params) == pytest.approx(2 * conversion_energy(n, params),
-                                                             rel=1e-15)
 
 
 def test_device_params_validation():

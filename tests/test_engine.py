@@ -5,9 +5,8 @@ import pytest
 
 from cpsim.config import with_kind
 from cpsim.devices import CRYSTALLINE, DeviceParams, OpticalPath, required_laser_power
-from cpsim.engine import (compute_time, initial_controller_state, reconfigure_epoch,
-                          simulate_model, simulate_monolithic, transfer_time_electrical,
-                          transfer_time_photonic)
+from cpsim.engine import (EpochController, compute_time, simulate_model, simulate_monolithic,
+                          transfer_time_electrical, transfer_time_photonic)
 from cpsim.mapper import LayerAssignment, MappingError, map_model
 from cpsim.platform import DEFAULT_MAC_TYPES, WaveguideRoute, build_topology, default_platform
 from cpsim.workload import DnnModelSpec, LayerSpec
@@ -57,80 +56,86 @@ def test_photonic_transfer_overhead_only():
 def test_photonic_transfer_min_bandwidth_rule():
     params = DeviceParams()
     route = route_of_length(10.0)
-    full = transfer_time_photonic(10 ** 7, 768e9, 768e9, route, params, 2e9)
-    halved = transfer_time_photonic(10 ** 7, 768e9, 384e9, route, params, 2e9)
+    full = transfer_time_photonic(10 ** 7, 768e9, 768e9, route, params, 2e9, 4)
+    halved = transfer_time_photonic(10 ** 7, 768e9, 384e9, route, params, 2e9, 4)
     fixed = route.length_mm / params.group_velocity_mm_per_s + 4 / 2e9
     assert halved - fixed == pytest.approx(2 * (full - fixed), rel=1e-12)
 
 
 def test_electrical_transfer_examples(cfg):
     topo = build_topology(with_kind(cfg, "elec_interposer"))
-    assert transfer_time_electrical(256, 1, topo) == pytest.approx(2.5e-9, rel=1e-12)
-    assert transfer_time_electrical(0, 5, topo) == pytest.approx(7.5e-9, rel=1e-12)
-    congested = transfer_time_electrical(256, 1, topo, congestion=2.0)
+    assert transfer_time_electrical(256, 1, topo, 1.0, 3) == pytest.approx(2.5e-9, rel=1e-12)
+    assert transfer_time_electrical(0, 5, topo, 1.0, 3) == pytest.approx(7.5e-9, rel=1e-12)
+    congested = transfer_time_electrical(256, 1, topo, 2.0, 3)
     assert congested == pytest.approx(1.5e-9 + 2e-9, rel=1e-12)
 
 
 # ------------------------------------------------------- epoch controller
 
 
+def writer_index(topo):
+    """Writer gateway id -> (chiplet id, index among the chiplet's gateways)."""
+    return {gw: (c.id, k) for c in topo.chiplets for k, gw in enumerate(c.gateway_ids())}
+
+
 def test_controller_zero_demand_floors_at_one(cfg):
     topo = default_platform()
-    state = initial_controller_state(topo, cfg.devices)
-    state, _ = reconfigure_epoch({}, state, topo, cfg.devices)
-    assert all(v == 1 for v in state.active_gateways.values())
-    assert state.reconfig_count == 1
+    controller = EpochController(topo, cfg.devices)
+    assert controller.reconfigure({}) > 0
+    assert all(v == 1 for v in controller.active.values())
 
 
 def test_controller_clamp_arithmetic(cfg):
     topo = default_platform()
-    state = initial_controller_state(topo, cfg.devices)
-    state, _ = reconfigure_epoch({"conv3a": 1.6e12}, state, topo, cfg.devices)
-    assert state.active_gateways["conv3a"] == 3  # ceil(1.6e12 / 768e9)
-    state, _ = reconfigure_epoch({"conv3a": 1e13}, state, topo, cfg.devices)
-    assert state.active_gateways["conv3a"] == 4  # clamped at the gateway count
+    controller = EpochController(topo, cfg.devices)
+    controller.reconfigure({"conv3a": 1.6e12})
+    assert controller.active["conv3a"] == 3  # ceil(1.6e12 / 768e9)
+    controller.reconfigure({"conv3a": 1e13})
+    assert controller.active["conv3a"] == 4  # clamped at the gateway count
 
 
 def test_controller_monotone_in_demand(cfg):
     topo = default_platform()
-    state = initial_controller_state(topo, cfg.devices)
+    controller = EpochController(topo, cfg.devices)
     rng = random.Random(17)
     for _ in range(50):
         low = {c.id: rng.uniform(0, 3e12) for c in topo.chiplets}
         high = {cid: v * rng.uniform(1.0, 3.0) for cid, v in low.items()}
-        s_low, _ = reconfigure_epoch(low, state, topo, cfg.devices)
-        s_high, _ = reconfigure_epoch(high, state, topo, cfg.devices)
+        controller.reconfigure(low)
+        active_low = dict(controller.active)
+        controller.reconfigure(high)
         for cid in low:
-            assert s_high.active_gateways[cid] >= s_low.active_gateways[cid]
-            assert 1 <= s_low.active_gateways[cid] <= topo.chiplet(cid).gateways
+            assert controller.active[cid] >= active_low[cid]
+            assert 1 <= active_low[cid] <= topo.chiplet(cid).gateways
 
 
 def test_controller_laser_audit_and_pcmc_states(cfg):
     topo = default_platform()
-    state = initial_controller_state(topo, cfg.devices)
+    controller = EpochController(topo, cfg.devices)
+    writer = writer_index(topo)
     rng = random.Random(23)
     for _ in range(25):
         demand = {c.id: rng.uniform(0, 4e12) for c in topo.chiplets}
-        state, _ = reconfigure_epoch(demand, state, topo, cfg.devices)
+        controller.reconfigure(demand)
         lit_paths = []
         for route in topo.routes:
-            chiplet_id, gw = route.writer_gateway.rsplit(":g", 1)
-            if int(gw) < state.active_gateways[chiplet_id]:
+            chiplet_id, k = writer[route.writer_gateway]
+            if k < controller.active[chiplet_id]:
                 lit_paths.append(route.path)
             else:
-                assert state.pcmc_settings[route.writer_gateway].phase == CRYSTALLINE
+                assert controller.couplers(chiplet_id)[k].phase == CRYSTALLINE
         expected = required_laser_power(lit_paths, topo.n_wavelengths, cfg.devices)
-        assert state.current_laser_w == pytest.approx(expected, rel=1e-12)
+        assert controller.laser_w == pytest.approx(expected, rel=1e-12)
 
 
 def test_reconfiguration_count_only_moves_on_change(cfg):
     topo = default_platform()
-    state = initial_controller_state(topo, cfg.devices)
-    state, switched = reconfigure_epoch({}, state, topo, cfg.devices)
-    again, switched_again = reconfigure_epoch({}, state, topo, cfg.devices)
-    assert again.reconfig_count == state.reconfig_count == 1
-    assert again is state
+    controller = EpochController(topo, cfg.devices)
+    switched = controller.reconfigure({})
+    active, laser_w = dict(controller.active), controller.laser_w
+    switched_again = controller.reconfigure({})
     assert switched > 0 and switched_again == 0
+    assert controller.active == active and controller.laser_w == laser_w
 
 
 # -------------------------------------------------- single-layer fc traces
@@ -253,9 +258,10 @@ def test_resipi_disabled_is_never_slower_and_burns_more_idle_laser(cfg):
                               replace(cfg.options, resipi_enabled=False))
     assert disabled.total_latency_s <= enabled.total_latency_s
     # idle (zero demand) laser power: all-active vs reconfigured minimum
-    state = initial_controller_state(topo, cfg.devices)
-    idle, _ = reconfigure_epoch({}, state, topo, cfg.devices)
-    assert state.current_laser_w >= idle.current_laser_w
+    controller = EpochController(topo, cfg.devices)
+    all_lit_w = controller.laser_w
+    controller.reconfigure({})
+    assert all_lit_w >= controller.laser_w
     assert disabled.energy_breakdown["laser"] / disabled.total_latency_s >= \
         enabled.energy_breakdown["laser"] / enabled.total_latency_s
 
@@ -323,6 +329,11 @@ def test_plan_topology_mismatch_rejected(cfg):
     mono = build_topology(with_kind(cfg, "monolithic"))
     with pytest.raises(MappingError):
         simulate_model(model, mono, plan, cfg.devices, cfg.options)
+    # device parameters are validated like the options, not only on config load
+    with pytest.raises(ValueError, match="laser_efficiency"):
+        simulate_model(model, topo, plan, DeviceParams(laser_efficiency=0.0), cfg.options)
+    with pytest.raises(ValueError, match="pcm_transition_s"):
+        simulate_model(model, topo, plan, DeviceParams(pcm_transition_s=-1.0), cfg.options)
 
 
 def test_simulate_monolithic_requires_mono_topology(cfg):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from cpsim import engine
 from cpsim.cli import cli_main
 from cpsim.engine import RunMetrics
 from cpsim.report import (LabeledRun, comparison_table, emit_report, reference_rows,
@@ -234,7 +235,9 @@ def test_compare_env_var_config(tmp_path, monkeypatch):
     assert "siph_interposer,lenet5" in out.read_text()
 
 
-def test_compare_rejects_duplicate_pairs(tmp_path, capsys):
+def test_compare_rejects_duplicate_pairs(tmp_path, capsys, monkeypatch):
+    simulated = []
+    monkeypatch.setattr(engine, "simulate_model", lambda *a, **k: simulated.append(a))
     fc = "- {kind: fc, channels_in: 100, channels_out: %d}\n"
     for name, fout in (("a", 10), ("b", 20)):
         (tmp_path / f"{name}.desc").write_text(
@@ -244,6 +247,7 @@ def test_compare_rejects_duplicate_pairs(tmp_path, capsys):
     assert "('monolithic', 'x')" in capsys.readouterr().err
     assert cli_main(["compare", "--models", "lenet5", "--platforms", "siph,siph,mono"]) == 1
     assert "('siph_interposer', 'lenet5')" in capsys.readouterr().err
+    assert simulated == []  # rejected from the labels, before any simulation
 
 
 def test_topology_dump(tmp_path):
@@ -258,3 +262,7 @@ def test_topology_dump(tmp_path):
 def test_missing_config_file_is_failure(capsys):
     assert cli_main(["simulate", "--model", "lenet5", "--platform", "siph",
                      "--config", "/nonexistent/cfg.yaml"]) == 1
+    for epoch in ("0", "nan", "inf"):
+        assert cli_main(["simulate", "--model", "lenet5", "--platform", "siph",
+                         "--epoch-us", epoch]) == 1
+        assert "epoch_s" in capsys.readouterr().err
