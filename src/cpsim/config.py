@@ -7,12 +7,11 @@ The bundled default config mirrors the reference platform sizing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 
 import yaml
 
-from .devices import DeviceParams
+from .devices import DeviceParams, require_finite
 
 SIPH = "siph_interposer"
 ELEC = "elec_interposer"
@@ -21,6 +20,17 @@ PLATFORM_KINDS = (SIPH, ELEC, MONO)
 
 # CLI shorthand for the three platform variants
 KIND_ALIASES = {"siph": SIPH, "elec": ELEC, "mono": MONO}
+
+
+# libyaml's C scanner and parser when PyYAML was built with it, the
+# pure-Python ones otherwise; both feed the same SafeConstructor and Resolver,
+# so they load equal objects. Descriptors are parsed with it too.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def safe_load(text: str):
+    """Parse one YAML document with ``YAML_LOADER``."""
+    return yaml.load(text, Loader=YAML_LOADER)
 
 
 class ConfigError(ValueError):
@@ -101,14 +111,15 @@ class SimOptions:
     def validate(self) -> None:
         if self.demand_mode not in ("upcoming", "trailing"):
             raise ConfigError(f"unknown demand mode {self.demand_mode!r}")
+        require_finite(self, ConfigError)
         for name in ("epoch_s", "mac_rate_hz"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and > 0, got {value}")
-        if self.weight_refetch_factor < 1.0:
-            raise ConfigError("weight refetch factor must be >= 1")
-        if self.elec_congestion_factor < 1.0:
-            raise ConfigError("congestion factor must be >= 1")
+            if value <= 0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
+        for name in ("weight_refetch_factor", "elec_congestion_factor"):
+            value = getattr(self, name)
+            if value < 1.0:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -146,7 +157,7 @@ def _build(cls, section: dict | None, where: str):
 
 def parse_config(text: str) -> SimConfig:
     try:
-        doc = yaml.safe_load(text)
+        doc = safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"unparseable config: {exc}") from exc
     if doc is None:

@@ -9,7 +9,7 @@ calibration values with physically typical magnitudes, not measured data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 CRYSTALLINE = "crystalline"
@@ -35,6 +35,15 @@ class PcmcState:
             raise ValueError("excess loss must be >= 0 dB")
 
 
+def require_finite(params, error: type[ValueError] = ValueError) -> None:
+    """Reject a NaN or infinite float in any field of the dataclass ``params``;
+    NaN would otherwise pass every ordering check after this one."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class DeviceParams:
     coupler_loss_db: float = 1.0
@@ -54,6 +63,7 @@ class DeviceParams:
     group_velocity_mm_per_s: float = 7.5e10  # ~c / 4 in an SOI waveguide
 
     def validate(self) -> None:
+        require_finite(self)
         for name in ("coupler_loss_db", "propagation_loss_db_per_mm", "mr_through_loss_db",
                      "mr_drop_loss_db", "splitter_excess_db", "mr_tuning_mw",
                      "modulator_energy_pj_per_bit", "filter_pd_energy_pj_per_bit",

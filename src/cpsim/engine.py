@@ -217,6 +217,9 @@ def _mesh(topology: PlatformTopology, params: DeviceParams, options: SimOptions)
         raise MappingError("electrical topology has no memory chiplet")
     n_routers = topology.mesh_dims[0] * topology.mesh_dims[1]
     watts = {"electrical_noc": topology.noc_router_static_w * n_routers}
+    # hops from each memory chiplet to every chiplet a plan may name
+    hop_count = {(m, c.id): electrical_hops(m, c.id, topology)
+                 for m in memory_ids for c in topology.chiplets}
 
     def layer(traffic: TrafficVolume, assignment: LayerAssignment, compute_s: float):
         ids = assignment.chiplet_ids
@@ -225,7 +228,7 @@ def _mesh(topology: PlatformTopology, params: DeviceParams, options: SimOptions)
         # receives its own copy of the input tensor
         read_bits = weight_bits + traffic.input_bits * len(ids)
         write_bits = float(traffic.output_bits)
-        hops = {cid: electrical_hops(memory_ids[i % len(memory_ids)], cid, topology)
+        hops = {cid: hop_count[memory_ids[i % len(memory_ids)], cid]
                 for i, cid in enumerate(ids)}
         worst_hops = max(hops.values())
         congestion = options.elec_congestion_factor if len(ids) > 1 else 1.0

@@ -8,7 +8,10 @@ simulator never sees tensor data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import yaml
+
+from .config import safe_load
 
 DEFAULT_BITWIDTH = 8
 
@@ -188,7 +191,7 @@ def load_model(descriptor_text: str) -> DnnModelSpec:
     mismatch); validation errors name the offending layer index.
     """
     try:
-        doc = yaml.safe_load(descriptor_text)
+        doc = safe_load(descriptor_text)
     except yaml.YAMLError as exc:
         raise DescriptorError(f"unparseable descriptor: {exc}") from exc
     if not isinstance(doc, dict):

@@ -332,8 +332,14 @@ def test_plan_topology_mismatch_rejected(cfg):
     # device parameters are validated like the options, not only on config load
     with pytest.raises(ValueError, match="laser_efficiency"):
         simulate_model(model, topo, plan, DeviceParams(laser_efficiency=0.0), cfg.options)
-    with pytest.raises(ValueError, match="pcm_transition_s"):
-        simulate_model(model, topo, plan, DeviceParams(pcm_transition_s=-1.0), cfg.options)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="pcm_transition_s"):
+            simulate_model(model, topo, plan, DeviceParams(pcm_transition_s=bad), cfg.options)
+    for name in ("weight_refetch_factor", "elec_congestion_factor"):
+        for bad in (0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                simulate_model(model, topo, plan, cfg.devices,
+                               replace(cfg.options, **{name: bad}))
 
 
 def test_simulate_monolithic_requires_mono_topology(cfg):

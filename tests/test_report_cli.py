@@ -259,10 +259,17 @@ def test_topology_dump(tmp_path):
     assert len(doc["chiplets"]) == 9
 
 
-def test_missing_config_file_is_failure(capsys):
+def test_missing_config_file_is_failure(tmp_path, capsys):
     assert cli_main(["simulate", "--model", "lenet5", "--platform", "siph",
                      "--config", "/nonexistent/cfg.yaml"]) == 1
     for epoch in ("0", "nan", "inf"):
         assert cli_main(["simulate", "--model", "lenet5", "--platform", "siph",
                          "--epoch-us", epoch]) == 1
         assert "epoch_s" in capsys.readouterr().err
+    for section, field in (("devices", "pcm_transition_s"), ("options", "weight_refetch_factor"),
+                           ("options", "pcmc_switch_energy_pj")):
+        bad = tmp_path / f"{field}.yaml"
+        bad.write_text(f"{section}: {{{field}: .nan}}\n")
+        assert cli_main(["simulate", "--model", "lenet5", "--platform", "siph",
+                         "--config", str(bad)]) == 1
+        assert field in capsys.readouterr().err
