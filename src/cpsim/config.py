@@ -120,6 +120,11 @@ class SimOptions:
             value = getattr(self, name)
             if value < 1.0:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
+        for name in ("gateway_overhead_cycles", "router_latency_cycles",
+                     "pcmc_switch_energy_pj"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -141,14 +146,34 @@ class SimConfig:
             seen.add(chiplet.id)
 
 
+# what a value may be for each field annotation (a string, as every module
+# here imports annotations from __future__); a value is a bool exactly when
+# its field is, since bool is an int subclass
+_FIELD_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+                "bool": ((bool,), "true or false"), "str": ((str,), "a string")}
+
+
+def _check_type(name: str, annotation: str, value, where: str) -> None:
+    accepted, noun = _FIELD_TYPES[annotation]
+    if isinstance(value, accepted) and isinstance(value, bool) == (annotation == "bool"):
+        return
+    hint = ""
+    if annotation == "float" and isinstance(value, str):
+        # YAML 1.1 reads 5e9 as a string: a float needs a dot and a signed exponent
+        hint = "; write a float with a dot and a signed exponent, such as 5.0e+9"
+    raise ConfigError(f"{where}: {name} must be {noun}, got {value!r}{hint}")
+
+
 def _build(cls, section: dict | None, where: str):
     section = section or {}
     if not isinstance(section, dict):
         raise ConfigError(f"{where} section must be a mapping")
-    known = {f.name for f in fields(cls)}
-    unknown = set(section) - known
+    annotations = {f.name: f.type for f in fields(cls)}
+    unknown = set(section) - set(annotations)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    for name, value in section.items():
+        _check_type(name, annotations[name], value, where)
     try:
         return cls(**section)
     except (TypeError, ValueError) as exc:

@@ -28,7 +28,7 @@ from .devices import (DeviceParams, PcmcState, mr_tuning_power, pcmc_chain_for_e
 from .mapper import LayerAssignment, MappingError, MappingPlan, map_model
 from .platform import (SWMR, SWSR, PlatformTopology, WaveguideRoute, build_topology,
                        electrical_hops, gateway_peak_bandwidth)
-from .workload import DnnModelSpec, TrafficVolume, layer_traffic, model_total_bits
+from .workload import DnnModelSpec, TrafficVolume, layer_traffic
 
 ENERGY_CATEGORIES = ("laser", "tuning", "conversion", "mac", "gateway_elec",
                      "controller", "electrical_noc")
@@ -104,7 +104,9 @@ def transfer_time_electrical(bits: float, hops: int, topology: PlatformTopology,
 class EpochController:
     """The photonic interposer's epoch controller. Its state is the number of
     lit gateways per chiplet, always the first ones on the chiplet's laser
-    trunk; the coupler settings and the laser power follow from it."""
+    trunk; the coupler settings and the laser power follow from it. The laser
+    power of each state it reaches, and the retune count of each resize, are
+    worked out once per run and kept."""
 
     def __init__(self, topology: PlatformTopology, params: DeviceParams) -> None:
         self._n_wavelengths, self._params = topology.n_wavelengths, params
@@ -114,32 +116,53 @@ class EpochController:
                   for k, gw in enumerate(c.gateway_ids())}
         # routes keep topology order, so the laser sum keeps its float order
         self._routes = [(*writer[r.writer_gateway], r.path) for r in topology.routes]
+        self._laser_w_of: dict[tuple[int, ...], float] = {}   # lit counts -> watts
+        self._retuned_of: dict[tuple[int, int, int], int] = {}   # (n, before, after) -> count
         self._light(dict(self._gateways))  # power-on: every gateway lit
 
     def _light(self, active: dict[str, int]) -> None:
         self.active = active
-        # every chiplet keeps gateway 0 lit, so some route is always driven
-        paths = [path for cid, k, path in self._routes if k < active[cid]]
-        self.laser_w = required_laser_power(paths, self._n_wavelengths, self._params)
+        key = tuple(active.values())
+        laser_w = self._laser_w_of.get(key)
+        if laser_w is None:
+            # every chiplet keeps gateway 0 lit, so some route is always driven
+            paths = [path for cid, k, path in self._routes if k < active[cid]]
+            laser_w = self._laser_w_of[key] = required_laser_power(
+                paths, self._n_wavelengths, self._params)
+        self.laser_w = laser_w
+
+    def _retuned(self, n_gateways: int, before: int, after: int) -> int:
+        """Couplers whose setting differs between the trunk's chains with
+        ``before`` and ``after`` of its ``n_gateways`` taps lit; > 0 whenever
+        the counts differ, since tap 0 then crosses a different share."""
+        key = (n_gateways, before, after)
+        count = self._retuned_of.get(key)
+        if count is None:
+            count = self._retuned_of[key] = sum(
+                a != b for a, b in zip(_chain(n_gateways, before), _chain(n_gateways, after)))
+        return count
 
     def couplers(self, chiplet_id: str) -> list[PcmcState]:
         """Coupler states along the chiplet's trunk: the trunk is split
         equally over its lit gateways, dark gateways pass it along."""
-        lit = self.active[chiplet_id]
-        return pcmc_chain_for_equal_split([k < lit for k in range(self._gateways[chiplet_id])])
+        return _chain(self._gateways[chiplet_id], self.active[chiplet_id])
 
     def reconfigure(self, demand_bps: dict[str, float]) -> int:
         """Resize each chiplet's lit-gateway set to carry its demand; returns
         the number of couplers retuned (0 when no count changed)."""
-        active = {cid: max(1, min(math.ceil(demand_bps.get(cid, 0.0) / self._gw_bw), n))
-                  for cid, n in self._gateways.items()}
-        changed = [cid for cid, n in active.items() if n != self.active[cid]]
-        if not changed:
+        gateways, old = self._gateways, self.active
+        active = dict.fromkeys(gateways, 1)   # no demand keeps gateway 0 lit
+        for cid in demand_bps.keys() & gateways.keys():
+            active[cid] = max(1, min(math.ceil(demand_bps[cid] / self._gw_bw), gateways[cid]))
+        if active == old:
             return 0
-        before = [self.couplers(cid) for cid in changed]
         self._light(active)
-        return sum(a != b for cid, chain in zip(changed, before)
-                   for a, b in zip(chain, self.couplers(cid)))
+        return sum(self._retuned(n, old[cid], active[cid]) for cid, n in gateways.items()
+                   if old[cid] != active[cid])
+
+
+def _chain(n_gateways: int, lit: int) -> list[PcmcState]:
+    return pcmc_chain_for_equal_split([k < lit for k in range(n_gateways)])
 
 
 # ---------------------------------------------------------- interconnects
@@ -317,9 +340,11 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
     price, link_tuning_w = interconnect(topology, params, options)
     overlap, mac_rate_hz = options.overlap, options.mac_rate_hz
     results: list[LayerResult] = []
+    total_bits = 0
 
     for layer, assignment in zip(model.layers, plan.assignments):
         traffic = layer_traffic(layer)
+        total_bits += traffic.total_bits
         compute_s = compute_time(assignment, mac_rate_hz)
         read_s, write_s, overhead_s, bits_moved, joules, watts = price(traffic, assignment,
                                                                        compute_s)
@@ -339,7 +364,7 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
         results.append(LayerResult(layer.index, compute_s, read_s, write_s, overhead_s,
                                    latency, energy, bits_moved))
 
-    return _combine(results, model_total_bits(model))
+    return _combine(results, total_bits)
 
 
 def simulate_monolithic(model: DnnModelSpec, params: DeviceParams,

@@ -1,15 +1,20 @@
+import math
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpsim.config import with_kind
-from cpsim.devices import CRYSTALLINE, DeviceParams, OpticalPath, required_laser_power
+from cpsim.devices import (CRYSTALLINE, DeviceParams, OpticalPath, pcmc_chain_for_equal_split,
+                           required_laser_power)
 from cpsim.engine import (EpochController, compute_time, simulate_model, simulate_monolithic,
                           transfer_time_electrical, transfer_time_photonic)
 from cpsim.mapper import LayerAssignment, MappingError, map_model
-from cpsim.platform import DEFAULT_MAC_TYPES, WaveguideRoute, build_topology, default_platform
-from cpsim.workload import DnnModelSpec, LayerSpec
+from cpsim.platform import (DEFAULT_MAC_TYPES, WaveguideRoute, build_topology, default_platform,
+                            gateway_peak_bandwidth)
+from cpsim.workload import DnnModelSpec, LayerSpec, load_shipped_model, model_total_bits
 
 
 def fc_model(fin=100, fout=10):
@@ -138,6 +143,50 @@ def test_reconfiguration_count_only_moves_on_change(cfg):
     assert controller.active == active and controller.laser_w == laser_w
 
 
+
+def equal_split(n_gateways, lit):
+    return pcmc_chain_for_equal_split([k < lit for k in range(n_gateways)])
+
+
+# demand per chiplet in units of one gateway's peak bandwidth; whole numbers
+# land on the ceil boundaries, "ghost" is a chiplet the topology lacks
+DEMAND_SEQUENCES = st.lists(
+    st.dictionaries(st.sampled_from(["mem0", "dense0", "dense1", "conv7a", "conv5a", "conv5b",
+                                     "conv3a", "conv3b", "conv3c", "ghost"]),
+                    st.one_of(st.integers(0, 6), st.floats(0.0, 6.0))),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(DEMAND_SEQUENCES)
+def test_controller_matches_from_scratch_reference(demands):
+    """Every step agrees with a reference that re-derives the lit counts, both
+    coupler chains of every chiplet and the laser power without any cache."""
+    topo = default_platform()
+    params = DeviceParams()
+    gw_bw = gateway_peak_bandwidth(topo)
+    writer = writer_index(topo)
+    controller = EpochController(topo, params)
+    lit = {c.id: c.gateways for c in topo.chiplets}
+    for units in demands:
+        demand = {cid: u * gw_bw for cid, u in units.items()}
+        expected = {c.id: max(1, min(math.ceil(demand.get(c.id, 0.0) / gw_bw), c.gateways))
+                    for c in topo.chiplets}
+        retuned = sum(a != b for c in topo.chiplets
+                      for a, b in zip(equal_split(c.gateways, lit[c.id]),
+                                      equal_split(c.gateways, expected[c.id])))
+        paths = [r.path for r in topo.routes
+                 if writer[r.writer_gateway][1] < expected[writer[r.writer_gateway][0]]]
+        switched = controller.reconfigure(demand)
+        assert controller.active == expected
+        assert list(controller.active) == [c.id for c in topo.chiplets]
+        assert controller.laser_w == required_laser_power(paths, topo.n_wavelengths, params)
+        assert switched == retuned
+        assert (switched > 0) == (expected != lit)
+        for c in topo.chiplets:
+            assert controller.couplers(c.id) == equal_split(c.gateways, expected[c.id])
+        lit = expected
+
 # -------------------------------------------------- single-layer fc traces
 
 
@@ -224,9 +273,14 @@ def test_energy_identities_hold_for_every_run(sweep):
             assert all(v >= 0.0 for v in r.energy_j.values())
 
 
+
+def test_total_bits_is_every_tensor_moved_once(sweep):
+    for (name, _), metrics in sweep.items():
+        assert metrics.total_bits == model_total_bits(load_shipped_model(name))
+    assert len(sweep) == 15
+
 def test_bit_identical_reruns(cfg):
     topo = default_platform()
-    from cpsim.workload import load_shipped_model
     model = load_shipped_model("densenet121")
     plan = map_model(model, topo)
     first = simulate_model(model, topo, plan, cfg.devices, cfg.options)

@@ -5,6 +5,7 @@ import pytest
 
 from cpsim import engine
 from cpsim.cli import cli_main
+from cpsim.config import ConfigError, parse_config
 from cpsim.engine import RunMetrics
 from cpsim.report import (LabeledRun, comparison_table, emit_report, reference_rows,
                           render_report)
@@ -273,3 +274,32 @@ def test_missing_config_file_is_failure(tmp_path, capsys):
         assert cli_main(["simulate", "--model", "lenet5", "--platform", "siph",
                          "--config", str(bad)]) == 1
         assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, field", [
+    ("options: {mac_rate_hz: 5e9}", "mac_rate_hz"),      # YAML 1.1 reads a string
+    ('platform: {n_wavelengths: "64"}', "n_wavelengths"),
+    ("platform: {grid_rows: 3.0}", "grid_rows"),
+    ("options: {gateway_overhead_cycles: true}", "gateway_overhead_cycles"),
+    ('options: {overlap: "no"}', "overlap"),
+    ("options: {resipi_enabled: 0}", "resipi_enabled"),
+    ("devices: {laser_efficiency: true}", "laser_efficiency"),
+    ("options: {demand_mode: 1}", "demand_mode"),
+    ("chiplets: [{id: 7, role: memory, gateways: 4}]", "id"),
+    ("options: {pcmc_switch_energy_pj: -1.0e+12}", "pcmc_switch_energy_pj"),
+    ("options: {gateway_overhead_cycles: -400000}", "gateway_overhead_cycles"),
+    ("options: {router_latency_cycles: -1}", "router_latency_cycles"),
+])
+def test_mistyped_or_negative_config_value_is_failure(tmp_path, capsys, text, field):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text + "\n")
+    assert cli_main(["simulate", "--model", "lenet5", "--platform", "siph",
+                     "--config", str(bad)]) == 1
+    assert field in capsys.readouterr().err
+
+
+def test_unsigned_exponent_message_suggests_a_yaml_float():
+    with pytest.raises(ConfigError, match=r"options: mac_rate_hz .*'5e9'.*5\.0e\+9"):
+        parse_config("options: {mac_rate_hz: 5e9}")
+    # an int is a number; the loaded value keeps its type
+    assert parse_config("options: {mac_rate_hz: 5000000000}").options.mac_rate_hz == 5e9
