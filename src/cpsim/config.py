@@ -58,12 +58,17 @@ class PlatformSettings:
     def validate(self) -> None:
         if self.kind not in PLATFORM_KINDS:
             raise ConfigError(f"unknown platform kind {self.kind!r}")
+        require_finite(self, ConfigError)
         positive = (self.n_wavelengths, self.link_rate_bps, self.gateway_freq_hz,
                     self.noc_width_bits, self.noc_freq_hz, self.interposer_side_mm,
                     self.grid_rows, self.grid_cols, self.offchip_bw_bps,
                     self.monolithic_macs, self.monolithic_vector_len)
         if any(v <= 0 for v in positive):
             raise ConfigError("platform rates, counts, and dimensions must be > 0")
+        for name in ("noc_energy_pj_per_bit_hop", "noc_router_static_w",
+                     "offchip_energy_pj_per_bit"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"platform: {name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,8 @@ class ChipletConfig:
     def validate(self) -> None:
         if self.role not in ("compute", "memory"):
             raise ConfigError(f"chiplet {self.id!r}: unknown role {self.role!r}")
+        if self.vector_len < 0:
+            raise ConfigError(f"chiplet {self.id!r}: vector_len {self.vector_len} must be >= 0")
         if self.role == "memory":
             if self.gateways < 1:
                 raise ConfigError(f"chiplet {self.id!r}: memory chiplets need gateways >= 1")

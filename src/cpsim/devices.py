@@ -4,6 +4,8 @@ Pure functions over immutable inputs: phase-change coupler transfer,
 link-budget composition, laser power solving, serialization timing and
 microring tuning power. Numeric defaults in DeviceParams are
 calibration values with physically typical magnitudes, not measured data.
+PCMC loss is not modeled: every route's OpticalPath carries a fixed
+couplers=1, and only tests reach pcmc_transfer and PcmcState.excess_loss_db.
 """
 
 from __future__ import annotations

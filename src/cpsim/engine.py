@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import cache, reduce
+from operator import add, attrgetter, itemgetter
 
 from .config import ELEC, MONO, SIPH, SimOptions, default_config
 from .devices import (DeviceParams, PcmcState, mr_tuning_power, pcmc_chain_for_equal_split,
@@ -105,23 +106,25 @@ class EpochController:
     """The photonic interposer's epoch controller. Its state is the number of
     lit gateways per chiplet, always the first ones on the chiplet's laser
     trunk; the coupler settings and the laser power follow from it. The laser
-    power of each state it reaches, and the retune count of each resize, are
-    worked out once per run and kept."""
+    power of each state it reaches is worked out once per run and kept; the
+    lit bandwidths of a chiplet set, once per state."""
 
     def __init__(self, topology: PlatformTopology, params: DeviceParams) -> None:
         self._n_wavelengths, self._params = topology.n_wavelengths, params
         self._gw_bw = gateway_peak_bandwidth(topology)
         self._gateways = {c.id: c.gateways for c in topology.chiplets}
+        self._memory_ids = [c.id for c in topology.memory_chiplets()]
         writer = {gw: (c.id, k) for c in topology.chiplets
                   for k, gw in enumerate(c.gateway_ids())}
         # routes keep topology order, so the laser sum keeps its float order
         self._routes = [(*writer[r.writer_gateway], r.path) for r in topology.routes]
         self._laser_w_of: dict[tuple[int, ...], float] = {}   # lit counts -> watts
-        self._retuned_of: dict[tuple[int, int, int], int] = {}   # (n, before, after) -> count
         self._light(dict(self._gateways))  # power-on: every gateway lit
 
     def _light(self, active: dict[str, int]) -> None:
         self.active = active
+        self._raised = {cid for cid, n in active.items() if n > 1}   # lit beyond gateway 0
+        self._bandwidths_of: dict[tuple[str, ...], tuple[float, float]] = {}
         key = tuple(active.values())
         laser_w = self._laser_w_of.get(key)
         if laser_w is None:
@@ -131,38 +134,37 @@ class EpochController:
                 paths, self._n_wavelengths, self._params)
         self.laser_w = laser_w
 
-    def _retuned(self, n_gateways: int, before: int, after: int) -> int:
-        """Couplers whose setting differs between the trunk's chains with
-        ``before`` and ``after`` of its ``n_gateways`` taps lit; > 0 whenever
-        the counts differ, since tap 0 then crosses a different share."""
-        key = (n_gateways, before, after)
-        count = self._retuned_of.get(key)
-        if count is None:
-            count = self._retuned_of[key] = sum(
-                a != b for a, b in zip(_chain(n_gateways, before), _chain(n_gateways, after)))
-        return count
+    def bandwidths(self, ids: tuple[str, ...]) -> tuple[float, float]:
+        """Bits/s through the lit gateways of the memory chiplets and of ``ids``."""
+        bandwidths = self._bandwidths_of.get(ids)
+        if bandwidths is None:
+            lit, gw_bw = self.active, self._gw_bw
+            bandwidths = self._bandwidths_of[ids] = (sum(lit[m] for m in self._memory_ids) * gw_bw,
+                                                     sum(lit[c] for c in ids) * gw_bw)
+        return bandwidths
 
     def couplers(self, chiplet_id: str) -> list[PcmcState]:
         """Coupler states along the chiplet's trunk: the trunk is split
         equally over its lit gateways, dark gateways pass it along."""
-        return _chain(self._gateways[chiplet_id], self.active[chiplet_id])
+        lit = self.active[chiplet_id]
+        return pcmc_chain_for_equal_split([k < lit for k in range(self._gateways[chiplet_id])])
 
     def reconfigure(self, demand_bps: dict[str, float]) -> int:
         """Resize each chiplet's lit-gateway set to carry its demand; returns
-        the number of couplers retuned (0 when no count changed)."""
-        gateways, old = self._gateways, self.active
-        active = dict.fromkeys(gateways, 1)   # no demand keeps gateway 0 lit
-        for cid in demand_bps.keys() & gateways.keys():
-            active[cid] = max(1, min(math.ceil(demand_bps[cid] / self._gw_bw), gateways[cid]))
-        if active == old:
-            return 0
+        the couplers retuned, ``max(before, after)`` per resized trunk: every
+        lit tap's share changes, and every tap that goes lit or dark flips."""
+        gateways, old, gw_bw = self._gateways, self.active, self._gw_bw
+        for cid, d in demand_bps.items():
+            if cid in gateways and max(1, min(math.ceil(d / gw_bw), gateways[cid])) != old[cid]:
+                break
+        else:
+            if demand_bps.keys() >= self._raised:   # no demand keeps gateway 0 lit
+                return 0
+        active = dict.fromkeys(gateways, 1)
+        active.update({cid: max(1, min(math.ceil(d / gw_bw), gateways[cid]))
+                       for cid, d in demand_bps.items() if cid in gateways})
         self._light(active)
-        return sum(self._retuned(n, old[cid], active[cid]) for cid, n in gateways.items()
-                   if old[cid] != active[cid])
-
-
-def _chain(n_gateways: int, lit: int) -> list[PcmcState]:
-    return pcmc_chain_for_equal_split([k < lit for k in range(n_gateways)])
+        return sum(max(old[cid], n) for cid, n in active.items() if old[cid] != n)
 
 
 # ---------------------------------------------------------- interconnects
@@ -176,7 +178,6 @@ def _chain(n_gateways: int, lit: int) -> list[PcmcState]:
 def _photonic(topology: PlatformTopology, params: DeviceParams, options: SimOptions):
     """Photonic interposer: the epoch controller resizes the lit gateways
     before every layer; a resize stalls for one phase-change transition."""
-    gw_bw = gateway_peak_bandwidth(topology)
     memory_ids = [c.id for c in topology.memory_chiplets()]
     by_length = attrgetter("length_mm")
     read_route = max((r for r in topology.routes if r.protocol == SWMR), key=by_length)
@@ -184,12 +185,19 @@ def _photonic(topology: PlatformTopology, params: DeviceParams, options: SimOpti
     write_routes = {c.id: max((swsr[gw] for gw in c.gateway_ids()), key=by_length)
                     for c in topology.compute_chiplets()}
     freq, cycles = topology.gateway_freq_hz, options.gateway_overhead_cycles
+    conversion_pj = params.modulator_energy_pj_per_bit + params.filter_pd_energy_pj_per_bit
     controller = EpochController(topology, params)
     previous_demand: dict[str, float] = {}
+
+    @cache
+    def assigned(ids: tuple[str, ...]) -> tuple[int, WaveguideRoute]:
+        """Chiplet count and longest write route of one MAC type's chiplets."""
+        return len(ids), max((write_routes[c] for c in ids), key=by_length)
 
     def layer(traffic: TrafficVolume, assignment: LayerAssignment, compute_s: float):
         nonlocal previous_demand
         ids = assignment.chiplet_ids
+        n_ids, write_route = assigned(ids)
         weight_bits = traffic.weight_bits * options.weight_refetch_factor
         read_bits = weight_bits + traffic.input_bits
         write_bits = float(traffic.output_bits)
@@ -198,8 +206,8 @@ def _photonic(topology: PlatformTopology, params: DeviceParams, options: SimOpti
         switched = 0
         if options.resipi_enabled:
             window = max(compute_s, options.epoch_s)
-            demand = {cid: (traffic.input_bits + (weight_bits + traffic.output_bits) / len(ids))
-                      / window for cid in ids}
+            demand = dict.fromkeys(
+                ids, (traffic.input_bits + (weight_bits + traffic.output_bits) / n_ids) / window)
             for mem_id in memory_ids:
                 demand[mem_id] = (read_bits + write_bits) / window / len(memory_ids)
             applied = demand if options.demand_mode == "upcoming" else previous_demand
@@ -209,10 +217,7 @@ def _photonic(topology: PlatformTopology, params: DeviceParams, options: SimOpti
                 overhead_s = params.pcm_transition_s
             previous_demand = demand
 
-        active = controller.active
-        memory_bw = sum(active[m] for m in memory_ids) * gw_bw
-        assigned_bw = sum(active[c] for c in ids) * gw_bw
-        write_route = max((write_routes[c] for c in ids), key=by_length)
+        memory_bw, assigned_bw = controller.bandwidths(ids)
         read_s = transfer_time_photonic(read_bits, memory_bw, assigned_bw, read_route,
                                         params, freq, cycles)
         write_s = transfer_time_photonic(write_bits, assigned_bw, memory_bw, write_route,
@@ -220,8 +225,7 @@ def _photonic(topology: PlatformTopology, params: DeviceParams, options: SimOpti
 
         bits = read_bits + write_bits
         joules = {
-            "conversion": bits * (params.modulator_energy_pj_per_bit
-                                  + params.filter_pd_energy_pj_per_bit) * 1e-12,
+            "conversion": bits * conversion_pj * 1e-12,
             "gateway_elec": bits * params.gateway_elec_energy_pj_per_bit * 1e-12,
             "controller": switched * options.pcmc_switch_energy_pj * 1e-12,
         }
@@ -240,28 +244,29 @@ def _mesh(topology: PlatformTopology, params: DeviceParams, options: SimOptions)
         raise MappingError("electrical topology has no memory chiplet")
     n_routers = topology.mesh_dims[0] * topology.mesh_dims[1]
     watts = {"electrical_noc": topology.noc_router_static_w * n_routers}
-    # hops from each memory chiplet to every chiplet a plan may name
-    hop_count = {(m, c.id): electrical_hops(m, c.id, topology)
-                 for m in memory_ids for c in topology.chiplets}
+
+    @cache
+    def assigned(ids: tuple[str, ...]) -> tuple[int, tuple[int, ...], int, float]:
+        """Count, hops from each one's memory chiplet, worst hops, congestion."""
+        hops = {cid: electrical_hops(memory_ids[i % len(memory_ids)], cid, topology)
+                for i, cid in enumerate(ids)}
+        congestion = options.elec_congestion_factor if len(ids) > 1 else 1.0
+        return len(ids), tuple(hops.values()), max(hops.values()), congestion
 
     def layer(traffic: TrafficVolume, assignment: LayerAssignment, compute_s: float):
-        ids = assignment.chiplet_ids
+        n_ids, hops, worst_hops, congestion = assigned(assignment.chiplet_ids)
         weight_bits = traffic.weight_bits * options.weight_refetch_factor
         # broadcast is replicated on the mesh: every assigned chiplet
         # receives its own copy of the input tensor
-        read_bits = weight_bits + traffic.input_bits * len(ids)
+        read_bits = weight_bits + traffic.input_bits * n_ids
         write_bits = float(traffic.output_bits)
-        hops = {cid: hop_count[memory_ids[i % len(memory_ids)], cid]
-                for i, cid in enumerate(ids)}
-        worst_hops = max(hops.values())
-        congestion = options.elec_congestion_factor if len(ids) > 1 else 1.0
         read_s = transfer_time_electrical(read_bits, worst_hops, topology, congestion,
                                           options.router_latency_cycles)
         write_s = transfer_time_electrical(write_bits, worst_hops, topology, congestion,
                                            options.router_latency_cycles)
 
-        per_chiplet_bits = (weight_bits + traffic.output_bits) / len(ids) + traffic.input_bits
-        noc_dynamic_j = sum(per_chiplet_bits * h for h in hops.values()) \
+        per_chiplet_bits = (weight_bits + traffic.output_bits) / n_ids + traffic.input_bits
+        noc_dynamic_j = sum(per_chiplet_bits * h for h in hops) \
             * topology.noc_energy_pj_per_bit_hop * 1e-12
         return (read_s, write_s, 0.0, read_bits + write_bits,
                 {"electrical_noc": noc_dynamic_j}, watts)
@@ -299,15 +304,10 @@ def _check_plan(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPl
             raise MappingError(f"plan names chiplets absent from topology: {sorted(missing)}")
 
 
-def _zeros() -> dict[str, float]:
-    return dict.fromkeys(ENERGY_CATEGORIES, 0.0)
-
-
 def _combine(layer_results: list[LayerResult], total_bits: int) -> RunMetrics:
-    breakdown = _zeros()
-    for r in layer_results:
-        for k, v in r.energy_j.items():
-            breakdown[k] += v
+    # each category is a left fold from 0.0 in layer order, so its float sum is stable
+    energies = [r.energy_j for r in layer_results]
+    breakdown = {k: reduce(add, map(itemgetter(k), energies), 0.0) for k in ENERGY_CATEGORIES}
     total_latency = sum(r.layer_latency_s for r in layer_results)
     total_energy = sum(breakdown.values())
     return RunMetrics(
@@ -319,12 +319,6 @@ def _combine(layer_results: list[LayerResult], total_bits: int) -> RunMetrics:
         epb_j_per_bit=total_energy / total_bits if total_bits else 0.0,
         per_layer=tuple(layer_results),
     )
-
-
-def _mac_energy_j(assignment: LayerAssignment, params: DeviceParams) -> float:
-    per_invocation_pj = (params.dac_energy_pj * assignment.mac_type.vector_len
-                         + params.adc_energy_pj)
-    return assignment.invocations * per_invocation_pj * 1e-12
 
 
 def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPlan,
@@ -339,8 +333,15 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
         raise ValueError(f"unknown topology kind {topology.kind!r}")
     price, link_tuning_w = interconnect(topology, params, options)
     overlap, mac_rate_hz = options.overlap, options.mac_rate_hz
+    zeros = dict.fromkeys(ENERGY_CATEGORIES, 0.0)
     results: list[LayerResult] = []
     total_bits = 0
+
+    @cache
+    def mac_costs(total_macs: int, vector_len: int) -> tuple[float, float]:
+        """Ring trim watts of link and MAC pool, converter pJ per invocation."""
+        return (link_tuning_w + mr_tuning_power(total_macs * vector_len, params),
+                params.dac_energy_pj * vector_len + params.adc_energy_pj)
 
     for layer, assignment in zip(model.layers, plan.assignments):
         traffic = layer_traffic(layer)
@@ -353,14 +354,12 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
         else:
             latency = compute_s + read_s + write_s + overhead_s
 
-        energy = _zeros()
-        energy.update(joules)
+        energy = {**zeros, **joules}
         for category, w in watts.items():
             energy[category] += w * latency
-        mac_tuning_w = mr_tuning_power(assignment.total_macs * assignment.mac_type.vector_len,
-                                       params)
-        energy["tuning"] = (link_tuning_w + mac_tuning_w) * latency
-        energy["mac"] = _mac_energy_j(assignment, params)
+        tuning_w, mac_pj = mac_costs(assignment.total_macs, assignment.mac_type.vector_len)
+        energy["tuning"] = tuning_w * latency
+        energy["mac"] = assignment.invocations * mac_pj * 1e-12
         results.append(LayerResult(layer.index, compute_s, read_s, write_s, overhead_s,
                                    latency, energy, bits_moved))
 

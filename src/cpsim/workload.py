@@ -119,12 +119,13 @@ def layer_traffic(layer: LayerSpec) -> TrafficVolume:
     """Bits moved when the layer executes once: weights read once, the input
     tensor broadcast once, outputs written once. Bias traffic is folded into
     weight_bits."""
+    dot_length = layer.dot_length
     return TrafficVolume(
-        weight_bits=layer.params() * layer.weight_bitwidth,
+        weight_bits=(dot_length + 1) * layer.out_channels * layer.weight_bitwidth,  # params()
         input_bits=layer.in_h * layer.in_w * layer.in_channels * layer.activation_bitwidth,
         output_bits=layer.out_h * layer.out_w * layer.out_channels * layer.activation_bitwidth,
         dot_products=layer.dot_products,
-        dot_length=layer.dot_length,
+        dot_length=dot_length,
     )
 
 

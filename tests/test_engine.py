@@ -1,6 +1,9 @@
+import hashlib
+import importlib.util
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,8 @@ from cpsim.engine import (EpochController, compute_time, simulate_model, simulat
 from cpsim.mapper import LayerAssignment, MappingError, map_model
 from cpsim.platform import (DEFAULT_MAC_TYPES, WaveguideRoute, build_topology, default_platform,
                             gateway_peak_bandwidth)
-from cpsim.workload import DnnModelSpec, LayerSpec, load_shipped_model, model_total_bits
+from cpsim.workload import (DnnModelSpec, LayerSpec, load_model, load_shipped_model,
+                            model_total_bits)
 
 
 def fc_model(fin=100, fout=10):
@@ -186,6 +190,46 @@ def test_controller_matches_from_scratch_reference(demands):
         for c in topo.chiplets:
             assert controller.couplers(c.id) == equal_split(c.gateways, expected[c.id])
         lit = expected
+
+
+def test_retune_count_closed_form():
+    """The controller counts the couplers a resize retunes as max(before,
+    after); that is exactly how many settings differ between the two chains."""
+    for n in range(1, 13):
+        for before in range(n + 1):
+            for after in range(n + 1):
+                differ = sum(a != b for a, b in zip(equal_split(n, before),
+                                                    equal_split(n, after)))
+                assert differ == (max(before, after) if before != after else 0)
+
+
+GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+# sha256 of repr() of the runs below, recorded before the engine's per-MAC-type
+# and per-controller-state work left its layer loop; a moved float changes it
+GENERATED_RUNS_SHA256 = "a1d7151fdbd3f7ebb31a0fe7c1a01ce1d67cc0ccb3bee96517c6fffea48792c9"
+
+
+def test_generated_models_are_bit_identical(cfg):
+    """Four seeded synthetic models on every platform, with and without the
+    controller and overlap; they resize the controller far more often than the
+    shipped models, whose outputs the goldens pin."""
+    spec = importlib.util.spec_from_file_location("bench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    models = [load_model(text) for text in gen.generate(1)[:4]]
+    runs = []
+    for static in (False, True):
+        for kind in ("siph_interposer", "elec_interposer", "monolithic"):
+            variant = with_kind(cfg, kind)
+            topology = build_topology(variant)
+            options = variant.options
+            if static:
+                options = replace(options, resipi_enabled=False, overlap=False)
+            runs += [simulate_model(m, topology, map_model(m, topology), variant.devices, options)
+                     for m in models]
+    stalls = sum(r.overhead_s > 0 for m in runs[:len(models)] for r in m.per_layer)
+    assert stalls == 88   # of the 320 siph layers with the controller on
+    assert hashlib.sha256(repr(runs).encode()).hexdigest() == GENERATED_RUNS_SHA256
 
 # -------------------------------------------------- single-layer fc traces
 

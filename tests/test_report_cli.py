@@ -303,3 +303,41 @@ def test_unsigned_exponent_message_suggests_a_yaml_float():
         parse_config("options: {mac_rate_hz: 5e9}")
     # an int is a number; the loaded value keeps its type
     assert parse_config("options: {mac_rate_hz: 5000000000}").options.mac_rate_hz == 5e9
+
+
+def default_config_text():
+    from importlib import resources
+
+    return resources.files("cpsim.data").joinpath("default_platform.yaml").read_text("utf-8")
+
+
+def test_negative_vector_len_is_failure(tmp_path, capsys):
+    text = default_config_text()
+    entry = "{id: dense0, role: compute, mac_type: dense100, macs: 4,  macs_per_gateway: 1}"
+    assert text.count(entry) == 1
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text.replace(entry, entry[:-1] + ", vector_len: -5}"), "utf-8")
+    assert cli_main(["topology", "--config", str(bad), "--out", str(tmp_path / "t.json")]) == 1
+    err = capsys.readouterr().err
+    assert "dense0" in err and "vector_len" in err
+    # 0 still means "take the vector length from the MAC-type registry"
+    good = tmp_path / "good.yaml"
+    good.write_text(text.replace(entry, entry[:-1] + ", vector_len: 0}"), "utf-8")
+    assert cli_main(["topology", "--config", str(good), "--out", str(tmp_path / "t.json")]) == 0
+
+
+@pytest.mark.parametrize("field, platform", [
+    ("noc_router_static_w", "elec"),
+    ("noc_energy_pj_per_bit_hop", "elec"),
+    ("offchip_energy_pj_per_bit", "mono"),
+])
+@pytest.mark.parametrize("value", ["-5.0", ".nan", ".inf"])
+def test_negative_or_nonfinite_platform_energy_is_failure(tmp_path, capsys, field, platform,
+                                                          value):
+    text = default_config_text()
+    [line] = [line for line in text.splitlines() if line.strip().startswith(field + ":")]
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text.replace(line, f"  {field}: {value}"), "utf-8")
+    assert cli_main(["simulate", "--model", "lenet5", "--platform", platform,
+                     "--config", str(bad), "--out", str(tmp_path / "run.json")]) == 1
+    assert field in capsys.readouterr().err
