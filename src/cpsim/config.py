@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, replace
 
 import yaml
 
-from .devices import DeviceParams, require_finite
+from .devices import DeviceParams, check_fields, check_type
 
 SIPH = "siph_interposer"
 ELEC = "elec_interposer"
@@ -58,7 +58,7 @@ class PlatformSettings:
     def validate(self) -> None:
         if self.kind not in PLATFORM_KINDS:
             raise ConfigError(f"unknown platform kind {self.kind!r}")
-        require_finite(self, ConfigError)
+        check_fields(self, ConfigError)
         positive = (self.n_wavelengths, self.link_rate_bps, self.gateway_freq_hz,
                     self.noc_width_bits, self.noc_freq_hz, self.interposer_side_mm,
                     self.grid_rows, self.grid_cols, self.offchip_bw_bps,
@@ -118,7 +118,7 @@ class SimOptions:
     def validate(self) -> None:
         if self.demand_mode not in ("upcoming", "trailing"):
             raise ConfigError(f"unknown demand mode {self.demand_mode!r}")
-        require_finite(self, ConfigError)
+        check_fields(self, ConfigError)
         for name in ("epoch_s", "mac_rate_hz"):
             value = getattr(self, name)
             if value <= 0:
@@ -153,24 +153,6 @@ class SimConfig:
             seen.add(chiplet.id)
 
 
-# what a value may be for each field annotation (a string, as every module
-# here imports annotations from __future__); a value is a bool exactly when
-# its field is, since bool is an int subclass
-_FIELD_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
-                "bool": ((bool,), "true or false"), "str": ((str,), "a string")}
-
-
-def _check_type(name: str, annotation: str, value, where: str) -> None:
-    accepted, noun = _FIELD_TYPES[annotation]
-    if isinstance(value, accepted) and isinstance(value, bool) == (annotation == "bool"):
-        return
-    hint = ""
-    if annotation == "float" and isinstance(value, str):
-        # YAML 1.1 reads 5e9 as a string: a float needs a dot and a signed exponent
-        hint = "; write a float with a dot and a signed exponent, such as 5.0e+9"
-    raise ConfigError(f"{where}: {name} must be {noun}, got {value!r}{hint}")
-
-
 def _build(cls, section: dict | None, where: str):
     section = section or {}
     if not isinstance(section, dict):
@@ -180,7 +162,7 @@ def _build(cls, section: dict | None, where: str):
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     for name, value in section.items():
-        _check_type(name, annotations[name], value, where)
+        check_type(name, annotations[name], value, ConfigError, f"{where}: ")
     try:
         return cls(**section)
     except (TypeError, ValueError) as exc:

@@ -2,7 +2,9 @@
 
 Pure functions over immutable inputs: phase-change coupler transfer,
 link-budget composition, laser power solving, serialization timing and
-microring tuning power. Numeric defaults in DeviceParams are
+microring tuning power. A path's loss does not depend on which gateways are
+lit, so a caller prices each path once with source_mw and passes the mW of
+the lit paths to required_laser_power. Numeric defaults in DeviceParams are
 calibration values with physically typical magnitudes, not measured data.
 PCMC loss is not modeled: every route's OpticalPath carries a fixed
 couplers=1, and only tests reach pcmc_transfer and PcmcState.excess_loss_db.
@@ -12,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 CRYSTALLINE = "crystalline"
@@ -37,11 +41,32 @@ class PcmcState:
             raise ValueError("excess loss must be >= 0 dB")
 
 
-def require_finite(params, error: type[ValueError] = ValueError) -> None:
-    """Reject a NaN or infinite float in any field of the dataclass ``params``;
-    NaN would otherwise pass every ordering check after this one."""
+# what a value may be for each field annotation (a string, as every module
+# here imports annotations from __future__); a value is a bool exactly when
+# its field is, since bool is an int subclass
+_FIELD_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+                "bool": ((bool,), "true or false"), "str": ((str,), "a string")}
+
+
+def check_type(name: str, annotation: str, value, error: type[ValueError] = ValueError,
+               where: str = "") -> None:
+    accepted, noun = _FIELD_TYPES[annotation]
+    if isinstance(value, accepted) and isinstance(value, bool) == (annotation == "bool"):
+        return
+    hint = ""
+    if annotation == "float" and isinstance(value, str):
+        # YAML 1.1 reads 5e9 as a string: a float needs a dot and a signed exponent
+        hint = "; in YAML, write a float with a dot and a signed exponent, such as 5.0e+9"
+    raise error(f"{where}{name} must be {noun}, got {value!r}{hint}")
+
+
+def check_fields(params, error: type[ValueError] = ValueError) -> None:
+    """Reject a value whose type differs from its field's annotation, and a NaN
+    or infinite float, in any field of the dataclass ``params``; NaN or a
+    string would otherwise pass or break every ordering check after this one."""
     for f in fields(params):
         value = getattr(params, f.name)
+        check_type(f.name, f.type, value, error)
         if isinstance(value, float) and not math.isfinite(value):
             raise error(f"{f.name} must be finite, got {value}")
 
@@ -65,7 +90,7 @@ class DeviceParams:
     group_velocity_mm_per_s: float = 7.5e10  # ~c / 4 in an SOI waveguide
 
     def validate(self) -> None:
-        require_finite(self)
+        check_fields(self)
         for name in ("coupler_loss_db", "propagation_loss_db_per_mm", "mr_through_loss_db",
                      "mr_drop_loss_db", "splitter_excess_db", "mr_tuning_mw",
                      "modulator_energy_pj_per_bit", "filter_pd_energy_pj_per_bit",
@@ -132,19 +157,23 @@ def path_insertion_loss(path: OpticalPath, params: DeviceParams) -> float:
     return loss
 
 
-def required_laser_power(paths: Sequence[OpticalPath], n_wavelengths: int,
+def source_mw(path: OpticalPath, params: DeviceParams) -> float:
+    """Optical mW per wavelength the laser must launch into ``path`` so it
+    delivers detector sensitivity."""
+    return 10.0 ** ((params.pd_sensitivity_dbm + path_insertion_loss(path, params)) / 10.0)
+
+
+def required_laser_power(source_mws: Sequence[float], n_wavelengths: int,
                          params: DeviceParams) -> float:
-    """Wall-plug watts so every path delivers detector sensitivity per
-    wavelength. Deactivated paths must be excluded by the caller."""
-    if not paths:
+    """Wall-plug watts to drive paths needing ``source_mws`` (``source_mw``
+    of each) on every wavelength. Deactivated paths must be excluded by the
+    caller."""
+    if not source_mws:
         raise ValueError("no optical paths to drive")
     if n_wavelengths < 1:
         raise ValueError("need at least one wavelength")
-    optical_mw = 0.0
-    for path in paths:
-        source_dbm = params.pd_sensitivity_dbm + path_insertion_loss(path, params)
-        optical_mw += 10.0 ** (source_dbm / 10.0)
-    return n_wavelengths * optical_mw / 1e3 / params.laser_efficiency
+    # a left fold from 0.0 in path order, so the float sum is stable
+    return n_wavelengths * reduce(add, source_mws, 0.0) / 1e3 / params.laser_efficiency
 
 
 def serialization_time(bits: int, n_wavelengths: int, rate_bps: float) -> float:

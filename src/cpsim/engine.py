@@ -22,10 +22,11 @@ import math
 from dataclasses import dataclass
 from functools import cache, reduce
 from operator import add, attrgetter, itemgetter
+from typing import NamedTuple
 
 from .config import ELEC, MONO, SIPH, SimOptions, default_config
 from .devices import (DeviceParams, PcmcState, mr_tuning_power, pcmc_chain_for_equal_split,
-                      required_laser_power, serialization_time)
+                      required_laser_power, serialization_time, source_mw)
 from .mapper import LayerAssignment, MappingError, MappingPlan, map_model
 from .platform import (SWMR, SWSR, PlatformTopology, WaveguideRoute, build_topology,
                        electrical_hops, gateway_peak_bandwidth)
@@ -35,8 +36,7 @@ ENERGY_CATEGORIES = ("laser", "tuning", "conversion", "mac", "gateway_elec",
                      "controller", "electrical_noc")
 
 
-@dataclass(frozen=True)
-class LayerResult:
+class LayerResult(NamedTuple):
     layer_index: int
     compute_s: float
     read_s: float
@@ -48,7 +48,7 @@ class LayerResult:
 
     @property
     def total_energy_j(self) -> float:
-        return sum(self.energy_j.values())
+        return reduce(add, self.energy_j.values(), 0.0)
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,8 @@ class EpochController:
         writer = {gw: (c.id, k) for c in topology.chiplets
                   for k, gw in enumerate(c.gateway_ids())}
         # routes keep topology order, so the laser sum keeps its float order
-        self._routes = [(*writer[r.writer_gateway], r.path) for r in topology.routes]
+        self._routes = [(*writer[r.writer_gateway], source_mw(r.path, params))
+                        for r in topology.routes]
         self._laser_w_of: dict[tuple[int, ...], float] = {}   # lit counts -> watts
         self._light(dict(self._gateways))  # power-on: every gateway lit
 
@@ -129,9 +130,9 @@ class EpochController:
         laser_w = self._laser_w_of.get(key)
         if laser_w is None:
             # every chiplet keeps gateway 0 lit, so some route is always driven
-            paths = [path for cid, k, path in self._routes if k < active[cid]]
+            lit_mw = [mw for cid, k, mw in self._routes if k < active[cid]]
             laser_w = self._laser_w_of[key] = required_laser_power(
-                paths, self._n_wavelengths, self._params)
+                lit_mw, self._n_wavelengths, self._params)
         self.laser_w = laser_w
 
     def bandwidths(self, ids: tuple[str, ...]) -> tuple[float, float]:
@@ -266,7 +267,7 @@ def _mesh(topology: PlatformTopology, params: DeviceParams, options: SimOptions)
                                            options.router_latency_cycles)
 
         per_chiplet_bits = (weight_bits + traffic.output_bits) / n_ids + traffic.input_bits
-        noc_dynamic_j = sum(per_chiplet_bits * h for h in hops) \
+        noc_dynamic_j = reduce(add, [per_chiplet_bits * h for h in hops], 0.0) \
             * topology.noc_energy_pj_per_bit_hop * 1e-12
         return (read_s, write_s, 0.0, read_bits + write_bits,
                 {"electrical_noc": noc_dynamic_j}, watts)
@@ -298,18 +299,19 @@ def _check_plan(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPl
     if plan.model_name != model.name or len(plan.assignments) != len(model.layers):
         raise MappingError(f"plan for {plan.model_name!r} does not match model {model.name!r}")
     known = {c.id for c in topology.chiplets}
-    for assignment in plan.assignments:
-        missing = set(assignment.chiplet_ids) - known
+    for chiplet_ids in dict.fromkeys(a.chiplet_ids for a in plan.assignments):
+        missing = set(chiplet_ids) - known
         if missing:
             raise MappingError(f"plan names chiplets absent from topology: {sorted(missing)}")
 
 
 def _combine(layer_results: list[LayerResult], total_bits: int) -> RunMetrics:
-    # each category is a left fold from 0.0 in layer order, so its float sum is stable
+    # every float sum is a left fold from 0.0 in layer or category order, so
+    # it does not depend on how a Python version's sum() adds floats
     energies = [r.energy_j for r in layer_results]
     breakdown = {k: reduce(add, map(itemgetter(k), energies), 0.0) for k in ENERGY_CATEGORIES}
-    total_latency = sum(r.layer_latency_s for r in layer_results)
-    total_energy = sum(breakdown.values())
+    total_latency = reduce(add, map(attrgetter("layer_latency_s"), layer_results), 0.0)
+    total_energy = reduce(add, breakdown.values(), 0.0)
     return RunMetrics(
         total_latency_s=total_latency,
         total_energy_j=total_energy,

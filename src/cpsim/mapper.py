@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .platform import MacUnitType, PlatformTopology
 from .workload import DnnModelSpec, LayerSpec
@@ -19,8 +20,7 @@ class MappingError(ValueError):
     """Model cannot be placed on the given topology."""
 
 
-@dataclass(frozen=True)
-class LayerAssignment:
+class LayerAssignment(NamedTuple):
     layer_index: int
     mac_type: MacUnitType
     chiplet_ids: tuple[str, ...]
@@ -77,18 +77,19 @@ def map_model(model: DnnModelSpec, topology: PlatformTopology) -> MappingPlan:
         types[chiplet.mac_type.name] = chiplet.mac_type
     available = list(types.values())
 
+    # the MAC type depends only on the layer's kind and kernel window
+    placements: dict[tuple[str, int], tuple[MacUnitType, tuple[str, ...], int]] = {}
     assignments = []
     for layer in model.layers:
-        mac_type = select_mac_type(layer, available)
-        chiplets = [c for c in compute if c.mac_type.name == mac_type.name]
-        total_macs = sum(c.macs for c in chiplets)
+        window = (layer.kind, layer.kernel_h * layer.kernel_w)
+        placement = placements.get(window)
+        if placement is None:
+            mac_type = select_mac_type(layer, available)
+            chiplets = [c for c in compute if c.mac_type.name == mac_type.name]
+            placement = placements[window] = (mac_type, tuple(c.id for c in chiplets),
+                                              sum(c.macs for c in chiplets))
+        mac_type, chiplet_ids, total_macs = placement
         chunks = chunks_per_dot(layer.dot_length, mac_type.vector_len)
-        assignments.append(LayerAssignment(
-            layer_index=layer.index,
-            mac_type=mac_type,
-            chiplet_ids=tuple(c.id for c in chiplets),
-            total_macs=total_macs,
-            chunks_per_dot=chunks,
-            invocations=layer.dot_products * chunks,
-        ))
+        assignments.append(LayerAssignment(layer.index, mac_type, chiplet_ids, total_macs,
+                                           chunks, layer.dot_products * chunks))
     return MappingPlan(model_name=model.name, assignments=tuple(assignments))

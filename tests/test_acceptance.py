@@ -10,7 +10,8 @@ import pytest
 
 from cpsim.cli import cli_main
 from cpsim.devices import (DeviceParams, OpticalPath, PcmcState, pcmc_transfer,
-                           path_insertion_loss, required_laser_power, serialization_time)
+                           path_insertion_loss, required_laser_power, serialization_time,
+                           source_mw)
 from cpsim.engine import EpochController, RunMetrics, simulate_model
 from cpsim.mapper import chunks_per_dot, map_model
 from cpsim.platform import DEFAULT_MAC_TYPES, default_platform
@@ -128,9 +129,11 @@ def test_criterion_6_device_model_properties():
         params = DeviceParams()
         for il in (0.0, 3.7, 12.0):
             base = required_laser_power(
-                [OpticalPath(il / params.propagation_loss_db_per_mm)], 64, params)
+                [source_mw(OpticalPath(il / params.propagation_loss_db_per_mm), params)],
+                64, params)
             up = required_laser_power(
-                [OpticalPath((il + 3.0103) / params.propagation_loss_db_per_mm)], 64, params)
+                [source_mw(OpticalPath((il + 3.0103) / params.propagation_loss_db_per_mm),
+                           params)], 64, params)
             assert up / base == pytest.approx(2.0, rel=1e-6)
 
         for _ in range(500):
@@ -166,7 +169,8 @@ def test_criterion_7_controller_properties(cfg):
             lit = [r.path for r in topo.routes
                    if writer[r.writer_gateway][1] < controller.active[writer[r.writer_gateway][0]]]
             assert controller.laser_w == pytest.approx(
-                required_laser_power(lit, topo.n_wavelengths, cfg.devices), rel=1e-12)
+                required_laser_power([source_mw(p, cfg.devices) for p in lit],
+                                     topo.n_wavelengths, cfg.devices), rel=1e-12)
 
         layers = (LayerSpec(0, "conv", 3, 3, 8, 16, 8, 8, 8, 8),
                   LayerSpec(1, "fc", 1, 1, 64, 10, 1, 1, 1, 1))

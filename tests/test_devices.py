@@ -6,7 +6,7 @@ import pytest
 from cpsim.devices import (AMORPHOUS, CRYSTALLINE, PARTIAL, DeviceParams, OpticalPath,
                            PcmcState, mr_tuning_power, path_insertion_loss,
                            pcmc_chain_for_equal_split, pcmc_for_split, pcmc_transfer,
-                           required_laser_power, serialization_time)
+                           required_laser_power, serialization_time, source_mw)
 
 PARAMS = DeviceParams()
 
@@ -118,31 +118,31 @@ def il_path(il_db, params):
 
 def test_laser_power_example():
     params = DeviceParams(pd_sensitivity_dbm=-20.0, laser_efficiency=0.1)
-    watts = required_laser_power([il_path(10.0, params)], 64, params)
+    watts = required_laser_power([source_mw(il_path(10.0, params), params)], 64, params)
     assert watts == pytest.approx(0.064, rel=1e-12)
 
 
 def test_laser_power_passthrough():
     params = DeviceParams(pd_sensitivity_dbm=-20.0, laser_efficiency=1.0)
-    watts = required_laser_power([OpticalPath(0.0)], 1, params)
+    watts = required_laser_power([source_mw(OpticalPath(0.0), params)], 1, params)
     assert watts == pytest.approx(1e-5, rel=1e-12)
 
 
 def test_laser_power_doubles_per_3db():
     params = DeviceParams()
-    base = required_laser_power([il_path(10.0, params)], 64, params)
-    doubled = required_laser_power([il_path(13.0103, params)], 64, params)
+    base = required_laser_power([source_mw(il_path(10.0, params), params)], 64, params)
+    doubled = required_laser_power([source_mw(il_path(13.0103, params), params)], 64, params)
     assert doubled / base == pytest.approx(2.0, rel=1e-6)
 
 
 def test_laser_power_monotone_in_losses_and_wavelengths():
     path = OpticalPath(length_mm=10, mrs_passed=32, drop_stages=1, split_fanout=4, couplers=1)
-    base = required_laser_power([path], 16, PARAMS)
-    assert required_laser_power([path], 32, PARAMS) > base
+    base = required_laser_power([source_mw(path, PARAMS)], 16, PARAMS)
+    assert required_laser_power([source_mw(path, PARAMS)], 32, PARAMS) > base
     for bump in ("coupler_loss_db", "propagation_loss_db_per_mm", "mr_through_loss_db",
                  "mr_drop_loss_db", "splitter_excess_db"):
         params = DeviceParams(**{bump: getattr(PARAMS, bump) + 0.5})
-        assert required_laser_power([path], 16, params) > base
+        assert required_laser_power([source_mw(path, params)], 16, params) > base
 
 
 def test_laser_power_rejects_empty():

@@ -3,18 +3,21 @@ import importlib.util
 import math
 import random
 from dataclasses import replace
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpsim import devices
 from cpsim.config import with_kind
-from cpsim.devices import (CRYSTALLINE, DeviceParams, OpticalPath, pcmc_chain_for_equal_split,
-                           required_laser_power)
+from cpsim.devices import (CRYSTALLINE, DeviceParams, OpticalPath, path_insertion_loss,
+                           pcmc_chain_for_equal_split, required_laser_power, source_mw)
 from cpsim.engine import (EpochController, compute_time, simulate_model, simulate_monolithic,
                           transfer_time_electrical, transfer_time_photonic)
-from cpsim.mapper import LayerAssignment, MappingError, map_model
+from cpsim.mapper import LayerAssignment, MappingError, MappingPlan, map_model
 from cpsim.platform import (DEFAULT_MAC_TYPES, WaveguideRoute, build_topology, default_platform,
                             gateway_peak_bandwidth)
 from cpsim.workload import (DnnModelSpec, LayerSpec, load_model, load_shipped_model,
@@ -133,7 +136,8 @@ def test_controller_laser_audit_and_pcmc_states(cfg):
                 lit_paths.append(route.path)
             else:
                 assert controller.couplers(chiplet_id)[k].phase == CRYSTALLINE
-        expected = required_laser_power(lit_paths, topo.n_wavelengths, cfg.devices)
+        expected = required_laser_power([source_mw(p, cfg.devices) for p in lit_paths],
+                                        topo.n_wavelengths, cfg.devices)
         assert controller.laser_w == pytest.approx(expected, rel=1e-12)
 
 
@@ -184,7 +188,8 @@ def test_controller_matches_from_scratch_reference(demands):
         switched = controller.reconfigure(demand)
         assert controller.active == expected
         assert list(controller.active) == [c.id for c in topo.chiplets]
-        assert controller.laser_w == required_laser_power(paths, topo.n_wavelengths, params)
+        assert controller.laser_w == required_laser_power([source_mw(p, params) for p in paths],
+                                                          topo.n_wavelengths, params)
         assert switched == retuned
         assert (switched > 0) == (expected != lit)
         for c in topo.chiplets:
@@ -258,7 +263,7 @@ def test_photonic_trace_single_fc(cfg):
     swsr_lengths = [10.4, 10.4, 10.4, 10.4, 18.4, 18.4, 18.4, 18.4]
     paths = [OpticalPath(l, 64, 1, 1, 1) for l in swsr_lengths]
     paths.append(OpticalPath(18.4, 64, 1, 32, 1))
-    laser_w = required_laser_power(paths, 64, cfg.devices)
+    laser_w = required_laser_power([source_mw(p, cfg.devices) for p in paths], 64, cfg.devices)
     assert layer.energy_j["laser"] == pytest.approx(laser_w * layer.layer_latency_s, rel=1e-12)
 
     tuning_w = (6_400 + 8 * 100) * 0.5e-3  # interposer rows + lit dense MAC rings
@@ -316,6 +321,19 @@ def test_energy_identities_hold_for_every_run(sweep):
             assert r.layer_latency_s >= max(r.compute_s, r.read_s, r.write_s) - 1e-18
             assert all(v >= 0.0 for v in r.energy_j.values())
 
+
+
+def test_totals_are_left_folds_of_layers(sweep):
+    """Every float total is added from 0.0 in layer (then category) order, so
+    it does not depend on the compensated float sum() of Python 3.12+."""
+    for metrics in sweep.values():
+        layers = metrics.per_layer
+        assert metrics.total_latency_s == reduce(add, [r.layer_latency_s for r in layers], 0.0)
+        for category, joules in metrics.energy_breakdown.items():
+            assert joules == reduce(add, [r.energy_j[category] for r in layers], 0.0)
+        assert metrics.total_energy_j == reduce(add, metrics.energy_breakdown.values(), 0.0)
+        for r in layers:
+            assert r.total_energy_j == reduce(add, r.energy_j.values(), 0.0)
 
 
 def test_total_bits_is_every_tensor_moved_once(sweep):
@@ -427,6 +445,14 @@ def test_plan_topology_mismatch_rejected(cfg):
     mono = build_topology(with_kind(cfg, "monolithic"))
     with pytest.raises(MappingError):
         simulate_model(model, mono, plan, cfg.devices, cfg.options)
+    # the plan is checked once per distinct chiplet set: a set that only the
+    # last layer uses is checked too
+    two = DnnModelSpec("two", (LayerSpec(0, "conv", 3, 3, 8, 16, 8, 8, 8, 8),
+                               LayerSpec(1, "fc", 1, 1, 1024, 10, 1, 1, 1, 1)), 0)
+    *head, last = map_model(two, topo).assignments
+    ghost = last._replace(chiplet_ids=last.chiplet_ids + ("ghost",))
+    with pytest.raises(MappingError, match="ghost"):
+        simulate_model(two, topo, MappingPlan("two", (*head, ghost)), cfg.devices, cfg.options)
     # device parameters are validated like the options, not only on config load
     with pytest.raises(ValueError, match="laser_efficiency"):
         simulate_model(model, topo, plan, DeviceParams(laser_efficiency=0.0), cfg.options)
@@ -438,6 +464,39 @@ def test_plan_topology_mismatch_rejected(cfg):
             with pytest.raises(ValueError, match=name):
                 simulate_model(model, topo, plan, cfg.devices,
                                replace(cfg.options, **{name: bad}))
+
+
+@pytest.mark.parametrize("section, field, value", [("options", "overlap", "no"),
+                                                    ("options", "mac_rate_hz", "5e9"),
+                                                    ("devices", "laser_efficiency", "0.1")])
+def test_library_value_of_the_wrong_type_is_rejected_naming_the_field(cfg, section, field, value):
+    """simulate_model checks every option and device field against its
+    annotation, as a config file's values are checked on load."""
+    topo = default_platform()
+    model = load_shipped_model("lenet5")
+    bad = replace(getattr(cfg, section), **{field: value})
+    params = bad if section == "devices" else cfg.devices
+    options = bad if section == "options" else cfg.options
+    with pytest.raises(ValueError, match=field):
+        simulate_model(model, topo, map_model(model, topo), params, options)
+
+
+def test_source_mw_prices_each_route_once_per_run(cfg, monkeypatch):
+    """The controller prices every route's loss at construction; a new lit
+    set only adds up the kept source powers."""
+    topo = default_platform()
+    model = load_shipped_model("resnet50")
+    plan = map_model(model, topo)
+    calls = []
+
+    def counted(path, params):
+        calls.append(path)
+        return path_insertion_loss(path, params)
+
+    monkeypatch.setattr(devices, "path_insertion_loss", counted)
+    metrics = simulate_model(model, topo, plan, cfg.devices, cfg.options)
+    assert len(calls) == len(topo.routes)
+    assert sum(r.overhead_s > 0 for r in metrics.per_layer) > 1   # several lit sets reached
 
 
 def test_simulate_monolithic_requires_mono_topology(cfg):
