@@ -82,6 +82,7 @@ class ChipletConfig:
     vector_len: int = 0            # overrides the mac_type registry entry
 
     def validate(self) -> None:
+        check_fields(self, ConfigError, f"chiplet {self.id!r}: ")
         if self.role not in ("compute", "memory"):
             raise ConfigError(f"chiplet {self.id!r}: unknown role {self.role!r}")
         if self.vector_len < 0:

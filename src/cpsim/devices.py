@@ -60,15 +60,15 @@ def check_type(name: str, annotation: str, value, error: type[ValueError] = Valu
     raise error(f"{where}{name} must be {noun}, got {value!r}{hint}")
 
 
-def check_fields(params, error: type[ValueError] = ValueError) -> None:
+def check_fields(params, error: type[ValueError] = ValueError, where: str = "") -> None:
     """Reject a value whose type differs from its field's annotation, and a NaN
     or infinite float, in any field of the dataclass ``params``; NaN or a
     string would otherwise pass or break every ordering check after this one."""
     for f in fields(params):
         value = getattr(params, f.name)
-        check_type(f.name, f.type, value, error)
+        check_type(f.name, f.type, value, error, where)
         if isinstance(value, float) and not math.isfinite(value):
-            raise error(f"{f.name} must be finite, got {value}")
+            raise error(f"{where}{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, reduce
-from operator import add, attrgetter, itemgetter
+from operator import add, attrgetter
 from typing import NamedTuple
 
 from .config import ELEC, MONO, SIPH, SimOptions, default_config
@@ -105,35 +105,56 @@ def transfer_time_electrical(bits: float, hops: int, topology: PlatformTopology,
 class EpochController:
     """The photonic interposer's epoch controller. Its state is the number of
     lit gateways per chiplet, always the first ones on the chiplet's laser
-    trunk; the coupler settings and the laser power follow from it. The laser
-    power of each state it reaches is worked out once per run and kept; the
-    lit bandwidths of a chiplet set, once per state."""
+    trunk; the coupler settings and the laser power follow from it. A layer's
+    target state follows from two integers, the gateways its demand fills on
+    each assigned and on each memory chiplet. Each state's ``active`` dict,
+    laser watts and lit bandwidths, and the retunes of each (old, new) pair,
+    are worked out once per run, keyed by lit counts, and kept."""
 
     def __init__(self, topology: PlatformTopology, params: DeviceParams) -> None:
         self._n_wavelengths, self._params = topology.n_wavelengths, params
         self._gw_bw = gateway_peak_bandwidth(topology)
         self._gateways = {c.id: c.gateways for c in topology.chiplets}
         self._memory_ids = [c.id for c in topology.memory_chiplets()]
-        writer = {gw: (c.id, k) for c in topology.chiplets
-                  for k, gw in enumerate(c.gateway_ids())}
+        # writer gateway -> (chiplet id, index on the chiplet's trunk)
+        self.writers = {gw: (c.id, k) for c in topology.chiplets
+                        for k, gw in enumerate(c.gateway_ids())}
         # routes keep topology order, so the laser sum keeps its float order
-        self._routes = [(*writer[r.writer_gateway], source_mw(r.path, params))
+        self._routes = [(*self.writers[r.writer_gateway], source_mw(r.path, params))
                         for r in topology.routes]
-        self._laser_w_of: dict[tuple[int, ...], float] = {}   # lit counts -> watts
-        self._light(dict(self._gateways))  # power-on: every gateway lit
+        # lit counts -> (active, laser W, bandwidths); (old, new) lit counts -> retunes
+        self._states, self._retunes, self.counts = {}, {}, ()
+        self.resize(tuple(self._gateways.values()))   # power-on: every gateway lit
 
-    def _light(self, active: dict[str, int]) -> None:
-        self.active = active
-        self._raised = {cid for cid, n in active.items() if n > 1}   # lit beyond gateway 0
-        self._bandwidths_of: dict[tuple[str, ...], tuple[float, float]] = {}
-        key = tuple(active.values())
-        laser_w = self._laser_w_of.get(key)
-        if laser_w is None:
+    def lit_counts(self, wanted: dict[str, int]) -> tuple[int, ...]:
+        """The state for ``wanted`` gateways per chiplet, at least 1 and at most all."""
+        return tuple(max(1, min(wanted.get(cid, 0), n)) for cid, n in self._gateways.items())
+
+    def resize(self, counts: tuple[int, ...]) -> int:
+        """Enter the state ``counts``; returns the couplers retuned, ``max(before, after)``
+        per resized trunk: every lit tap's share changes and every tap going lit or dark flips."""
+        old = self.counts
+        if counts == old:
+            return 0
+        retuned = self._retunes.get((old, counts))
+        if retuned is None:
+            retuned = self._retunes[old, counts] = sum(max(b, a) for b, a in zip(old, counts)
+                                                       if b != a)
+        state = self._states.get(counts)
+        if state is None:
+            active = dict(zip(self._gateways, counts))
             # every chiplet keeps gateway 0 lit, so some route is always driven
             lit_mw = [mw for cid, k, mw in self._routes if k < active[cid]]
-            laser_w = self._laser_w_of[key] = required_laser_power(
-                lit_mw, self._n_wavelengths, self._params)
-        self.laser_w = laser_w
+            state = self._states[counts] = (active, required_laser_power(
+                lit_mw, self._n_wavelengths, self._params), {})
+        self.counts, (self.active, self.laser_w, self._bandwidths_of) = counts, state
+        return retuned
+
+    def reconfigure(self, demand_bps: dict[str, float]) -> int:
+        """Resize to carry a demand in bits/s per chiplet; returns the couplers retuned."""
+        gateways, gw_bw = self._gateways, self._gw_bw
+        wanted = {cid: math.ceil(d / gw_bw) for cid, d in demand_bps.items() if cid in gateways}
+        return self.resize(self.lit_counts(wanted))
 
     def bandwidths(self, ids: tuple[str, ...]) -> tuple[float, float]:
         """Bits/s through the lit gateways of the memory chiplets and of ``ids``."""
@@ -150,23 +171,6 @@ class EpochController:
         lit = self.active[chiplet_id]
         return pcmc_chain_for_equal_split([k < lit for k in range(self._gateways[chiplet_id])])
 
-    def reconfigure(self, demand_bps: dict[str, float]) -> int:
-        """Resize each chiplet's lit-gateway set to carry its demand; returns
-        the couplers retuned, ``max(before, after)`` per resized trunk: every
-        lit tap's share changes, and every tap that goes lit or dark flips."""
-        gateways, old, gw_bw = self._gateways, self.active, self._gw_bw
-        for cid, d in demand_bps.items():
-            if cid in gateways and max(1, min(math.ceil(d / gw_bw), gateways[cid])) != old[cid]:
-                break
-        else:
-            if demand_bps.keys() >= self._raised:   # no demand keeps gateway 0 lit
-                return 0
-        active = dict.fromkeys(gateways, 1)
-        active.update({cid: max(1, min(math.ceil(d / gw_bw), gateways[cid]))
-                       for cid, d in demand_bps.items() if cid in gateways})
-        self._light(active)
-        return sum(max(old[cid], n) for cid, n in active.items() if old[cid] != n)
-
 
 # ---------------------------------------------------------- interconnects
 # One factory per platform kind works out the per-topology constants once and
@@ -179,44 +183,46 @@ class EpochController:
 def _photonic(topology: PlatformTopology, params: DeviceParams, options: SimOptions):
     """Photonic interposer: the epoch controller resizes the lit gateways
     before every layer; a resize stalls for one phase-change transition."""
+    controller = EpochController(topology, params)
     memory_ids = [c.id for c in topology.memory_chiplets()]
     by_length = attrgetter("length_mm")
     read_route = max((r for r in topology.routes if r.protocol == SWMR), key=by_length)
-    swsr = {r.writer_gateway: r for r in topology.routes if r.protocol == SWSR}
-    write_routes = {c.id: max((swsr[gw] for gw in c.gateway_ids()), key=by_length)
-                    for c in topology.compute_chiplets()}
     freq, cycles = topology.gateway_freq_hz, options.gateway_overhead_cycles
     conversion_pj = params.modulator_energy_pj_per_bit + params.filter_pd_energy_pj_per_bit
-    controller = EpochController(topology, params)
-    previous_demand: dict[str, float] = {}
+    trailing, gw_bw = options.demand_mode == "trailing", gateway_peak_bandwidth(topology)
+    previous = ((), 0, 0)   # no history: the state with only gateway 0 of each chiplet lit
 
     @cache
     def assigned(ids: tuple[str, ...]) -> tuple[int, WaveguideRoute]:
-        """Chiplet count and longest write route of one MAC type's chiplets."""
-        return len(ids), max((write_routes[c] for c in ids), key=by_length)
+        """Chiplet count and a longest write route of one MAC type's chiplets."""
+        return len(ids), max((r for r in topology.routes if r.protocol == SWSR
+                              and controller.writers[r.writer_gateway][0] in ids), key=by_length)
+
+    @cache
+    def layer_counts(ids: tuple[str, ...], n: int, n_memory: int) -> tuple[int, ...]:
+        """The state for ``n`` gateways wanted per chiplet of ``ids``, ``n_memory`` per memory."""
+        return controller.lit_counts(dict.fromkeys(ids, n) | dict.fromkeys(memory_ids, n_memory))
 
     def layer(traffic: TrafficVolume, assignment: LayerAssignment, compute_s: float):
-        nonlocal previous_demand
+        nonlocal previous
         ids = assignment.chiplet_ids
         n_ids, write_route = assigned(ids)
         weight_bits = traffic.weight_bits * options.weight_refetch_factor
         read_bits = weight_bits + traffic.input_bits
         write_bits = float(traffic.output_bits)
 
-        overhead_s = 0.0
-        switched = 0
+        overhead_s, switched = 0.0, 0
         if options.resipi_enabled:
+            # every assigned chiplet gets one demand share, every memory chiplet another
             window = max(compute_s, options.epoch_s)
-            demand = dict.fromkeys(
-                ids, (traffic.input_bits + (weight_bits + traffic.output_bits) / n_ids) / window)
-            for mem_id in memory_ids:
-                demand[mem_id] = (read_bits + write_bits) / window / len(memory_ids)
-            applied = demand if options.demand_mode == "upcoming" else previous_demand
+            target = (ids, math.ceil((traffic.input_bits + (weight_bits + traffic.output_bits)
+                                      / n_ids) / window / gw_bw),
+                      math.ceil((read_bits + write_bits) / window / len(memory_ids) / gw_bw))
+            target, previous = (previous, target) if trailing else (target, target)
             # a changed count always retunes a coupler, so switched > 0 is a resize
-            switched = controller.reconfigure(applied)
+            switched = controller.resize(layer_counts(*target))
             if switched:
                 overhead_s = params.pcm_transition_s
-            previous_demand = demand
 
         memory_bw, assigned_bw = controller.bandwidths(ids)
         read_s = transfer_time_photonic(read_bits, memory_bw, assigned_bw, read_route,
@@ -306,21 +312,17 @@ def _check_plan(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPl
 
 
 def _combine(layer_results: list[LayerResult], total_bits: int) -> RunMetrics:
-    # every float sum is a left fold from 0.0 in layer or category order, so
-    # it does not depend on how a Python version's sum() adds floats
-    energies = [r.energy_j for r in layer_results]
-    breakdown = {k: reduce(add, map(itemgetter(k), energies), 0.0) for k in ENERGY_CATEGORIES}
+    # every float sum is a left fold from 0.0 in layer or category order (each energy
+    # dict holds ENERGY_CATEGORIES in order), so no Python version's sum() moves it
+    columns = zip(*[r.energy_j.values() for r in layer_results])
+    breakdown = {k: reduce(add, column, 0.0) for k, column in zip(ENERGY_CATEGORIES, columns)}
     total_latency = reduce(add, map(attrgetter("layer_latency_s"), layer_results), 0.0)
     total_energy = reduce(add, breakdown.values(), 0.0)
-    return RunMetrics(
-        total_latency_s=total_latency,
-        total_energy_j=total_energy,
-        energy_breakdown=breakdown,
-        avg_power_w=total_energy / total_latency if total_latency else 0.0,
-        total_bits=total_bits,
-        epb_j_per_bit=total_energy / total_bits if total_bits else 0.0,
-        per_layer=tuple(layer_results),
-    )
+    return RunMetrics(total_latency_s=total_latency, total_energy_j=total_energy,
+                      energy_breakdown=breakdown, total_bits=total_bits,
+                      avg_power_w=total_energy / total_latency if total_latency else 0.0,
+                      epb_j_per_bit=total_energy / total_bits if total_bits else 0.0,
+                      per_layer=tuple(layer_results))
 
 
 def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPlan,
@@ -351,10 +353,8 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
         compute_s = compute_time(assignment, mac_rate_hz)
         read_s, write_s, overhead_s, bits_moved, joules, watts = price(traffic, assignment,
                                                                        compute_s)
-        if overlap:
-            latency = max(compute_s, read_s, write_s) + overhead_s
-        else:
-            latency = compute_s + read_s + write_s + overhead_s
+        latency = (max(compute_s, read_s, write_s) if overlap
+                   else compute_s + read_s + write_s) + overhead_s
 
         energy = {**zeros, **joules}
         for category, w in watts.items():

@@ -83,6 +83,9 @@ class DnnModelSpec:
     layers: tuple[LayerSpec, ...]
     declared_param_count: int
 
+    def __post_init__(self) -> None:
+        self.validate()   # a model is checked once, when built, never in the layer loop
+
     def validate(self) -> None:
         if not self.layers:
             raise ModelValidationError(f"model {self.name!r}: no layers")
@@ -214,7 +217,6 @@ def load_model(descriptor_text: str) -> DnnModelSpec:
         layers=layers,
         declared_param_count=doc["declared_param_count"],
     )
-    model.validate()
     _check_kind_counts(model, doc)
     return model
 

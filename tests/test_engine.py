@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpsim import devices
+from cpsim import devices, engine
 from cpsim.config import with_kind
 from cpsim.devices import (CRYSTALLINE, DeviceParams, OpticalPath, path_insertion_loss,
                            pcmc_chain_for_equal_split, required_laser_power, source_mw)
@@ -212,16 +212,24 @@ GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 # sha256 of repr() of the runs below, recorded before the engine's per-MAC-type
 # and per-controller-state work left its layer loop; a moved float changes it
 GENERATED_RUNS_SHA256 = "a1d7151fdbd3f7ebb31a0fe7c1a01ce1d67cc0ccb3bee96517c6fffea48792c9"
+# the same for demand_mode: trailing on siph, recorded before the controller
+# became a table of lit-count states
+TRAILING_RUNS_SHA256 = "eb3d15f5f5a5b0089fab59855aa172305acd43485543ad3d43bc9bb39a3adaec"
+
+
+def generated_models(n=4):
+    """The first ``n`` seed-1 synthetic models of the engine benchmark."""
+    spec = importlib.util.spec_from_file_location("bench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return [load_model(text) for text in gen.generate(1)[:n]]
 
 
 def test_generated_models_are_bit_identical(cfg):
     """Four seeded synthetic models on every platform, with and without the
     controller and overlap; they resize the controller far more often than the
     shipped models, whose outputs the goldens pin."""
-    spec = importlib.util.spec_from_file_location("bench_gen", GEN)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    models = [load_model(text) for text in gen.generate(1)[:4]]
+    models = generated_models()
     runs = []
     for static in (False, True):
         for kind in ("siph_interposer", "elec_interposer", "monolithic"):
@@ -235,6 +243,58 @@ def test_generated_models_are_bit_identical(cfg):
     stalls = sum(r.overhead_s > 0 for m in runs[:len(models)] for r in m.per_layer)
     assert stalls == 88   # of the 320 siph layers with the controller on
     assert hashlib.sha256(repr(runs).encode()).hexdigest() == GENERATED_RUNS_SHA256
+
+
+def test_generated_models_trailing_mode_is_bit_identical(cfg):
+    """Trailing demand mode resizes to the previous layer's target, and to the
+    all-ones state before the first layer."""
+    variant = with_kind(cfg, "siph_interposer")
+    topology = build_topology(variant)
+    options = replace(variant.options, demand_mode="trailing")
+    runs = [simulate_model(m, topology, map_model(m, topology), variant.devices, options)
+            for m in generated_models()]
+    assert sum(r.overhead_s > 0 for m in runs for r in m.per_layer) == 91
+    assert hashlib.sha256(repr(runs).encode()).hexdigest() == TRAILING_RUNS_SHA256
+
+
+def test_state_table_keeps_what_it_built(cfg, monkeypatch):
+    """The controller solves the laser power of each lit-count state once per
+    run, whether or not it leaves and comes back, and a return finds the same
+    laser power and bandwidths; a resize retunes max(before, after) couplers
+    per changed chiplet in either direction."""
+    laser_calls, states = [], set()
+
+    def counted(*args):
+        laser_calls.append(args)
+        return required_laser_power(*args)
+
+    class Recording(EpochController):
+        def resize(self, counts):
+            states.add(counts)
+            return super().resize(counts)
+
+    monkeypatch.setattr(engine, "required_laser_power", counted)
+    monkeypatch.setattr(engine, "EpochController", Recording)
+    topo = default_platform()
+    model = generated_models(1)[0]
+    metrics = simulate_model(model, topo, map_model(model, topo), cfg.devices, cfg.options)
+    resizes = sum(r.overhead_s > 0 for r in metrics.per_layer)
+    assert len(laser_calls) == len(states) and 2 < len(states) < resizes
+
+    laser_calls.clear()
+    controller = EpochController(topo, cfg.devices)
+    full, ids = dict(controller.active), ("conv3a", "conv3b")
+    controller.reconfigure({"conv3a": 2e12, "dense0": 1e12})
+    mixed = dict(controller.active)
+    seen = (controller.laser_w, controller.bandwidths(ids))
+    retunes = sum(max(full[c], mixed[c]) for c in full if full[c] != mixed[c])
+    assert full != mixed and retunes > 0
+    for _ in range(3):
+        assert controller.resize(tuple(full.values())) == retunes
+        assert controller.resize(tuple(mixed.values())) == retunes
+        assert controller.active == mixed
+        assert (controller.laser_w, controller.bandwidths(ids)) == seen
+    assert len(laser_calls) == 2   # power-on and the mixed state, once each
 
 # -------------------------------------------------- single-layer fc traces
 
@@ -447,8 +507,9 @@ def test_plan_topology_mismatch_rejected(cfg):
         simulate_model(model, mono, plan, cfg.devices, cfg.options)
     # the plan is checked once per distinct chiplet set: a set that only the
     # last layer uses is checked too
-    two = DnnModelSpec("two", (LayerSpec(0, "conv", 3, 3, 8, 16, 8, 8, 8, 8),
-                               LayerSpec(1, "fc", 1, 1, 1024, 10, 1, 1, 1, 1)), 0)
+    layers = (LayerSpec(0, "conv", 3, 3, 8, 16, 8, 8, 8, 8),
+              LayerSpec(1, "fc", 1, 1, 1024, 10, 1, 1, 1, 1))
+    two = DnnModelSpec("two", layers, sum(layer.params() for layer in layers))
     *head, last = map_model(two, topo).assignments
     ghost = last._replace(chiplet_ids=last.chiplet_ids + ("ghost",))
     with pytest.raises(MappingError, match="ghost"):

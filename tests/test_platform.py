@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from cpsim.config import ConfigError, parse_config
@@ -125,6 +127,14 @@ def test_unknown_config_keys_rejected():
         parse_config("devices: {coupler_loss_db: 1.0, bogus_knob: 2}")
     with pytest.raises(ConfigError, match="unknown"):
         parse_config("platform: {kind: siph_interposer, swizzle: 1}")
+
+
+@pytest.mark.parametrize("macs", ["8", 8.0])
+def test_library_chiplet_of_the_wrong_type_is_rejected_naming_it(cfg, macs):
+    """A chiplet built in code is type-checked like one read from a config file."""
+    chiplets = tuple(replace(c, macs=macs) if c.id == "dense0" else c for c in cfg.chiplets)
+    with pytest.raises(ConfigError, match="chiplet 'dense0': macs must be an integer"):
+        build_topology(replace(cfg, chiplets=chiplets), "siph_interposer")
 
 
 def test_route_paths_carry_modulator_row_and_fanout(topo):

@@ -198,6 +198,14 @@ def test_load_model_names_offending_layer():
         load_model(text)
 
 
+def test_model_built_in_code_is_validated_on_construction():
+    """A library-built model is checked when built, so a negative channel
+    count never reaches the mapper or the engine."""
+    bad = LayerSpec(0, "conv", 3, 3, 8, -16, 8, 8, 8, 8)
+    with pytest.raises(ModelValidationError, match="layer 0"):
+        DnnModelSpec("neg", (bad,), 0)
+
+
 def test_load_model_rejects_unknown_keys():
     text = (
         "name: bad\n"
