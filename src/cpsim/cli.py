@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -98,7 +99,12 @@ def _resolve_models(spec: str) -> list[DnnModelSpec]:
 def _run_one(model: DnnModelSpec, variant: SimConfig,
              topology: PlatformTopology) -> engine.RunMetrics:
     plan = map_model(model, topology)
-    return engine.simulate_model(model, topology, plan, variant.devices, variant.options)
+    metrics = engine.simulate_model(model, topology, plan, variant.devices, variant.options)
+    totals = (metrics.total_latency_s, metrics.total_energy_j, metrics.avg_power_w)
+    if not all(map(math.isfinite, totals)):
+        raise OverflowError(f"{model.name} on {topology.kind} gives latency "
+                            f"{totals[0]} s and energy {totals[1]} J")
+    return metrics
 
 
 def _cmd_validate(args) -> int:
@@ -257,6 +263,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     except (DescriptorError, ModelValidationError, ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:   # finite inputs whose products leave the float range
+        print(f"error: a config value is out of float range: {exc}", file=sys.stderr)
         return 1
     return 0
 

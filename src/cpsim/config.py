@@ -11,12 +11,16 @@ from dataclasses import dataclass, fields, replace
 
 import yaml
 
-from .devices import DeviceParams, check_fields, check_type
+from .devices import (AtLeastOne, Count, DeviceParams, NonNeg, NonNegInt, Positive, check_fields,
+                      choice)
 
 SIPH = "siph_interposer"
 ELEC = "elec_interposer"
 MONO = "monolithic"
 PLATFORM_KINDS = (SIPH, ELEC, MONO)
+PlatformKind = choice("PlatformKind", *PLATFORM_KINDS)
+ChipletRole = choice("ChipletRole", "compute", "memory")
+DemandMode = choice("DemandMode", "upcoming", "trailing")
 
 # CLI shorthand for the three platform variants
 KIND_ALIASES = {"siph": SIPH, "elec": ELEC, "mono": MONO}
@@ -39,100 +43,71 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class PlatformSettings:
-    kind: str = SIPH
-    n_wavelengths: int = 64
-    link_rate_bps: float = 12e9          # per wavelength
-    gateway_freq_hz: float = 2e9
-    noc_width_bits: int = 128
-    noc_freq_hz: float = 2e9
-    interposer_side_mm: float = 24.0
-    grid_rows: int = 3
-    grid_cols: int = 3
-    noc_energy_pj_per_bit_hop: float = 1.0
-    noc_router_static_w: float = 0.5     # per mesh router
-    offchip_bw_bps: float = 256e9        # monolithic memory interface
-    offchip_energy_pj_per_bit: float = 15.0
-    monolithic_macs: int = 128
-    monolithic_vector_len: int = 25
+    kind: PlatformKind = SIPH
+    n_wavelengths: Count = 64
+    link_rate_bps: Positive = 12e9          # per wavelength
+    gateway_freq_hz: Positive = 2e9
+    noc_width_bits: Count = 128
+    noc_freq_hz: Positive = 2e9
+    interposer_side_mm: Positive = 24.0
+    grid_rows: Count = 3
+    grid_cols: Count = 3
+    noc_energy_pj_per_bit_hop: NonNeg = 1.0
+    noc_router_static_w: NonNeg = 0.5       # per mesh router
+    offchip_bw_bps: Positive = 256e9        # monolithic memory interface
+    offchip_energy_pj_per_bit: NonNeg = 15.0
+    monolithic_macs: Count = 128
+    monolithic_vector_len: Count = 25
 
     def validate(self) -> None:
-        if self.kind not in PLATFORM_KINDS:
-            raise ConfigError(f"unknown platform kind {self.kind!r}")
-        check_fields(self, ConfigError)
-        positive = (self.n_wavelengths, self.link_rate_bps, self.gateway_freq_hz,
-                    self.noc_width_bits, self.noc_freq_hz, self.interposer_side_mm,
-                    self.grid_rows, self.grid_cols, self.offchip_bw_bps,
-                    self.monolithic_macs, self.monolithic_vector_len)
-        if any(v <= 0 for v in positive):
-            raise ConfigError("platform rates, counts, and dimensions must be > 0")
-        for name in ("noc_energy_pj_per_bit_hop", "noc_router_static_w",
-                     "offchip_energy_pj_per_bit"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"platform: {name} must be >= 0, got {getattr(self, name)}")
+        check_fields(self, ConfigError, "platform: ")
+
+
+# per chiplet role: the fields it needs, and the fields only the other role reads
+_ROLE_FIELDS = {"memory": (("gateways",), ("mac_type", "macs", "macs_per_gateway", "vector_len")),
+                "compute": (("mac_type", "macs", "macs_per_gateway"), ("gateways",))}
 
 
 @dataclass(frozen=True)
 class ChipletConfig:
     id: str
-    role: str = "compute"          # compute | memory
-    mac_type: str = ""             # compute only
-    macs: int = 0
-    macs_per_gateway: int = 0
-    gateways: int = 0              # memory only; compute derives it
-    vector_len: int = 0            # overrides the mac_type registry entry
+    role: ChipletRole = "compute"
+    mac_type: str = ""               # compute only
+    macs: NonNegInt = 0              # compute only
+    macs_per_gateway: NonNegInt = 0  # compute only
+    gateways: NonNegInt = 0          # memory only; compute derives it
+    vector_len: NonNegInt = 0        # compute only; overrides the mac_type registry entry
 
     def validate(self) -> None:
-        check_fields(self, ConfigError, f"chiplet {self.id!r}: ")
-        if self.role not in ("compute", "memory"):
-            raise ConfigError(f"chiplet {self.id!r}: unknown role {self.role!r}")
-        if self.vector_len < 0:
-            raise ConfigError(f"chiplet {self.id!r}: vector_len {self.vector_len} must be >= 0")
-        if self.role == "memory":
-            if self.gateways < 1:
-                raise ConfigError(f"chiplet {self.id!r}: memory chiplets need gateways >= 1")
-            if self.macs:
-                raise ConfigError(f"chiplet {self.id!r}: memory chiplets carry no MACs")
-        else:
-            if self.macs < 1 or self.macs_per_gateway < 1:
-                raise ConfigError(f"chiplet {self.id!r}: macs and macs_per_gateway must be >= 1")
-            if self.macs % self.macs_per_gateway != 0:
-                raise ConfigError(
-                    f"chiplet {self.id!r}: {self.macs} MACs not divisible by "
-                    f"{self.macs_per_gateway} MACs per gateway")
-            if not self.mac_type:
-                raise ConfigError(f"chiplet {self.id!r}: compute chiplets need a mac_type")
+        where = f"chiplet {self.id!r}: "
+        check_fields(self, ConfigError, where)
+        own, other = _ROLE_FIELDS[self.role]
+        for name in other:   # a field only the other role reads would be ignored
+            if getattr(self, name):
+                raise ConfigError(f"{where}{name} does not apply to a {self.role} chiplet")
+        for name in own:
+            if not getattr(self, name):
+                raise ConfigError(f"{where}{self.role} chiplets need {name}")
+        if self.role == "compute" and self.macs % self.macs_per_gateway != 0:
+            raise ConfigError(f"{where}{self.macs} MACs not divisible by "
+                              f"{self.macs_per_gateway} MACs per gateway")
 
 
 @dataclass(frozen=True)
 class SimOptions:
-    overlap: bool = True                 # max(compute, read, write) per layer
-    resipi_enabled: bool = True          # epoch-based gateway reconfiguration
-    epoch_s: float = 5e-6
-    demand_mode: str = "upcoming"        # upcoming | trailing
-    weight_refetch_factor: float = 1.0
-    mac_rate_hz: float = 5e9             # photonic MAC symbol rate
-    gateway_overhead_cycles: int = 4     # store-and-forward buffering per transfer
-    router_latency_cycles: int = 3
-    elec_congestion_factor: float = 2.0
-    pcmc_switch_energy_pj: float = 1000.0  # per retuned coupler on reconfiguration
+    overlap: bool = True                     # max(compute, read, write) per layer
+    resipi_enabled: bool = True              # epoch-based gateway reconfiguration
+    epoch_s: Positive = 5e-6
+    demand_mode: DemandMode = "upcoming"
+    weight_refetch_factor: AtLeastOne = 1.0
+    mac_rate_hz: Positive = 5e9              # photonic MAC symbol rate
+    gateway_overhead_cycles: NonNegInt = 4   # store-and-forward buffering per transfer
+    router_latency_cycles: NonNegInt = 3
+    elec_congestion_factor: AtLeastOne = 2.0
+    pcmc_switch_energy_pj: NonNeg = 1000.0   # per retuned coupler on reconfiguration
 
     def validate(self) -> None:
-        if self.demand_mode not in ("upcoming", "trailing"):
-            raise ConfigError(f"unknown demand mode {self.demand_mode!r}")
-        check_fields(self, ConfigError)
-        for name in ("epoch_s", "mac_rate_hz"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ConfigError(f"{name} must be > 0, got {value}")
-        for name in ("weight_refetch_factor", "elec_congestion_factor"):
-            value = getattr(self, name)
-            if value < 1.0:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
-        for name in ("gateway_overhead_cycles", "router_latency_cycles",
-                     "pcmc_switch_energy_pj"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ConfigError(f"{name} must be >= 0, got {value}")
+        check_fields(self, ConfigError, "options: ")
 
 
 @dataclass(frozen=True)
@@ -158,12 +133,9 @@ def _build(cls, section: dict | None, where: str):
     section = section or {}
     if not isinstance(section, dict):
         raise ConfigError(f"{where} section must be a mapping")
-    annotations = {f.name: f.type for f in fields(cls)}
-    unknown = set(section) - set(annotations)
+    unknown = set(section) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    for name, value in section.items():
-        check_type(name, annotations[name], value, ConfigError, f"{where}: ")
     try:
         return cls(**section)
     except (TypeError, ValueError) as exc:

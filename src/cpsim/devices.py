@@ -8,12 +8,14 @@ the lit paths to required_laser_power. Numeric defaults in DeviceParams are
 calibration values with physically typical magnitudes, not measured data.
 PCMC loss is not modeled: every route's OpticalPath carries a fixed
 couplers=1, and only tests reach pcmc_transfer and PcmcState.excess_loss_db.
+The field schema lives here too: check_fields checks every config, device
+and layer field against the domain its annotation names.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import Sequence
@@ -41,67 +43,97 @@ class PcmcState:
             raise ValueError("excess loss must be >= 0 dB")
 
 
-# what a value may be for each field annotation (a string, as every module
-# here imports annotations from __future__); a value is a bool exactly when
-# its field is, since bool is an int subclass
-_FIELD_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
-                "bool": ((bool,), "true or false"), "str": ((str,), "a string")}
+# A field's annotation names its domain: the types its value may take and the
+# one bound it must meet. Every module here imports annotations from
+# __future__, so an annotation is the string check_fields looks up; the aliases
+# below make those strings name real types for a reader. A value is a bool
+# exactly when its field is, an int field takes no float, and a float field
+# takes an int but no NaN or infinity.
+Count = int          # >= 1
+NonNegInt = int      # >= 0
+Bitwidth = int       # in [1, 32]
+NonNeg = float       # >= 0
+Positive = float     # > 0
+AtLeastOne = float   # >= 1
+Fraction = float     # in (0, 1]
+
+_INT, _FLOAT = (int,), (int, float)
+# annotation: (types a value may have, their noun, bound test or None, bound text)
+_DOMAINS = {
+    "int": (_INT, "an integer", None, ""),
+    "float": (_FLOAT, "a number", None, ""),
+    "bool": ((bool,), "true or false", None, ""),
+    "str": ((str,), "a string", None, ""),
+    "tuple": ((tuple,), "a tuple", None, ""),
+    "Count": (_INT, "an integer", lambda v: v >= 1, ">= 1"),
+    "NonNegInt": (_INT, "an integer", lambda v: v >= 0, ">= 0"),
+    "Bitwidth": (_INT, "an integer", lambda v: 1 <= v <= 32, "in [1, 32]"),
+    "NonNeg": (_FLOAT, "a number", lambda v: v >= 0.0, ">= 0"),
+    "Positive": (_FLOAT, "a number", lambda v: v > 0.0, "> 0"),
+    "AtLeastOne": (_FLOAT, "a number", lambda v: v >= 1.0, ">= 1"),
+    "Fraction": (_FLOAT, "a number", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+}
+_SCHEMAS: dict[type, tuple] = {}
 
 
-def check_type(name: str, annotation: str, value, error: type[ValueError] = ValueError,
-               where: str = "") -> None:
-    accepted, noun = _FIELD_TYPES[annotation]
-    if isinstance(value, accepted) and isinstance(value, bool) == (annotation == "bool"):
-        return
-    hint = ""
-    if annotation == "float" and isinstance(value, str):
-        # YAML 1.1 reads 5e9 as a string: a float needs a dot and a signed exponent
-        hint = "; in YAML, write a float with a dot and a signed exponent, such as 5.0e+9"
-    raise error(f"{where}{name} must be {noun}, got {value!r}{hint}")
+def choice(alias: str, *values: str) -> type:
+    """Declare the annotation ``alias`` as the domain of the strings ``values``."""
+    _DOMAINS[alias] = ((str,), "a string", frozenset(values).__contains__,
+                       "one of " + ", ".join(map(repr, values)))
+    return str
 
 
-def check_fields(params, error: type[ValueError] = ValueError, where: str = "") -> None:
-    """Reject a value whose type differs from its field's annotation, and a NaN
-    or infinite float, in any field of the dataclass ``params``; NaN or a
-    string would otherwise pass or break every ordering check after this one."""
-    for f in fields(params):
-        value = getattr(params, f.name)
-        check_type(f.name, f.type, value, error, where)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise error(f"{where}{f.name} must be finite, got {value}")
+def field_schema(cls: type) -> tuple:
+    """(name, types, noun, bound test, bound text) of each field of the
+    dataclass or named tuple ``cls``, in field order, resolved once per class.
+    A named tuple keeps each annotation as a ForwardRef, and ``tuple[X, ...]``
+    is checked as a tuple."""
+    schema = _SCHEMAS.get(cls)
+    if schema is None:
+        schema = _SCHEMAS[cls] = tuple(
+            (name, *_DOMAINS[getattr(t, "__forward_arg__", t).partition("[")[0]])
+            for name, t in cls.__annotations__.items())
+    return schema
+
+
+def check_fields(obj, error: type[ValueError] = ValueError, where: str = "") -> None:
+    """Reject a value of ``obj`` outside its field's domain: of another type,
+    a NaN or infinite float, or beyond the field's bound. NaN or a string
+    would otherwise pass or break every ordering check after this one."""
+    for name, accepted, noun, test, bound in field_schema(type(obj)):
+        value = getattr(obj, name)
+        if type(value) not in accepted:
+            hint = ""
+            if accepted is _FLOAT and type(value) is str:
+                # YAML 1.1 reads 5e9 as a string: a float needs a dot and a signed exponent
+                hint = "; in YAML, write a float with a dot and a signed exponent, such as 5.0e+9"
+            raise error(f"{where}{name} must be {noun}, got {value!r}{hint}")
+        if type(value) is float and not math.isfinite(value):
+            raise error(f"{where}{name} must be finite, got {value}")
+        if test is not None and not test(value):
+            raise error(f"{where}{name} must be {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class DeviceParams:
-    coupler_loss_db: float = 1.0
-    propagation_loss_db_per_mm: float = 0.1
-    mr_through_loss_db: float = 0.01
-    mr_drop_loss_db: float = 0.5
-    splitter_excess_db: float = 0.1
+    coupler_loss_db: NonNeg = 1.0
+    propagation_loss_db_per_mm: NonNeg = 0.1
+    mr_through_loss_db: NonNeg = 0.01
+    mr_drop_loss_db: NonNeg = 0.5
+    splitter_excess_db: NonNeg = 0.1
     pd_sensitivity_dbm: float = -20.0
-    laser_efficiency: float = 0.1      # wall-plug fraction
-    mr_tuning_mw: float = 0.5          # per actively tuned MR
-    modulator_energy_pj_per_bit: float = 1.0
-    filter_pd_energy_pj_per_bit: float = 1.0
-    gateway_elec_energy_pj_per_bit: float = 2.0
-    dac_energy_pj: float = 0.3         # per converted vector element
-    adc_energy_pj: float = 1.0         # per accumulated dot product
-    pcm_transition_s: float = 10e-6
-    group_velocity_mm_per_s: float = 7.5e10  # ~c / 4 in an SOI waveguide
+    laser_efficiency: Fraction = 0.1        # wall-plug fraction
+    mr_tuning_mw: NonNeg = 0.5              # per actively tuned MR
+    modulator_energy_pj_per_bit: NonNeg = 1.0
+    filter_pd_energy_pj_per_bit: NonNeg = 1.0
+    gateway_elec_energy_pj_per_bit: NonNeg = 2.0
+    dac_energy_pj: NonNeg = 0.3             # per converted vector element
+    adc_energy_pj: NonNeg = 1.0             # per accumulated dot product
+    pcm_transition_s: NonNeg = 10e-6
+    group_velocity_mm_per_s: Positive = 7.5e10  # ~c / 4 in an SOI waveguide
 
     def validate(self) -> None:
-        check_fields(self)
-        for name in ("coupler_loss_db", "propagation_loss_db_per_mm", "mr_through_loss_db",
-                     "mr_drop_loss_db", "splitter_excess_db", "mr_tuning_mw",
-                     "modulator_energy_pj_per_bit", "filter_pd_energy_pj_per_bit",
-                     "gateway_elec_energy_pj_per_bit", "dac_energy_pj", "adc_energy_pj",
-                     "pcm_transition_s"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not 0.0 < self.laser_efficiency <= 1.0:
-            raise ValueError(f"laser_efficiency must be in (0, 1], got {self.laser_efficiency}")
-        if self.group_velocity_mm_per_s <= 0.0:
-            raise ValueError("group_velocity_mm_per_s must be > 0")
+        check_fields(self, ValueError, "devices: ")
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ class ReferenceBaseline:
     power_w: float
     latency_ms: float
     epb_nj_per_bit: float
-    reference_only: bool = True
 
 
 # Reported figures for published accelerator platforms, for context only.

@@ -13,8 +13,10 @@ from typing import NamedTuple
 import yaml
 
 from .config import safe_load
+from .devices import Bitwidth, Count, NonNegInt, check_fields, choice
 
 DEFAULT_BITWIDTH = 8
+LayerKind = choice("LayerKind", "conv", "fc")
 
 
 class DescriptorError(ValueError):
@@ -29,30 +31,22 @@ class LayerSpec(NamedTuple):
     """One conv or fc layer. fc layers use the 1x1-spatial convention:
     kernel and spatial dims are all 1, channels carry in/out features."""
 
-    index: int
-    kind: str  # "conv" | "fc"
-    kernel_h: int
-    kernel_w: int
-    in_channels: int
-    out_channels: int
-    in_h: int
-    in_w: int
-    out_h: int
-    out_w: int
-    stride: int = 1
-    weight_bitwidth: int = DEFAULT_BITWIDTH
-    activation_bitwidth: int = DEFAULT_BITWIDTH
+    index: NonNegInt
+    kind: LayerKind
+    kernel_h: Count
+    kernel_w: Count
+    in_channels: Count
+    out_channels: Count
+    in_h: Count
+    in_w: Count
+    out_h: Count
+    out_w: Count
+    stride: Count = 1
+    weight_bitwidth: Bitwidth = DEFAULT_BITWIDTH
+    activation_bitwidth: Bitwidth = DEFAULT_BITWIDTH
 
     def validate(self) -> None:
-        counts = (self.kernel_h, self.kernel_w, self.in_channels, self.out_channels,
-                  self.in_h, self.in_w, self.out_h, self.out_w, self.stride)
-        if self.kind not in ("conv", "fc"):
-            raise ModelValidationError(f"layer {self.index}: unknown kind {self.kind!r}")
-        if any(c < 1 for c in counts):
-            raise ModelValidationError(f"layer {self.index}: all counts must be >= 1")
-        for bw in (self.weight_bitwidth, self.activation_bitwidth):
-            if not 1 <= bw <= 32:
-                raise ModelValidationError(f"layer {self.index}: bitwidth {bw} outside [1, 32]")
+        check_fields(self, ModelValidationError, f"layer {self.index}: ")
         if self.kind == "conv" and (self.out_h > self.in_h or self.out_w > self.in_w):
             raise ModelValidationError(
                 f"layer {self.index}: conv output {self.out_h}x{self.out_w} "
@@ -87,6 +81,7 @@ class DnnModelSpec:
         self.validate()   # a model is checked once, when built, never in the layer loop
 
     def validate(self) -> None:
+        check_fields(self, ModelValidationError, f"model {self.name!r}: ")
         if not self.layers:
             raise ModelValidationError(f"model {self.name!r}: no layers")
         for layer in self.layers:
@@ -144,13 +139,14 @@ _MODEL_KEYS = {"name", "declared_param_count", "declared_conv_layers",
                "declared_fc_layers", "layers"}
 
 
-def _pair(value, key: str, index: int) -> tuple[int, int]:
-    """Accept an int (square) or a two-element [h, w] list."""
-    if isinstance(value, int):
+def _pair(value, key: str, index: int) -> tuple:
+    """One value for both dims, or a two-element [h, w] list."""
+    if not isinstance(value, list):
         return value, value
-    if isinstance(value, (list, tuple)) and len(value) == 2 and all(isinstance(v, int) for v in value):
-        return value[0], value[1]
-    raise DescriptorError(f"layer {index}: {key} must be an int or [h, w] pair, got {value!r}")
+    if len(value) != 2:
+        raise DescriptorError(f"layer {index}: {key} must be a value or an [h, w] pair, "
+                              f"got {value!r}")
+    return value[0], value[1]
 
 
 def _layer_from_entry(entry: dict, index: int) -> LayerSpec:
@@ -169,21 +165,14 @@ def _layer_from_entry(entry: dict, index: int) -> LayerSpec:
     if missing:
         raise DescriptorError(f"layer {index}: missing keys {sorted(missing)}")
     # fc layers may omit geometry; anything given must satisfy the 1x1
-    # convention, which LayerSpec.validate enforces.
+    # convention. Values are taken as written: LayerSpec.validate checks them.
     kh, kw = _pair(entry.get("kernel", 1), "kernel", index)
     in_h, in_w = _pair(entry.get("in_hw", 1), "in_hw", index)
     out_h, out_w = _pair(entry.get("out_hw", 1), "out_hw", index)
-    stride = entry.get("stride", 1)
-    try:
-        return LayerSpec(
-            index=index, kind=kind, kernel_h=kh, kernel_w=kw,
-            in_channels=int(entry["channels_in"]), out_channels=int(entry["channels_out"]),
-            in_h=in_h, in_w=in_w, out_h=out_h, out_w=out_w, stride=int(stride),
-            weight_bitwidth=int(entry.get("weight_bitwidth", DEFAULT_BITWIDTH)),
-            activation_bitwidth=int(entry.get("activation_bitwidth", DEFAULT_BITWIDTH)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise DescriptorError(f"layer {index}: {exc}") from exc
+    return LayerSpec(index, kind, kh, kw, entry["channels_in"], entry["channels_out"],
+                     in_h, in_w, out_h, out_w, entry.get("stride", 1),
+                     entry.get("weight_bitwidth", DEFAULT_BITWIDTH),
+                     entry.get("activation_bitwidth", DEFAULT_BITWIDTH))
 
 
 def load_model(descriptor_text: str) -> DnnModelSpec:
@@ -212,11 +201,7 @@ def load_model(descriptor_text: str) -> DnnModelSpec:
     if not isinstance(entries, list):
         raise DescriptorError("layers must be an array")
     layers = tuple(_layer_from_entry(e, i) for i, e in enumerate(entries))
-    model = DnnModelSpec(
-        name=str(doc["name"]),
-        layers=layers,
-        declared_param_count=doc["declared_param_count"],
-    )
+    model = DnnModelSpec(doc["name"], layers, doc["declared_param_count"])
     _check_kind_counts(model, doc)
     return model
 

@@ -326,6 +326,23 @@ def test_negative_vector_len_is_failure(tmp_path, capsys):
     assert cli_main(["topology", "--config", str(good), "--out", str(tmp_path / "t.json")]) == 0
 
 
+@pytest.mark.parametrize("chiplet, field, value", [("dense0", "gateways", 99),
+                                                   ("mem0", "mac_type", "dense100"),
+                                                   ("mem0", "macs_per_gateway", 2),
+                                                   ("mem0", "vector_len", 9)])
+def test_chiplet_field_of_the_other_role_is_failure(tmp_path, capsys, chiplet, field, value):
+    """A field only the other role reads would be ignored without a word; it
+    is rejected naming the chiplet and the field."""
+    text = default_config_text()
+    [line] = [line for line in text.splitlines() if f"{{id: {chiplet}," in line]
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text.replace(line, f"{line[:-1]}, {field}: {value}}}"), "utf-8")
+    assert cli_main(["simulate", "--model", "lenet5", "--platform", "siph",
+                     "--config", str(bad), "--out", str(tmp_path / "run.json")]) == 1
+    err = capsys.readouterr().err
+    assert f"chiplet '{chiplet}'" in err and field in err, err
+
+
 @pytest.mark.parametrize("field, platform", [
     ("noc_router_static_w", "elec"),
     ("noc_energy_pj_per_bit_hop", "elec"),

@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+from cpsim.cli import cli_main
 from cpsim.workload import (DescriptorError, DnnModelSpec, LayerSpec, ModelValidationError,
                             layer_traffic, load_model, load_shipped_model, model_total_bits,
                             param_count, shipped_model_names)
@@ -204,6 +206,38 @@ def test_model_built_in_code_is_validated_on_construction():
     bad = LayerSpec(0, "conv", 3, 3, 8, -16, 8, 8, 8, 8)
     with pytest.raises(ModelValidationError, match="layer 0"):
         DnnModelSpec("neg", (bad,), 0)
+
+
+@pytest.mark.parametrize("key, text, field, value", [
+    ("channels_in", ".inf", "in_channels", math.inf),
+    ("channels_in", ".nan", "in_channels", math.nan),
+    ("channels_in", "3.9", "in_channels", 3.9),
+    ("channels_in", "'8'", "in_channels", "8"),
+    ("channels_in", "8.0", "in_channels", 8.0),
+    ("stride", "true", "stride", True),
+    ("kernel", "true", "kernel_h", True),
+    ("weight_bitwidth", "8.5", "weight_bitwidth", 8.5),
+    ("name", "null", "name", None),
+])
+def test_descriptor_values_are_taken_as_written(tmp_path, capsys, key, text, field, value):
+    """A value is never coerced: one of the wrong type exits 1 naming the layer
+    and the field, and the same value in a model built in code is rejected."""
+    header = {"name": "probe", "declared_param_count": "1168"}
+    entry = {"kind": "conv", "kernel": "3", "channels_in": "8", "channels_out": "16",
+             "in_hw": "8", "out_hw": "8", "stride": "1"}
+    (header if key == "name" else entry)[key] = text
+    path = tmp_path / "probe.desc"
+    path.write_text("".join(f"{k}: {v}\n" for k, v in header.items()) + "layers:\n- {"
+                    + ", ".join(f"{k}: {v}" for k, v in entry.items()) + "}\n")
+    assert cli_main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert field in err and (key == "name" or "layer 0" in err), err
+    layer = LayerSpec(0, "conv", 3, 3, 8, 16, 8, 8, 8, 8)
+    with pytest.raises(ModelValidationError, match=field):
+        if key == "name":
+            DnnModelSpec(value, (layer,), 1168)
+        else:
+            DnnModelSpec("probe", (layer._replace(**{field: value}),), 1168)
 
 
 def test_load_model_rejects_unknown_keys():
