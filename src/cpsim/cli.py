@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -99,12 +98,7 @@ def _resolve_models(spec: str) -> list[DnnModelSpec]:
 def _run_one(model: DnnModelSpec, variant: SimConfig,
              topology: PlatformTopology) -> engine.RunMetrics:
     plan = map_model(model, topology)
-    metrics = engine.simulate_model(model, topology, plan, variant.devices, variant.options)
-    totals = (metrics.total_latency_s, metrics.total_energy_j, metrics.avg_power_w)
-    if not all(map(math.isfinite, totals)):
-        raise OverflowError(f"{model.name} on {topology.kind} gives latency "
-                            f"{totals[0]} s and energy {totals[1]} J")
-    return metrics
+    return engine.simulate_model(model, topology, plan, variant.devices, variant.options)
 
 
 def _cmd_validate(args) -> int:

@@ -135,7 +135,7 @@ def _build(cls, section: dict | None, where: str):
         raise ConfigError(f"{where} section must be a mapping")
     unknown = set(section) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
     try:
         return cls(**section)
     except (TypeError, ValueError) as exc:
@@ -153,7 +153,7 @@ def parse_config(text: str) -> SimConfig:
         raise ConfigError("config must be a mapping")
     unknown = set(doc) - {"platform", "chiplets", "devices", "options"}
     if unknown:
-        raise ConfigError(f"unknown config sections {sorted(unknown)}")
+        raise ConfigError(f"unknown config sections {sorted(unknown, key=str)}")
     chiplet_entries = doc.get("chiplets") or []
     if not isinstance(chiplet_entries, list):
         raise ConfigError("chiplets section must be a list")

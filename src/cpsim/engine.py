@@ -30,7 +30,9 @@ from .devices import (DeviceParams, PcmcState, mr_tuning_power, pcmc_chain_for_e
 from .mapper import LayerAssignment, MappingError, MappingPlan, map_model
 from .platform import (SWMR, SWSR, PlatformTopology, WaveguideRoute, build_topology,
                        electrical_hops, gateway_peak_bandwidth)
-from .workload import DnnModelSpec, TrafficVolume, layer_traffic
+from .workload import DnnModelSpec, TrafficVolume
+# unused here; bench/tracing.py binds engine.layer_traffic until the benchmark refresh
+from .workload import layer_traffic
 
 ENERGY_CATEGORIES = ("laser", "tuning", "conversion", "mac", "gateway_elec",
                      "controller", "electrical_noc")
@@ -119,8 +121,10 @@ class EpochController:
         # writer gateway -> (chiplet id, index on the chiplet's trunk)
         self.writers = {gw: (c.id, k) for c in topology.chiplets
                         for k, gw in enumerate(c.gateway_ids())}
-        # routes keep topology order, so the laser sum keeps its float order
-        self._routes = [(*self.writers[r.writer_gateway], source_mw(r.path, params))
+        # routes share a few distinct paths, each priced once; routes keep
+        # topology order, so the laser sum keeps its float order
+        path_mw = {p: source_mw(p, params) for p in {r.path for r in topology.routes}}
+        self._routes = [(*self.writers[r.writer_gateway], path_mw[r.path])
                         for r in topology.routes]
         # lit counts -> (active, laser W, bandwidths); (old, new) lit counts -> retunes
         self._states, self._retunes, self.counts = {}, {}, ()
@@ -327,7 +331,8 @@ def _combine(layer_results: list[LayerResult], total_bits: int) -> RunMetrics:
 
 def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPlan,
                    params: DeviceParams, options: SimOptions | None = None) -> RunMetrics:
-    """Run ``model`` as mapped by ``plan`` on ``topology``."""
+    """Run ``model`` as mapped by ``plan`` on ``topology``. Raises OverflowError
+    when finite inputs give an infinite latency, energy or power."""
     options = options or SimOptions()
     options.validate()
     params.validate()
@@ -339,7 +344,6 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
     overlap, mac_rate_hz = options.overlap, options.mac_rate_hz
     zeros = dict.fromkeys(ENERGY_CATEGORIES, 0.0)
     results: list[LayerResult] = []
-    total_bits = 0
 
     @cache
     def mac_costs(total_macs: int, vector_len: int) -> tuple[float, float]:
@@ -347,9 +351,7 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
         return (link_tuning_w + mr_tuning_power(total_macs * vector_len, params),
                 params.dac_energy_pj * vector_len + params.adc_energy_pj)
 
-    for layer, assignment in zip(model.layers, plan.assignments):
-        traffic = layer_traffic(layer)
-        total_bits += traffic.total_bits
+    for layer, traffic, assignment in zip(model.layers, model.traffic, plan.assignments):
         compute_s = compute_time(assignment, mac_rate_hz)
         read_s, write_s, overhead_s, bits_moved, joules, watts = price(traffic, assignment,
                                                                        compute_s)
@@ -365,7 +367,12 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
         results.append(LayerResult(layer.index, compute_s, read_s, write_s, overhead_s,
                                    latency, energy, bits_moved))
 
-    return _combine(results, total_bits)
+    metrics = _combine(results, model.total_bits)
+    totals = (metrics.total_latency_s, metrics.total_energy_j, metrics.avg_power_w)
+    if not all(map(math.isfinite, totals)):
+        raise OverflowError(f"{model.name} on {topology.kind} gives latency "
+                            f"{totals[0]} s and energy {totals[1]} J")
+    return metrics
 
 
 def simulate_monolithic(model: DnnModelSpec, params: DeviceParams,

@@ -8,6 +8,7 @@ simulator never sees tensor data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import yaml
@@ -92,6 +93,18 @@ class DnnModelSpec:
                 f"model {self.name!r}: computed {computed} parameters, "
                 f"descriptor declares {self.declared_param_count}")
 
+    # worked out once per model from the layers validate() accepted; not
+    # fields, so equality, repr and the field schema do not see them
+    @cached_property
+    def traffic(self) -> tuple[TrafficVolume, ...]:
+        """Each layer's ``layer_traffic``, in layer order."""
+        return tuple(map(layer_traffic, self.layers))
+
+    @cached_property
+    def total_bits(self) -> int:
+        """Denominator for energy-per-bit: every tensor of every layer, moved once."""
+        return sum(t.total_bits for t in self.traffic)
+
 
 class TrafficVolume(NamedTuple):
     """Per-layer data movement (bits) and dot-product geometry."""
@@ -126,11 +139,6 @@ def layer_traffic(layer: LayerSpec) -> TrafficVolume:
     )
 
 
-def model_total_bits(model: DnnModelSpec) -> int:
-    """Denominator for energy-per-bit: every tensor of every layer, moved once."""
-    return sum(layer_traffic(layer).total_bits for layer in model.layers)
-
-
 # ------------------------------------------------------------- descriptor IO
 
 _LAYER_KEYS = {"kind", "kernel", "channels_in", "channels_out", "in_hw", "out_hw",
@@ -154,7 +162,7 @@ def _layer_from_entry(entry: dict, index: int) -> LayerSpec:
         raise DescriptorError(f"layer {index}: expected a mapping, got {type(entry).__name__}")
     unknown = set(entry) - _LAYER_KEYS
     if unknown:
-        raise DescriptorError(f"layer {index}: unknown keys {sorted(unknown)}")
+        raise DescriptorError(f"layer {index}: unknown keys {sorted(unknown, key=str)}")
     kind = entry.get("kind")
     if kind not in ("conv", "fc"):
         raise DescriptorError(f"layer {index}: kind must be conv or fc, got {kind!r}")
@@ -190,7 +198,7 @@ def load_model(descriptor_text: str) -> DnnModelSpec:
         raise DescriptorError("descriptor must be a mapping with a layers array")
     unknown = set(doc) - _MODEL_KEYS
     if unknown:
-        raise DescriptorError(f"unknown model keys {sorted(unknown)}")
+        raise DescriptorError(f"unknown model keys {sorted(unknown, key=str)}")
     for key in ("name", "declared_param_count", "layers"):
         if key not in doc:
             raise DescriptorError(f"missing model key {key!r}")

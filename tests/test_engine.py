@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpsim import devices, engine
+from cpsim import devices, engine, workload
 from cpsim.config import with_kind
 from cpsim.devices import (CRYSTALLINE, DeviceParams, OpticalPath, path_insertion_loss,
                            pcmc_chain_for_equal_split, required_laser_power, source_mw)
@@ -20,8 +20,7 @@ from cpsim.engine import (EpochController, compute_time, simulate_model, simulat
 from cpsim.mapper import LayerAssignment, MappingError, MappingPlan, map_model
 from cpsim.platform import (DEFAULT_MAC_TYPES, WaveguideRoute, build_topology, default_platform,
                             gateway_peak_bandwidth)
-from cpsim.workload import (DnnModelSpec, LayerSpec, load_model, load_shipped_model,
-                            model_total_bits)
+from cpsim.workload import DnnModelSpec, LayerSpec, layer_traffic, load_model, load_shipped_model
 
 
 def fc_model(fin=100, fout=10):
@@ -398,8 +397,41 @@ def test_totals_are_left_folds_of_layers(sweep):
 
 def test_total_bits_is_every_tensor_moved_once(sweep):
     for (name, _), metrics in sweep.items():
-        assert metrics.total_bits == model_total_bits(load_shipped_model(name))
+        layers = load_shipped_model(name).layers
+        assert metrics.total_bits == sum(layer_traffic(layer).total_bits for layer in layers)
     assert len(sweep) == 15
+
+
+def test_traffic_is_worked_out_once_per_model(cfg, monkeypatch):
+    """A model's traffic is its own: runs on every platform price each layer's
+    traffic once between them, however the engine reaches layer_traffic."""
+    calls = []
+
+    def counted(layer):
+        calls.append(layer.index)
+        return layer_traffic(layer)
+
+    monkeypatch.setattr(workload, "layer_traffic", counted)
+    monkeypatch.setattr(engine, "layer_traffic", counted)
+    model = load_shipped_model("lenet5")
+    for kind in ("siph_interposer", "elec_interposer", "monolithic"):
+        variant = with_kind(cfg, kind)
+        topology = build_topology(variant)
+        metrics = simulate_model(model, topology, map_model(model, topology), variant.devices,
+                                 variant.options)
+        assert metrics.total_bits == 587_008
+    assert calls == [layer.index for layer in model.layers]
+
+
+def test_overflowing_run_raises_rather_than_returning_infinities(cfg):
+    """Finite options whose products leave the float range fail the run
+    itself, so a library caller never gets an infinite latency or energy."""
+    topo = default_platform()
+    model = load_shipped_model("lenet5")
+    with pytest.raises(OverflowError, match="lenet5"):
+        simulate_model(model, topo, map_model(model, topo), cfg.devices,
+                       replace(cfg.options, mac_rate_hz=5e-324))
+
 
 def test_bit_identical_reruns(cfg):
     topo = default_platform()
@@ -543,8 +575,8 @@ def test_library_value_of_the_wrong_type_is_rejected_naming_the_field(cfg, secti
 
 
 def test_source_mw_prices_each_route_once_per_run(cfg, monkeypatch):
-    """The controller prices every route's loss at construction; a new lit
-    set only adds up the kept source powers."""
+    """The controller prices each distinct route path's loss once, at
+    construction; a new lit set only adds up the kept source powers."""
     topo = default_platform()
     model = load_shipped_model("resnet50")
     plan = map_model(model, topo)
@@ -556,7 +588,7 @@ def test_source_mw_prices_each_route_once_per_run(cfg, monkeypatch):
 
     monkeypatch.setattr(devices, "path_insertion_loss", counted)
     metrics = simulate_model(model, topo, plan, cfg.devices, cfg.options)
-    assert len(calls) == len(topo.routes)
+    assert len(calls) == len({r.path for r in topo.routes}) < len(topo.routes)
     assert sum(r.overhead_s > 0 for r in metrics.per_layer) > 1   # several lit sets reached
 
 

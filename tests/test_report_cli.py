@@ -298,6 +298,20 @@ def test_mistyped_or_negative_config_value_is_failure(tmp_path, capsys, text, fi
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, where", [
+    ("platform: {1: 2, bogus: 3}", "platform: unknown keys"),
+    ("1: 2\nbogus: 3", "unknown config sections"),
+])
+def test_unknown_keys_that_are_not_strings_are_failure(tmp_path, capsys, text, where):
+    """Unknown keys of mixed types are named, not compared with each other."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text + "\n")
+    assert cli_main(["simulate", "--model", "lenet5", "--platform", "siph",
+                     "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert f"{where} [1, 'bogus']" in err and "Traceback" not in err, err
+
+
 def test_unsigned_exponent_message_suggests_a_yaml_float():
     with pytest.raises(ConfigError, match=r"options: mac_rate_hz .*'5e9'.*5\.0e\+9"):
         parse_config("options: {mac_rate_hz: 5e9}")

@@ -5,8 +5,8 @@ import pytest
 
 from cpsim.cli import cli_main
 from cpsim.workload import (DescriptorError, DnnModelSpec, LayerSpec, ModelValidationError,
-                            layer_traffic, load_model, load_shipped_model, model_total_bits,
-                            param_count, shipped_model_names)
+                            layer_traffic, load_model, load_shipped_model, param_count,
+                            shipped_model_names)
 
 # Independently tabulated per-layer parameter counts (hand-computed from the
 # layer dims before the loader existed); the loader must reproduce them.
@@ -125,7 +125,7 @@ def test_traffic_bitwidth_linearity():
 
 
 def test_model_total_bits_single_fc():
-    assert model_total_bits(model_of(fc(fin=100, fout=10))) == 8_960
+    assert model_of(fc(fin=100, fout=10)).total_bits == 8_960
 
 
 def test_model_total_bits_lenet5_spreadsheet():
@@ -141,7 +141,17 @@ def test_model_total_bits_lenet5_spreadsheet():
     for layer, (w, i, o) in zip(model.layers, expected):
         t = layer_traffic(layer)
         assert (t.weight_bits, t.input_bits, t.output_bits) == (w, i, o)
-    assert model_total_bits(model) == sum(sum(row) for row in expected) == 587_008
+    assert model.total_bits == sum(sum(row) for row in expected) == 587_008
+
+
+def test_model_traffic_is_each_layers_and_not_a_field():
+    """A model's traffic is layer_traffic of each layer, worked out once and
+    kept; equality and repr see only the declared fields."""
+    model = load_shipped_model("lenet5")
+    assert model.traffic == tuple(layer_traffic(layer) for layer in model.layers)
+    assert model.traffic is model.traffic
+    assert model == load_shipped_model("lenet5")
+    assert "traffic" not in repr(model) and "total_bits" not in repr(model)
 
 
 def brute_force_multiplies(layer):
@@ -249,6 +259,20 @@ def test_load_model_rejects_unknown_keys():
     )
     with pytest.raises(DescriptorError, match="groups"):
         load_model(text)
+
+
+@pytest.mark.parametrize("header, entry, where", [
+    ("", ", 1: 2, bogus: 3", "layer 0: unknown keys"),
+    ("1: 2\nbogus: 3\n", "", "unknown model keys"),
+])
+def test_unknown_keys_that_are_not_strings_exit_1(tmp_path, capsys, header, entry, where):
+    """Unknown keys of mixed types are named, not compared with each other."""
+    path = tmp_path / "keys.desc"
+    path.write_text(f"name: keys\ndeclared_param_count: 1010\n{header}layers:\n"
+                    f"- {{kind: fc, channels_in: 100, channels_out: 10{entry}}}\n")
+    assert cli_main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{where} [1, 'bogus']" in err and "Traceback" not in err, err
 
 
 def test_load_model_rejects_garbage():
