@@ -3,13 +3,19 @@
 A config file has three sections — ``platform``, ``chiplets``, ``devices`` —
 plus an optional ``options`` section. Unknown keys are rejected everywhere.
 The bundled default config mirrors the reference platform sizing.
+
+A user's config file is YAML, parsed with ``YAML_LOADER``. The bundled
+default is JSON text, which is also YAML, parsed with ``json.loads``. Both
+documents go through ``config_from_doc``, which makes every check. PyYAML is
+imported on the first user file, so importing cpsim and running on the
+bundled files alone never imports it.
 """
 
 from __future__ import annotations
 
+import json
+import sys
 from dataclasses import dataclass, fields, replace
-
-import yaml
 
 from .devices import (AtLeastOne, Count, DeviceParams, NonNeg, NonNegInt, Positive, check_fields,
                       choice)
@@ -26,15 +32,28 @@ DemandMode = choice("DemandMode", "upcoming", "trailing")
 KIND_ALIASES = {"siph": SIPH, "elec": ELEC, "mono": MONO}
 
 
-# libyaml's C scanner and parser when PyYAML was built with it, the
-# pure-Python ones otherwise; both feed the same SafeConstructor and Resolver,
-# so they load equal objects. Descriptors are parsed with it too.
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+def __getattr__(name: str):
+    """``YAML_LOADER`` on first use (PEP 562), then a module global: libyaml's
+    C parser when PyYAML was built with it, else the pure-Python one. Both feed
+    the same SafeConstructor and Resolver, so they load equal objects."""
+    if name != "YAML_LOADER":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import yaml
+
+    global YAML_LOADER
+    YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    return YAML_LOADER
 
 
-def safe_load(text: str):
-    """Parse one YAML document with ``YAML_LOADER``."""
-    return yaml.load(text, Loader=YAML_LOADER)
+def safe_load(text: str, error: type[ValueError], what: str):
+    """Parse one YAML document with ``YAML_LOADER``; malformed YAML raises
+    ``error``, saying which ``what`` was unparseable and where."""
+    import yaml
+
+    try:   # attribute access, so the first call resolves YAML_LOADER
+        return yaml.load(text, Loader=sys.modules[__name__].YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise error(f"unparseable {what}: {exc}") from exc
 
 
 class ConfigError(ValueError):
@@ -142,11 +161,8 @@ def _build(cls, section: dict | None, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def parse_config(text: str) -> SimConfig:
-    try:
-        doc = safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"unparseable config: {exc}") from exc
+def config_from_doc(doc) -> SimConfig:
+    """Build and validate a config from its parsed document."""
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
@@ -169,6 +185,11 @@ def parse_config(text: str) -> SimConfig:
     return cfg
 
 
+def parse_config(text: str) -> SimConfig:
+    """Parse a YAML config document and build it."""
+    return config_from_doc(safe_load(text, ConfigError, "config"))
+
+
 def load_config(path: str) -> SimConfig:
     with open(path, "r", encoding="utf-8") as f:
         return parse_config(f.read())
@@ -179,7 +200,7 @@ def default_config() -> SimConfig:
     from importlib import resources
 
     text = resources.files("cpsim.data").joinpath("default_platform.yaml").read_text("utf-8")
-    return parse_config(text)
+    return config_from_doc(json.loads(text))
 
 
 def with_kind(cfg: SimConfig, kind: str) -> SimConfig:

@@ -118,13 +118,10 @@ class EpochController:
         self._gw_bw = gateway_peak_bandwidth(topology)
         self._gateways = {c.id: c.gateways for c in topology.chiplets}
         self._memory_ids = [c.id for c in topology.memory_chiplets()]
-        # writer gateway -> (chiplet id, index on the chiplet's trunk)
-        self.writers = {gw: (c.id, k) for c in topology.chiplets
-                        for k, gw in enumerate(c.gateway_ids())}
         # routes share a few distinct paths, each priced once; routes keep
         # topology order, so the laser sum keeps its float order
         path_mw = {p: source_mw(p, params) for p in {r.path for r in topology.routes}}
-        self._routes = [(*self.writers[r.writer_gateway], path_mw[r.path])
+        self._routes = [(r.writer_chiplet, r.writer_index, path_mw[r.path])
                         for r in topology.routes]
         # lit counts -> (active, laser W, bandwidths); (old, new) lit counts -> retunes
         self._states, self._retunes, self.counts = {}, {}, ()
@@ -200,7 +197,7 @@ def _photonic(topology: PlatformTopology, params: DeviceParams, options: SimOpti
     def assigned(ids: tuple[str, ...]) -> tuple[int, WaveguideRoute]:
         """Chiplet count and a longest write route of one MAC type's chiplets."""
         return len(ids), max((r for r in topology.routes if r.protocol == SWSR
-                              and controller.writers[r.writer_gateway][0] in ids), key=by_length)
+                              and r.writer_chiplet in ids), key=by_length)
 
     @cache
     def layer_counts(ids: tuple[str, ...], n: int, n_memory: int) -> tuple[int, ...]:

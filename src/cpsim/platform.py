@@ -62,6 +62,8 @@ class Mrg:
 @dataclass(frozen=True)
 class WaveguideRoute:
     writer_gateway: str
+    writer_chiplet: str            # the writer gateway's chiplet id
+    writer_index: int              # and its index on that chiplet's laser trunk
     protocol: str                  # SWSR | SWMR
     readers: tuple[str, ...]
     length_mm: float
@@ -132,12 +134,20 @@ def electrical_hops(src_chiplet: str, dst_chiplet: str, topology: PlatformTopolo
     return abs(src[0] - dst[0]) + abs(src[1] - dst[1]) + 1
 
 
-def _grid_cells(rows: int, cols: int) -> list[tuple[int, int]]:
-    """Cells ordered center-out so memory lands mid-interposer."""
-    center = ((rows - 1) / 2.0, (cols - 1) / 2.0)
-    cells = [(r, c) for r in range(rows) for c in range(cols)]
-    return sorted(cells, key=lambda rc: (abs(rc[0] - center[0]) + abs(rc[1] - center[1]),
-                                         rc[0], rc[1]))
+def _grid_cells(rows: int, cols: int, n: int) -> list[tuple[int, int]]:
+    """The first ``n`` cells center-out, by (Manhattan distance to the center,
+    row, col), so memory lands mid-interposer. Cells are made one distance
+    ring at a time, so a huge grid costs only the rings the ``n`` cells fill."""
+    a, b = rows - 1, cols - 1    # twice the center's coordinates
+    cells: list[tuple[int, int]] = []
+    reach = 0                    # twice the distance, an integer on any grid
+    while len(cells) < n and reach <= a + b:
+        for r in range(max(0, (a - reach + 1) // 2), min(a, (a + reach) // 2) + 1):
+            rest = reach - abs(2 * r - a)
+            cells += [(r, c2 // 2) for c2 in sorted({b - rest, b + rest})
+                      if c2 % 2 == 0 and 0 <= c2 <= 2 * b]
+        reach += 1
+    return cells[:n]
 
 
 def _cell_position(cell: tuple[int, int], rows: int, cols: int, side_mm: float) -> tuple[float, float]:
@@ -150,7 +160,7 @@ def _place_chiplets(cfg: SimConfig) -> list[ChipletSpec]:
     if len(cfg.chiplets) > capacity:
         raise ConfigError(f"{len(cfg.chiplets)} chiplets exceed the "
                           f"{p.grid_rows}x{p.grid_cols} interposer grid")
-    cells = _grid_cells(p.grid_rows, p.grid_cols)
+    cells = _grid_cells(p.grid_rows, p.grid_cols, len(cfg.chiplets))
     ordered = ([c for c in cfg.chiplets if c.role == "memory"]
                + [c for c in cfg.chiplets if c.role == "compute"])
     placed = []
@@ -179,33 +189,34 @@ def _wire_photonic(chiplets: list[ChipletSpec], p) -> tuple[list[WaveguideRoute]
     memory = [c for c in chiplets if c.role == "memory"]
     if not memory:
         raise ConfigError("photonic interposer needs at least one memory chiplet")
-    compute_gws = [(gw, c) for c in compute for gw in c.gateway_ids()]
-    memory_gws = [(gw, c) for c in memory for gw in c.gateway_ids()]
+    # (gateway id, chiplet, index on the chiplet's trunk)
+    compute_gws = [(gw, c, k) for c in compute for k, gw in enumerate(c.gateway_ids())]
+    memory_gws = [(gw, c, k) for c in memory for k, gw in enumerate(c.gateway_ids())]
 
     routes: list[WaveguideRoute] = []
     mrgs: list[Mrg] = []
-    fan_in = {gw: 0 for gw, _ in memory_gws}
+    fan_in = {gw: 0 for gw, _, _ in memory_gws}
 
     # Compute writers: one SWSR route each, partitioned round-robin across
     # memory gateways. One filter and one modulator row per compute MRG.
-    for idx, (gw, chiplet) in enumerate(compute_gws):
-        mem_gw, mem_chiplet = memory_gws[idx % len(memory_gws)]
+    for idx, (gw, chiplet, k) in enumerate(compute_gws):
+        mem_gw, mem_chiplet, _ = memory_gws[idx % len(memory_gws)]
         length = route_length(chiplet.position, [mem_chiplet.position], p.interposer_side_mm)
         path = OpticalPath(length_mm=length, mrs_passed=p.n_wavelengths,
                            drop_stages=1, split_fanout=1, couplers=1)
-        routes.append(WaveguideRoute(gw, SWSR, (mem_gw,), length, path))
+        routes.append(WaveguideRoute(gw, chiplet.id, k, SWSR, (mem_gw,), length, path))
         fan_in[mem_gw] += 1
         mrgs.append(Mrg(gw, filter_rows=1, modulator_rows=1, mrs_per_row=p.n_wavelengths))
 
     # Memory writers: one SWMR broadcast route each, reaching every compute
     # gateway. Memory MRGs carry one filter row per assigned writer.
-    reader_ids = tuple(gw for gw, _ in compute_gws)
-    reader_positions = [c.position for _, c in compute_gws]
-    for gw, chiplet in memory_gws:
+    reader_ids = tuple(gw for gw, _, _ in compute_gws)
+    reader_positions = [c.position for _, c, _ in compute_gws]
+    for gw, chiplet, k in memory_gws:
         length = route_length(chiplet.position, reader_positions, p.interposer_side_mm)
         path = OpticalPath(length_mm=length, mrs_passed=p.n_wavelengths,
                            drop_stages=1, split_fanout=max(1, len(reader_ids)), couplers=1)
-        routes.append(WaveguideRoute(gw, SWMR, reader_ids, length, path))
+        routes.append(WaveguideRoute(gw, chiplet.id, k, SWMR, reader_ids, length, path))
         mrgs.append(Mrg(gw, filter_rows=fan_in[gw], modulator_rows=1,
                         mrs_per_row=p.n_wavelengths))
     return routes, mrgs

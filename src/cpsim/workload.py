@@ -1,17 +1,18 @@
 """DNN model descriptors: loading, validation, and per-layer traffic volumes.
 
-A model descriptor is a YAML document with a ``layers`` array (see
-``data/models/*.desc``). Only shapes and bit-widths are represented; the
-simulator never sees tensor data.
+A model descriptor is a YAML document with a ``layers`` array. Only shapes
+and bit-widths are represented; the simulator never sees tensor data. The
+shipped descriptors (``data/models/*.desc``) are JSON text, which is also
+YAML, and are parsed with ``json.loads``; a user's file is parsed as YAML.
+Both documents go through ``model_from_doc``, which makes every check.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
-
-import yaml
 
 from .config import safe_load
 from .devices import Bitwidth, Count, NonNegInt, check_fields, choice
@@ -184,16 +185,17 @@ def _layer_from_entry(entry: dict, index: int) -> LayerSpec:
 
 
 def load_model(descriptor_text: str) -> DnnModelSpec:
-    """Parse and fully validate a model descriptor.
+    """Parse a YAML model descriptor and build it (see ``model_from_doc``)."""
+    return model_from_doc(safe_load(descriptor_text, DescriptorError, "descriptor"))
 
-    Raises DescriptorError for malformed text and ModelValidationError when
-    the content violates a model invariant (for example a parameter-count
+
+def model_from_doc(doc) -> DnnModelSpec:
+    """Build and fully validate a model from its parsed descriptor.
+
+    Raises DescriptorError for a malformed document and ModelValidationError
+    when the content violates a model invariant (for example a parameter-count
     mismatch); validation errors name the offending layer index.
     """
-    try:
-        doc = safe_load(descriptor_text)
-    except yaml.YAMLError as exc:
-        raise DescriptorError(f"unparseable descriptor: {exc}") from exc
     if not isinstance(doc, dict):
         raise DescriptorError("descriptor must be a mapping with a layers array")
     unknown = set(doc) - _MODEL_KEYS
@@ -248,4 +250,4 @@ def load_shipped_model(name: str) -> DnnModelSpec:
     if not ref.is_file():
         raise DescriptorError(f"no shipped model named {name!r}; "
                               f"available: {', '.join(shipped_model_names())}")
-    return load_model(ref.read_text(encoding="utf-8"))
+    return model_from_doc(json.loads(ref.read_text(encoding="utf-8")))

@@ -36,7 +36,7 @@ def assignment(invocations, macs, vlen=100):
 def route_of_length(length_mm):
     path = OpticalPath(length_mm=length_mm, mrs_passed=64, drop_stages=1,
                        split_fanout=1, couplers=1)
-    return WaveguideRoute("w:g0", "SWSR", ("r:g0",), length_mm, path)
+    return WaveguideRoute("w:g0", "w", 0, "SWSR", ("r:g0",), length_mm, path)
 
 
 # ------------------------------------------------------------ compute_time

@@ -10,6 +10,7 @@ purpose, and that change lists the deltas in CHANGES.md.
 from pathlib import Path
 
 import pytest
+import yaml
 
 from cpsim.cli import cli_main
 
@@ -41,10 +42,12 @@ CASES = {
 def trailing_config(tmp_path_factory):
     from importlib import resources
 
-    text = resources.files("cpsim.data").joinpath("default_platform.yaml").read_text("utf-8")
-    assert text.count("demand_mode: upcoming") == 1
+    doc = yaml.safe_load(resources.files("cpsim.data").joinpath("default_platform.yaml")
+                         .read_text("utf-8"))
+    assert doc["options"]["demand_mode"] == "upcoming"
+    doc["options"]["demand_mode"] = "trailing"
     path = tmp_path_factory.mktemp("golden") / "trailing.yaml"
-    path.write_text(text.replace("demand_mode: upcoming", "demand_mode: trailing"), "utf-8")
+    path.write_text(yaml.safe_dump(doc, sort_keys=False), "utf-8")
     return str(path)
 
 

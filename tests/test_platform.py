@@ -1,9 +1,10 @@
+import time
 from dataclasses import replace
 
 import pytest
 
 from cpsim.config import ConfigError, parse_config
-from cpsim.platform import (build_topology, default_platform, electrical_hops,
+from cpsim.platform import (_grid_cells, build_topology, default_platform, electrical_hops,
                             gateway_peak_bandwidth, route_length)
 
 FIG6_STYLE = """
@@ -120,6 +121,40 @@ def test_placement_overflow():
     text = "chiplets:\n  - {id: mem, role: memory, gateways: 1}\n" + entries
     with pytest.raises(ConfigError, match="exceed"):
         build_topology(parse_config(text))
+
+
+def sorted_cells(rows, cols):
+    """Every cell of the grid, sorted center-out: the reference order."""
+    center = ((rows - 1) / 2.0, (cols - 1) / 2.0)
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    return sorted(cells, key=lambda rc: (abs(rc[0] - center[0]) + abs(rc[1] - center[1]),
+                                         rc[0], rc[1]))
+
+
+def test_grid_cells_are_a_prefix_of_the_center_out_sort():
+    for rows in range(1, 9):
+        for cols in range(1, 9):
+            every = sorted_cells(rows, cols)
+            for n in range(len(every) + 1):
+                assert _grid_cells(rows, cols, n) == every[:n], (rows, cols, n)
+
+
+def test_huge_grid_builds_in_milliseconds(cfg):
+    """Only the cells the chiplets take are made, not grid_rows x grid_cols."""
+    huge = replace(cfg, platform=replace(cfg.platform, grid_rows=1_000_000_000))
+    for kind in ("siph_interposer", "elec_interposer", "monolithic"):
+        t0 = time.perf_counter()
+        topology = build_topology(huge, kind)
+        assert time.perf_counter() - t0 < 1.0, kind
+        assert len(topology.chiplets) == (1 if kind == "monolithic" else len(cfg.chiplets))
+    memory = build_topology(huge).memory_chiplets()[0]
+    assert memory.grid_cell == (499_999_999, 1)   # the center cell, as on a small grid
+
+
+def test_routes_name_their_writer_chiplet_and_trunk_index(topo):
+    for route in topo.routes:
+        chiplet = topo.chiplet(route.writer_chiplet)
+        assert chiplet.gateway_ids()[route.writer_index] == route.writer_gateway
 
 
 def test_unknown_config_keys_rejected():

@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+import yaml
 
 from cpsim import engine
 from cpsim.cli import cli_main
@@ -319,24 +320,31 @@ def test_unsigned_exponent_message_suggests_a_yaml_float():
     assert parse_config("options: {mac_rate_hz: 5000000000}").options.mac_rate_hz == 5e9
 
 
-def default_config_text():
+def default_config_doc():
     from importlib import resources
 
-    return resources.files("cpsim.data").joinpath("default_platform.yaml").read_text("utf-8")
+    return yaml.safe_load(resources.files("cpsim.data").joinpath("default_platform.yaml")
+                          .read_text("utf-8"))
+
+
+def write_yaml(path, doc):
+    path.write_text(yaml.safe_dump(doc, sort_keys=False), "utf-8")
+    return path
 
 
 def test_negative_vector_len_is_failure(tmp_path, capsys):
-    text = default_config_text()
-    entry = "{id: dense0, role: compute, mac_type: dense100, macs: 4,  macs_per_gateway: 1}"
-    assert text.count(entry) == 1
-    bad = tmp_path / "bad.yaml"
-    bad.write_text(text.replace(entry, entry[:-1] + ", vector_len: -5}"), "utf-8")
+    doc = default_config_doc()
+    [entry] = [c for c in doc["chiplets"] if c["id"] == "dense0"]
+    assert entry == {"id": "dense0", "role": "compute", "mac_type": "dense100", "macs": 4,
+                     "macs_per_gateway": 1}
+    entry["vector_len"] = -5
+    bad = write_yaml(tmp_path / "bad.yaml", doc)
     assert cli_main(["topology", "--config", str(bad), "--out", str(tmp_path / "t.json")]) == 1
     err = capsys.readouterr().err
     assert "dense0" in err and "vector_len" in err
     # 0 still means "take the vector length from the MAC-type registry"
-    good = tmp_path / "good.yaml"
-    good.write_text(text.replace(entry, entry[:-1] + ", vector_len: 0}"), "utf-8")
+    entry["vector_len"] = 0
+    good = write_yaml(tmp_path / "good.yaml", doc)
     assert cli_main(["topology", "--config", str(good), "--out", str(tmp_path / "t.json")]) == 0
 
 
@@ -347,10 +355,10 @@ def test_negative_vector_len_is_failure(tmp_path, capsys):
 def test_chiplet_field_of_the_other_role_is_failure(tmp_path, capsys, chiplet, field, value):
     """A field only the other role reads would be ignored without a word; it
     is rejected naming the chiplet and the field."""
-    text = default_config_text()
-    [line] = [line for line in text.splitlines() if f"{{id: {chiplet}," in line]
-    bad = tmp_path / "bad.yaml"
-    bad.write_text(text.replace(line, f"{line[:-1]}, {field}: {value}}}"), "utf-8")
+    doc = default_config_doc()
+    [entry] = [c for c in doc["chiplets"] if c["id"] == chiplet]
+    entry[field] = value
+    bad = write_yaml(tmp_path / "bad.yaml", doc)
     assert cli_main(["simulate", "--model", "lenet5", "--platform", "siph",
                      "--config", str(bad), "--out", str(tmp_path / "run.json")]) == 1
     err = capsys.readouterr().err
@@ -365,10 +373,10 @@ def test_chiplet_field_of_the_other_role_is_failure(tmp_path, capsys, chiplet, f
 @pytest.mark.parametrize("value", ["-5.0", ".nan", ".inf"])
 def test_negative_or_nonfinite_platform_energy_is_failure(tmp_path, capsys, field, platform,
                                                           value):
-    text = default_config_text()
-    [line] = [line for line in text.splitlines() if line.strip().startswith(field + ":")]
-    bad = tmp_path / "bad.yaml"
-    bad.write_text(text.replace(line, f"  {field}: {value}"), "utf-8")
+    doc = default_config_doc()
+    assert field in doc["platform"]
+    doc["platform"][field] = yaml.safe_load(value)   # -5.0, nan or inf
+    bad = write_yaml(tmp_path / "bad.yaml", doc)
     assert cli_main(["simulate", "--model", "lenet5", "--platform", platform,
                      "--config", str(bad), "--out", str(tmp_path / "run.json")]) == 1
     assert field in capsys.readouterr().err

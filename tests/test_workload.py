@@ -1,5 +1,8 @@
 import math
 import random
+import runpy
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +76,16 @@ def test_shipped_descriptors_validate(name, total):
 
 def test_shipped_model_listing():
     assert set(shipped_model_names()) == set(PUBLISHED_TOTALS)
+
+
+def test_make_descriptors_regenerates_the_shipped_files():
+    """tools/make_descriptors.py writes each shipped descriptor byte for byte."""
+    tool = Path(__file__).parent.parent / "tools" / "make_descriptors.py"
+    texts = {name: text for name, text, _ in runpy.run_path(str(tool))["descriptors"]()}
+    assert sorted(texts) == shipped_model_names()
+    for name, text in texts.items():
+        shipped = resources.files("cpsim.data.models").joinpath(f"{name}.desc")
+        assert shipped.read_text("utf-8") == text, name
 
 
 def test_param_count_permutation_invariant():

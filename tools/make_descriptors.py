@@ -5,14 +5,19 @@ Each descriptor lists per-layer geometry for a well-known DNN. The simulator
 counts parameters as conv: kh*kw*cin*cout + cout, fc: fin*fout + fout. The
 published totals for most of these models also include batch-norm parameters,
 which this format does not represent, so designated "ballast" layers carry a
-small documented channel pad (and the classifier input width absorbs the
-rest) to make the computed total match the published figure exactly.
+small channel pad (and the classifier input width absorbs the rest) to make
+the computed total match the published figure exactly. The pads are printed
+when the files are written, and the README's descriptor section lists them.
+
+The files are JSON text, one layer per line, which cpsim parses with
+``json.loads``; JSON is also YAML, so a copy still loads as a user file.
 
 Run from the repo root:  python tools/make_descriptors.py
 """
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, replace
 
@@ -192,44 +197,44 @@ def absorb_gap(name, layers, target):
 # ------------------------------------------------------------------ emit
 
 
-def emit(name, layers, target, notes):
+def emit(name, layers, target) -> str:
+    """The descriptor as JSON text, one layer per line. JSON is also YAML, so
+    the file reads the same through cpsim's JSON path and through a user's
+    YAML path; it holds only ints and strings, so no float spelling arises."""
     n_conv = sum(1 for l in layers if l.kind == "conv")
-    n_fc = len(layers) - n_conv
-    lines = [f"# {name}: layer descriptor for traffic/compute modeling."]
-    if notes:
-        lines.append("# Published total includes batch-norm parameters not represented")
-        lines.append("# here; ballast adjustments making the conv/fc total match exactly:")
-        for n in notes:
-            lines.append(f"#   {n}")
-    lines += [
-        f"name: {name}",
-        f"declared_param_count: {target}",
-        f"declared_conv_layers: {n_conv}",
-        f"declared_fc_layers: {n_fc}",
-        "layers:",
-    ]
+    head = {"name": name, "declared_param_count": target,
+            "declared_conv_layers": n_conv, "declared_fc_layers": len(layers) - n_conv}
+    rows = []
     for l in layers:
         if l.kind == "conv":
-            lines.append(
-                "- {kind: conv, kernel: %d, channels_in: %d, channels_out: %d,"
-                " in_hw: %d, out_hw: %d, stride: %d}"
-                % (l.kh, l.cin, l.cout, l.in_hw, l.out_hw, l.stride)
-            )
+            entry = {"kind": "conv", "kernel": l.kh, "channels_in": l.cin,
+                     "channels_out": l.cout, "in_hw": l.in_hw, "out_hw": l.out_hw,
+                     "stride": l.stride}
         else:
-            lines.append("- {kind: fc, channels_in: %d, channels_out: %d}" % (l.cin, l.cout))
-    path = os.path.join(OUT_DIR, f"{name}.desc")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-    print(f"{name}: {len(layers)} layers ({n_conv} conv / {n_fc} fc), {total(layers)} params -> {path}")
+            entry = {"kind": "fc", "channels_in": l.cin, "channels_out": l.cout}
+        rows.append("    " + json.dumps(entry))
+    lines = ["{"] + [f"  {json.dumps(k)}: {json.dumps(v)}," for k, v in head.items()]
+    lines += ['  "layers": [', ",\n".join(rows), "  ]", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def descriptors():
+    """(name, descriptor text, ballast notes) for each shipped model."""
+    for build in (lenet5, resnet50, densenet121, vgg16, mobilenetv2):
+        name, layers, target = build()
+        layers, notes = absorb_gap(name, layers, target)
+        yield name, emit(name, layers, target), notes
 
 
 def main():
     os.makedirs(OUT_DIR, exist_ok=True)
-    for build in (lenet5, resnet50, densenet121, vgg16, mobilenetv2):
-        name, layers, target = build()
-        print(f"{name}: canonical conv/fc total {total(layers)}, published {target}, gap {target - total(layers)}")
-        layers, notes = absorb_gap(name, layers, target)
-        emit(name, layers, target, notes)
+    for name, text, notes in descriptors():
+        path = os.path.join(OUT_DIR, f"{name}.desc")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+        print(f"{name} -> {path}")
+        for note in notes:   # the README's ballast table lists these
+            print(f"  ballast: {note}")
 
 
 if __name__ == "__main__":
