@@ -1,5 +1,5 @@
 import sys
 
-from .cli import main
+from .cli import cli_main
 
-sys.exit(main())
+sys.exit(cli_main())

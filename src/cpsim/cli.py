@@ -9,7 +9,6 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -107,69 +106,13 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _fmt6(x: float) -> str:
-    return f"{x:.6g}"
-
-
-def _metrics_json(model: str, platform: str, metrics: engine.RunMetrics) -> str:
-    doc = {
-        "model": model,
-        "platform": platform,
-        "total_latency_s": metrics.total_latency_s,
-        "total_energy_j": metrics.total_energy_j,
-        "avg_power_w": metrics.avg_power_w,
-        "total_bits": metrics.total_bits,
-        "epb_j_per_bit": metrics.epb_j_per_bit,
-        "energy_breakdown": metrics.energy_breakdown,
-        "per_layer": [
-            {
-                "layer": r.layer_index,
-                "compute_s": r.compute_s,
-                "read_s": r.read_s,
-                "write_s": r.write_s,
-                "overhead_s": r.overhead_s,
-                "latency_s": r.layer_latency_s,
-                "bits_moved": r.bits_moved,
-                "energy_j": r.energy_j,
-            }
-            for r in metrics.per_layer
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _metrics_table(metrics: engine.RunMetrics, sep: str) -> str:
-    cats = list(engine.ENERGY_CATEGORIES)
-    header = ["row", "layer", "compute_s", "read_s", "write_s", "overhead_s", "latency_s",
-              "bits_moved"] + [f"{c}_j" for c in cats] + ["energy_j", "avg_power_w",
-                                                          "epb_j_per_bit"]
-    lines = [sep.join(header)]
-    for r in metrics.per_layer:
-        cells = ["layer", str(r.layer_index), _fmt6(r.compute_s), _fmt6(r.read_s),
-                 _fmt6(r.write_s), _fmt6(r.overhead_s), _fmt6(r.layer_latency_s),
-                 _fmt6(r.bits_moved)]
-        cells += [_fmt6(r.energy_j[c]) for c in cats]
-        cells += [_fmt6(r.total_energy_j), "", ""]
-        lines.append(sep.join(cells))
-    totals = ["total", "", "", "", "", "", _fmt6(metrics.total_latency_s),
-              _fmt6(float(metrics.total_bits))]
-    totals += [_fmt6(metrics.energy_breakdown[c]) for c in cats]
-    totals += [_fmt6(metrics.total_energy_j), _fmt6(metrics.avg_power_w),
-               _fmt6(metrics.epb_j_per_bit)]
-    lines.append(sep.join(totals))
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_simulate(args) -> int:
     cfg = _apply_flags(_load_config(args.config), args)
     model = _resolve_model(args.model)
     variant = with_kind(cfg, args.platform)
     metrics = _run_one(model, variant, build_topology(variant))
-    if args.format == "json":
-        text = _metrics_json(model.name, KIND_ALIASES[args.platform], metrics)
-    else:
-        text = _metrics_table(metrics, "," if args.format == "csv" else "\t")
-    report.write_text(text, args.out)
+    report.write_text(report.render_run(model.name, KIND_ALIASES[args.platform], metrics,
+                                        args.format), args.out)
     return 0
 
 
@@ -204,36 +147,7 @@ def _cmd_compare(args, parser: argparse.ArgumentParser) -> int:
 def _cmd_topology(args) -> int:
     cfg = _load_config(args.config)
     topology = build_topology(with_kind(cfg, args.platform))
-    doc = {
-        "kind": topology.kind,
-        "n_wavelengths": topology.n_wavelengths,
-        "link_rate_bps": topology.link_rate_bps,
-        "gateway_freq_hz": topology.gateway_freq_hz,
-        "interposer_side_mm": topology.interposer_side_mm,
-        "mesh_dims": list(topology.mesh_dims),
-        "total_mrs": topology.total_mrs(),
-        "chiplets": [
-            {
-                "id": c.id, "role": c.role,
-                "mac_type": c.mac_type.name if c.mac_type else None,
-                "vector_len": c.mac_type.vector_len if c.mac_type else None,
-                "macs": c.macs, "gateways": c.gateways,
-                "position_mm": list(c.position), "grid_cell": list(c.grid_cell),
-            }
-            for c in topology.chiplets
-        ],
-        "mrgs": [
-            {"owner_gateway": m.owner_gateway, "filter_rows": m.filter_rows,
-             "modulator_rows": m.modulator_rows, "mrs_per_row": m.mrs_per_row}
-            for m in topology.mrgs
-        ],
-        "routes": [
-            {"writer": r.writer_gateway, "protocol": r.protocol, "readers": len(r.readers),
-             "length_mm": r.length_mm, "split_fanout": r.path.split_fanout}
-            for r in topology.routes
-        ],
-    }
-    report.write_text(json.dumps(doc, indent=2) + "\n", args.out)
+    report.write_text(report.render_topology(topology), args.out)
     return 0
 
 
@@ -250,9 +164,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             return _cmd_simulate(args)
         if args.command == "compare":
             return _cmd_compare(args, parser)
-        if args.command == "topology":
-            return _cmd_topology(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _cmd_topology(args)   # the subparsers admit no fifth command
     except SystemExit as exc:  # parser.error inside command handling
         return exc.code if isinstance(exc.code, int) else 2
     except (DescriptorError, ModelValidationError, ConfigError, ValueError, OSError) as exc:
@@ -261,12 +173,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except OverflowError as exc:   # finite inputs whose products leave the float range
         print(f"error: a config value is out of float range: {exc}", file=sys.stderr)
         return 1
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    return cli_main(argv)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli_main())

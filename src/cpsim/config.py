@@ -82,6 +82,11 @@ class PlatformSettings:
         check_fields(self, ConfigError, "platform: ")
 
 
+# Gateways one chiplet's laser trunk taps, at most. The builder wires one
+# waveguide route and one microring group per gateway, so without a cap a
+# mistyped count would exhaust memory instead of being rejected.
+MAX_GATEWAYS = 1024
+
 # per chiplet role: the fields it needs, and the fields only the other role reads
 _ROLE_FIELDS = {"memory": (("gateways",), ("mac_type", "macs", "macs_per_gateway", "vector_len")),
                 "compute": (("mac_type", "macs", "macs_per_gateway"), ("gateways",))}
@@ -110,6 +115,11 @@ class ChipletConfig:
         if self.role == "compute" and self.macs % self.macs_per_gateway != 0:
             raise ConfigError(f"{where}{self.macs} MACs not divisible by "
                               f"{self.macs_per_gateway} MACs per gateway")
+        named, gateways = (("gateways", self.gateways) if self.role == "memory" else
+                           ("macs / macs_per_gateway", self.macs // self.macs_per_gateway))
+        if gateways > MAX_GATEWAYS:
+            raise ConfigError(f"{where}{named} gives {gateways} gateways, "
+                              f"more than MAX_GATEWAYS ({MAX_GATEWAYS})")
 
 
 @dataclass(frozen=True)

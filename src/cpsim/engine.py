@@ -24,15 +24,15 @@ from functools import cache, reduce
 from operator import add, attrgetter
 from typing import NamedTuple
 
+# default_config, map_model, build_topology and layer_traffic are unused here;
+# bench/tracing.py binds them in engine until the benchmark refresh
 from .config import ELEC, MONO, SIPH, SimOptions, default_config
 from .devices import (DeviceParams, PcmcState, mr_tuning_power, pcmc_chain_for_equal_split,
                       required_laser_power, serialization_time, source_mw)
 from .mapper import LayerAssignment, MappingError, MappingPlan, map_model
 from .platform import (SWMR, SWSR, PlatformTopology, WaveguideRoute, build_topology,
                        electrical_hops, gateway_peak_bandwidth)
-from .workload import DnnModelSpec, TrafficVolume
-# unused here; bench/tracing.py binds engine.layer_traffic until the benchmark refresh
-from .workload import layer_traffic
+from .workload import DnnModelSpec, TrafficVolume, layer_traffic
 
 ENERGY_CATEGORIES = ("laser", "tuning", "conversion", "mac", "gateway_elec",
                      "controller", "electrical_noc")
@@ -150,12 +150,6 @@ class EpochController:
                 lit_mw, self._n_wavelengths, self._params), {})
         self.counts, (self.active, self.laser_w, self._bandwidths_of) = counts, state
         return retuned
-
-    def reconfigure(self, demand_bps: dict[str, float]) -> int:
-        """Resize to carry a demand in bits/s per chiplet; returns the couplers retuned."""
-        gateways, gw_bw = self._gateways, self._gw_bw
-        wanted = {cid: math.ceil(d / gw_bw) for cid, d in demand_bps.items() if cid in gateways}
-        return self.resize(self.lit_counts(wanted))
 
     def bandwidths(self, ids: tuple[str, ...]) -> tuple[float, float]:
         """Bits/s through the lit gateways of the memory chiplets and of ``ids``."""
@@ -371,15 +365,3 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
                             f"{totals[0]} s and energy {totals[1]} J")
     return metrics
 
-
-def simulate_monolithic(model: DnnModelSpec, params: DeviceParams,
-                        options: SimOptions | None = None,
-                        topology: PlatformTopology | None = None) -> RunMetrics:
-    """Run ``model`` on the single-chip baseline (default array when no
-    topology is given)."""
-    if topology is None:
-        topology = build_topology(default_config(), MONO)
-    elif topology.kind != MONO:
-        raise ValueError("simulate_monolithic needs a monolithic topology")
-    plan = map_model(model, topology)
-    return simulate_model(model, topology, plan, params, options)

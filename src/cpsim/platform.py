@@ -100,12 +100,6 @@ class PlatformTopology:
                 return c
         raise KeyError(f"unknown chiplet {chiplet_id!r}")
 
-    def compute_gateway_count(self) -> int:
-        return sum(c.gateways for c in self.compute_chiplets())
-
-    def memory_gateway_count(self) -> int:
-        return sum(c.gateways for c in self.memory_chiplets())
-
     def total_mrs(self) -> int:
         return sum(m.total_mrs for m in self.mrgs)
 

@@ -1,9 +1,11 @@
-"""Comparison tables and deterministic report emission.
+"""Every text the CLI writes, and the comparison tables behind ``compare``.
 
-Rows normalize power, latency, and energy-per-bit against a chosen baseline
-platform, per model, with a geometric-mean summary row per platform.
-Published figures for other accelerators ship as reference-only rows for
-context; they never enter the summaries.
+Comparison rows normalize power, latency, and energy-per-bit against a
+chosen baseline platform, per model, with a geometric-mean summary row per
+platform. Published figures for other accelerators ship as reference-only
+rows for context; they never enter the summaries. A run's per-layer record
+is ``layer_rows``; every format of a run or a comparison goes through one
+number format, ``_fmt``, and csv/tsv through one table writer, ``_table``.
 """
 
 from __future__ import annotations
@@ -12,8 +14,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
-from .engine import RunMetrics
+from .engine import ENERGY_CATEGORIES, RunMetrics
+from .platform import PlatformTopology
 
 
 @dataclass(frozen=True)
@@ -35,6 +40,11 @@ class ComparisonRow:
     normalized_epb: float | None
     reference_only: bool = False
     summary: bool = False
+
+
+# the report's columns: ComparisonRow's fields, in order, up to ``summary``
+COLUMNS = ("platform", "model", "power_w", "latency_s", "epb_j_per_bit",
+           "normalized_power", "normalized_latency", "normalized_epb", "reference_only")
 
 
 @dataclass(frozen=True)
@@ -83,32 +93,22 @@ def comparison_table(runs: list[LabeledRun], baseline: str) -> list[ComparisonRo
     base_by_model = {r.model: r.metrics for r in runs if r.platform == baseline}
 
     rows: list[ComparisonRow] = []
-    ratios: dict[str, dict[str, list[float]]] = {p: {"p": [], "l": [], "e": []} for p in platforms}
     for run in runs:
         base = base_by_model.get(run.model)
         if base is None:
             raise ValueError(f"baseline {baseline!r} has no run for model {run.model!r}")
         m = run.metrics
-        np = m.avg_power_w / base.avg_power_w
-        nl = m.total_latency_s / base.total_latency_s
-        ne = m.epb_j_per_bit / base.epb_j_per_bit
-        ratios[run.platform]["p"].append(np)
-        ratios[run.platform]["l"].append(nl)
-        ratios[run.platform]["e"].append(ne)
         rows.append(ComparisonRow(run.platform, run.model, m.avg_power_w, m.total_latency_s,
-                                  m.epb_j_per_bit, np, nl, ne))
+                                  m.epb_j_per_bit, m.avg_power_w / base.avg_power_w,
+                                  m.total_latency_s / base.total_latency_s,
+                                  m.epb_j_per_bit / base.epb_j_per_bit))
+    summaries = []
     for platform in platforms:
-        r = ratios[platform]
-        runs_of = [x.metrics for x in runs if x.platform == platform]
-        rows.append(ComparisonRow(
-            platform, "geomean",
-            _geomean([m.avg_power_w for m in runs_of]),
-            _geomean([m.total_latency_s for m in runs_of]),
-            _geomean([m.epb_j_per_bit for m in runs_of]),
-            _geomean(r["p"]), _geomean(r["l"]), _geomean(r["e"]),
-            summary=True,
-        ))
-    return rows
+        own = [row for row in rows if row.platform == platform]
+        # each numeric column, power_w through normalized_epb, over the platform's runs
+        summaries.append(ComparisonRow(platform, "geomean", *(
+            _geomean([getattr(row, c) for row in own]) for c in COLUMNS[2:8]), summary=True))
+    return rows + summaries
 
 
 def reference_rows() -> list[ComparisonRow]:
@@ -118,46 +118,107 @@ def reference_rows() -> list[ComparisonRow]:
             for ref in REFERENCE_BASELINES]
 
 
-COLUMNS = ("platform", "model", "power_w", "latency_s", "epb_j_per_bit",
-           "normalized_power", "normalized_latency", "normalized_epb", "reference_only")
+SEPARATORS = {"csv": ",", "tsv": "\t"}
 
 
 def _fmt(value) -> str:
+    """The one number format: 6 significant digits; None is an empty cell."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
+    if isinstance(value, str):
+        return value
+    return f"{value:.6g}"
+
+
+def _table(header, rows, format: str) -> str:
+    """csv or tsv text: the header line, then one line per row of cells."""
+    sep = SEPARATORS.get(format)
+    if sep is None:
+        raise ValueError(f"unknown report format {format!r}")
+    return "".join(sep.join(map(_fmt, cells)) + "\n" for cells in [header, *rows])
 
 
 def _row_values(row: ComparisonRow) -> list:
-    return [row.platform, row.model, row.power_w, row.latency_s, row.epb_j_per_bit,
-            row.normalized_power, row.normalized_latency, row.normalized_epb,
-            row.reference_only]
+    return [getattr(row, c) for c in COLUMNS]
 
 
 def render_report(rows: list[ComparisonRow], format: str) -> str:
     """Byte-stable text for the chosen format; numbers carry 6 significant
     digits in every format."""
-    if format in ("csv", "tsv"):
-        sep = "," if format == "csv" else "\t"
-        lines = [sep.join(COLUMNS)]
-        for row in rows:
-            lines.append(sep.join(_fmt(v) for v in _row_values(row)))
-        return "\n".join(lines) + "\n"
     if format == "json":
-        payload = []
-        for row in rows:
-            entry = {}
-            for key, value in zip(COLUMNS, _row_values(row)):
-                if isinstance(value, float):
-                    value = float(f"{value:.6g}")
-                entry[key] = value
-            payload.append(entry)
+        payload = [{key: float(_fmt(value)) if isinstance(value, float) else value
+                    for key, value in zip(COLUMNS, _row_values(row))} for row in rows]
         return json.dumps({"rows": payload}, indent=2) + "\n"
-    raise ValueError(f"unknown report format {format!r}")
+    return _table(COLUMNS, map(_row_values, rows), format)
+
+
+def layer_rows(metrics: RunMetrics) -> list[dict]:
+    """One record per layer of a run: its times, its bits and its energy by category."""
+    return [{"layer": r.layer_index, "compute_s": r.compute_s, "read_s": r.read_s,
+             "write_s": r.write_s, "overhead_s": r.overhead_s, "latency_s": r.layer_latency_s,
+             "bits_moved": r.bits_moved, "energy_j": r.energy_j}
+            for r in metrics.per_layer]
+
+
+_LAYER_CELLS = ("compute_s", "read_s", "write_s", "overhead_s", "latency_s", "bits_moved")
+
+
+def render_run(model: str, platform: str, metrics: RunMetrics, format: str) -> str:
+    """One run as JSON, or as a table of layer rows and a total row."""
+    rows = layer_rows(metrics)
+    if format == "json":
+        doc = {"model": model, "platform": platform,
+               "total_latency_s": metrics.total_latency_s,
+               "total_energy_j": metrics.total_energy_j, "avg_power_w": metrics.avg_power_w,
+               "total_bits": metrics.total_bits, "epb_j_per_bit": metrics.epb_j_per_bit,
+               "energy_breakdown": metrics.energy_breakdown, "per_layer": rows}
+        return json.dumps(doc, indent=2) + "\n"
+    header = ["row", "layer", *_LAYER_CELLS, *(f"{c}_j" for c in ENERGY_CATEGORIES),
+              "energy_j", "avg_power_w", "epb_j_per_bit"]
+    cells = [["layer", str(r["layer"]), *(r[c] for c in _LAYER_CELLS),
+              *(r["energy_j"][c] for c in ENERGY_CATEGORIES),
+              reduce(add, r["energy_j"].values(), 0.0), None, None] for r in rows]
+    cells.append(["total", None, None, None, None, None, metrics.total_latency_s,
+                  metrics.total_bits,
+                  *(metrics.energy_breakdown[c] for c in ENERGY_CATEGORIES),
+                  metrics.total_energy_j, metrics.avg_power_w, metrics.epb_j_per_bit])
+    return _table(header, cells, format)
+
+
+def render_topology(topology: PlatformTopology) -> str:
+    """The wired platform as JSON, for inspection."""
+    doc = {
+        "kind": topology.kind,
+        "n_wavelengths": topology.n_wavelengths,
+        "link_rate_bps": topology.link_rate_bps,
+        "gateway_freq_hz": topology.gateway_freq_hz,
+        "interposer_side_mm": topology.interposer_side_mm,
+        "mesh_dims": list(topology.mesh_dims),
+        "total_mrs": topology.total_mrs(),
+        "chiplets": [
+            {
+                "id": c.id, "role": c.role,
+                "mac_type": c.mac_type.name if c.mac_type else None,
+                "vector_len": c.mac_type.vector_len if c.mac_type else None,
+                "macs": c.macs, "gateways": c.gateways,
+                "position_mm": list(c.position), "grid_cell": list(c.grid_cell),
+            }
+            for c in topology.chiplets
+        ],
+        "mrgs": [
+            {"owner_gateway": m.owner_gateway, "filter_rows": m.filter_rows,
+             "modulator_rows": m.modulator_rows, "mrs_per_row": m.mrs_per_row}
+            for m in topology.mrgs
+        ],
+        "routes": [
+            {"writer": r.writer_gateway, "protocol": r.protocol, "readers": len(r.readers),
+             "length_mm": r.length_mm, "split_fanout": r.path.split_fanout}
+            for r in topology.routes
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def write_text(text: str, destination: str) -> None:

@@ -162,7 +162,8 @@ def test_criterion_7_controller_properties(cfg):
         gw_bw = topo.n_wavelengths * topo.link_rate_bps
         for _ in range(100):
             demand = {c.id: rng.uniform(0, 5e12) for c in topo.chiplets}
-            controller.reconfigure(demand)
+            controller.resize(controller.lit_counts(
+                {cid: math.ceil(d / gw_bw) for cid, d in demand.items()}))
             for c in topo.chiplets:
                 wanted = math.ceil(demand[c.id] / gw_bw)
                 assert controller.active[c.id] == max(1, min(wanted, c.gateways))
@@ -180,7 +181,7 @@ def test_criterion_7_controller_properties(cfg):
         disabled = simulate_model(toy, topo, plan, cfg.devices,
                                   replace(cfg.options, resipi_enabled=False))
         idle_enabled = EpochController(topo, cfg.devices)
-        idle_enabled.reconfigure({})
+        idle_enabled.resize(idle_enabled.lit_counts({}))
         idle_disabled = EpochController(topo, cfg.devices)
         assert idle_disabled.laser_w >= idle_enabled.laser_w
         assert (disabled.energy_breakdown["laser"] / disabled.total_latency_s

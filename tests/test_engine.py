@@ -15,7 +15,7 @@ from cpsim import devices, engine, workload
 from cpsim.config import with_kind
 from cpsim.devices import (CRYSTALLINE, DeviceParams, OpticalPath, path_insertion_loss,
                            pcmc_chain_for_equal_split, required_laser_power, source_mw)
-from cpsim.engine import (EpochController, compute_time, simulate_model, simulate_monolithic,
+from cpsim.engine import (EpochController, compute_time, simulate_model,
                           transfer_time_electrical, transfer_time_photonic)
 from cpsim.mapper import LayerAssignment, MappingError, MappingPlan, map_model
 from cpsim.platform import (DEFAULT_MAC_TYPES, WaveguideRoute, build_topology, default_platform,
@@ -89,19 +89,28 @@ def writer_index(topo):
     return {gw: (c.id, k) for c in topo.chiplets for k, gw in enumerate(c.gateway_ids())}
 
 
+def carry(controller, topo, demand_bps):
+    """Resize to carry a demand in bits/s per chiplet, as the engine does: a
+    chiplet's wanted count is its demand over one gateway's peak bandwidth,
+    rounded up. Returns the couplers retuned."""
+    gw_bw = gateway_peak_bandwidth(topo)
+    return controller.resize(controller.lit_counts(
+        {cid: math.ceil(d / gw_bw) for cid, d in demand_bps.items()}))
+
+
 def test_controller_zero_demand_floors_at_one(cfg):
     topo = default_platform()
     controller = EpochController(topo, cfg.devices)
-    assert controller.reconfigure({}) > 0
+    assert carry(controller, topo, {}) > 0
     assert all(v == 1 for v in controller.active.values())
 
 
 def test_controller_clamp_arithmetic(cfg):
     topo = default_platform()
     controller = EpochController(topo, cfg.devices)
-    controller.reconfigure({"conv3a": 1.6e12})
+    carry(controller, topo, {"conv3a": 1.6e12})
     assert controller.active["conv3a"] == 3  # ceil(1.6e12 / 768e9)
-    controller.reconfigure({"conv3a": 1e13})
+    carry(controller, topo, {"conv3a": 1e13})
     assert controller.active["conv3a"] == 4  # clamped at the gateway count
 
 
@@ -112,9 +121,9 @@ def test_controller_monotone_in_demand(cfg):
     for _ in range(50):
         low = {c.id: rng.uniform(0, 3e12) for c in topo.chiplets}
         high = {cid: v * rng.uniform(1.0, 3.0) for cid, v in low.items()}
-        controller.reconfigure(low)
+        carry(controller, topo, low)
         active_low = dict(controller.active)
-        controller.reconfigure(high)
+        carry(controller, topo, high)
         for cid in low:
             assert controller.active[cid] >= active_low[cid]
             assert 1 <= active_low[cid] <= topo.chiplet(cid).gateways
@@ -127,7 +136,7 @@ def test_controller_laser_audit_and_pcmc_states(cfg):
     rng = random.Random(23)
     for _ in range(25):
         demand = {c.id: rng.uniform(0, 4e12) for c in topo.chiplets}
-        controller.reconfigure(demand)
+        carry(controller, topo, demand)
         lit_paths = []
         for route in topo.routes:
             chiplet_id, k = writer[route.writer_gateway]
@@ -143,9 +152,9 @@ def test_controller_laser_audit_and_pcmc_states(cfg):
 def test_reconfiguration_count_only_moves_on_change(cfg):
     topo = default_platform()
     controller = EpochController(topo, cfg.devices)
-    switched = controller.reconfigure({})
+    switched = carry(controller, topo, {})
     active, laser_w = dict(controller.active), controller.laser_w
-    switched_again = controller.reconfigure({})
+    switched_again = carry(controller, topo, {})
     assert switched > 0 and switched_again == 0
     assert controller.active == active and controller.laser_w == laser_w
 
@@ -184,7 +193,7 @@ def test_controller_matches_from_scratch_reference(demands):
                                       equal_split(c.gateways, expected[c.id])))
         paths = [r.path for r in topo.routes
                  if writer[r.writer_gateway][1] < expected[writer[r.writer_gateway][0]]]
-        switched = controller.reconfigure(demand)
+        switched = carry(controller, topo, demand)
         assert controller.active == expected
         assert list(controller.active) == [c.id for c in topo.chiplets]
         assert controller.laser_w == required_laser_power([source_mw(p, params) for p in paths],
@@ -283,7 +292,7 @@ def test_state_table_keeps_what_it_built(cfg, monkeypatch):
     laser_calls.clear()
     controller = EpochController(topo, cfg.devices)
     full, ids = dict(controller.active), ("conv3a", "conv3b")
-    controller.reconfigure({"conv3a": 2e12, "dense0": 1e12})
+    carry(controller, topo, {"conv3a": 2e12, "dense0": 1e12})
     mixed = dict(controller.active)
     seen = (controller.laser_w, controller.bandwidths(ids))
     retunes = sum(max(full[c], mixed[c]) for c in full if full[c] != mixed[c])
@@ -336,7 +345,8 @@ def test_photonic_trace_single_fc(cfg):
 
 
 def test_monolithic_trace_single_fc(cfg):
-    metrics = simulate_monolithic(fc_model(), cfg.devices, cfg.options)
+    topo, model = build_topology(with_kind(cfg, "mono")), fc_model()
+    metrics = simulate_model(model, topo, map_model(model, topo), cfg.devices, cfg.options)
     [layer] = metrics.per_layer
     # chunks = ceil(100/25) = 4, invocations = 40, one 128-wide cycle
     assert layer.compute_s == pytest.approx(1 / 5e9, rel=1e-12)
@@ -468,7 +478,7 @@ def test_resipi_disabled_is_never_slower_and_burns_more_idle_laser(cfg):
     # idle (zero demand) laser power: all-active vs reconfigured minimum
     controller = EpochController(topo, cfg.devices)
     all_lit_w = controller.laser_w
-    controller.reconfigure({})
+    carry(controller, topo, {})
     assert all_lit_w >= controller.laser_w
     assert disabled.energy_breakdown["laser"] / disabled.total_latency_s >= \
         enabled.energy_breakdown["laser"] / enabled.total_latency_s
@@ -591,7 +601,3 @@ def test_source_mw_prices_each_route_once_per_run(cfg, monkeypatch):
     assert len(calls) == len({r.path for r in topo.routes}) < len(topo.routes)
     assert sum(r.overhead_s > 0 for r in metrics.per_layer) > 1   # several lit sets reached
 
-
-def test_simulate_monolithic_requires_mono_topology(cfg):
-    with pytest.raises(ValueError):
-        simulate_monolithic(fc_model(), cfg.devices, cfg.options, topology=default_platform())

@@ -35,6 +35,13 @@ CASES = {
         ["simulate", "--model", "resnet50", "--platform", "elec", "--no-overlap"],
     "simulate_resnet50_mono_no_overlap.json":
         ["simulate", "--model", "resnet50", "--platform", "mono", "--no-overlap"],
+    # the table formats of each writer, and the topology dump
+    "simulate_resnet50_siph.csv":
+        ["simulate", "--model", "resnet50", "--platform", "siph", "--format", "csv"],
+    "simulate_lenet5_mono.tsv":
+        ["simulate", "--model", "lenet5", "--platform", "mono", "--format", "tsv"],
+    "compare_all.tsv": ["compare", "--models", "all", "--format", "tsv"],
+    "topology_siph.json": ["topology", "--platform", "siph"],
 }
 
 

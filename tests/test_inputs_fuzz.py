@@ -6,8 +6,8 @@ one lenet5 layer, to a value drawn from that field's domain as
 of another type, NaN, infinite or out of any physical scale. ``cli_main``
 must return 0 or 1 and never raise; a value outside its domain exits 1 and
 names its field; a run that exits 0 reports finite metrics that satisfy the
-energy identities. Integers are capped at 64, because the platform builder
-allocates one object per gateway and per grid cell.
+energy identities. Integers reach 2**40, far above any count the builder
+accepts (``config.MAX_GATEWAYS`` caps the gateways of a chiplet).
 
 The relations (Chen et al., "Metamorphic Testing: A Review of Challenges and
 Opportunities", ACM CSUR 2018) compare two runs where no exact oracle
@@ -63,7 +63,7 @@ def values(domain):
     choices = getattr(test, "__self__", None)   # a choice domain tests with its frozenset
     if choices is not None:
         return st.one_of(st.sampled_from(sorted(choices)), WRONG_TYPES)
-    return st.one_of(WRONG_TYPES, st.integers(-2, 64), st.floats(-2.0, 64.0), EXTREMES)
+    return st.one_of(WRONG_TYPES, st.integers(-2, 2 ** 40), st.floats(-2.0, 64.0), EXTREMES)
 
 
 def in_domain(domain, value):

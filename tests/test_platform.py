@@ -46,16 +46,20 @@ def test_default_platform_chiplet_mix(topo):
     assert all(c.macs == 44 and c.macs_per_gateway == 11 for c in by_type["conv3x3"])
 
 
+def gateway_count(chiplets):
+    return sum(c.gateways for c in chiplets)
+
+
 def test_default_platform_gateway_counts(topo):
-    assert topo.compute_gateway_count() == 32
+    assert gateway_count(topo.compute_chiplets()) == 32
     assert all(c.gateways == 4 for c in topo.compute_chiplets())
 
 
 def test_default_platform_route_counts(topo):
     swsr = [r for r in topo.routes if r.protocol == "SWSR"]
     swmr = [r for r in topo.routes if r.protocol == "SWMR"]
-    assert len(swsr) == topo.compute_gateway_count() == 32
-    assert len(swmr) == topo.memory_gateway_count() == 4
+    assert len(swsr) == gateway_count(topo.compute_chiplets()) == 32
+    assert len(swmr) == gateway_count(topo.memory_chiplets()) == 4
     assert len(topo.routes) == 36
     assert all(len(r.readers) == 1 for r in swsr)
     assert all(len(r.readers) == 32 for r in swmr)
@@ -75,7 +79,7 @@ def test_default_platform_compute_mrgs(topo):
 
 
 def test_default_platform_total_mrs(topo):
-    g_c, g_m = topo.compute_gateway_count(), topo.memory_gateway_count()
+    g_c, g_m = gateway_count(topo.compute_chiplets()), gateway_count(topo.memory_chiplets())
     assert topo.total_mrs() == (2 * g_c + g_c + g_m) * topo.n_wavelengths == 6_400
 
 

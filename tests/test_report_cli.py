@@ -1,12 +1,13 @@
 import json
 import math
+import time
 
 import pytest
 import yaml
 
 from cpsim import engine
 from cpsim.cli import cli_main
-from cpsim.config import ConfigError, parse_config
+from cpsim.config import MAX_GATEWAYS, ChipletConfig, ConfigError, parse_config
 from cpsim.engine import RunMetrics
 from cpsim.report import (LabeledRun, comparison_table, emit_report, reference_rows,
                           render_report)
@@ -380,3 +381,30 @@ def test_negative_or_nonfinite_platform_energy_is_failure(tmp_path, capsys, fiel
     assert cli_main(["simulate", "--model", "lenet5", "--platform", platform,
                      "--config", str(bad), "--out", str(tmp_path / "run.json")]) == 1
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chiplet, changes, named", [
+    ("mem0", {"gateways": 10 ** 9}, "gateways"),
+    ("dense0", {"macs": 10 ** 12, "macs_per_gateway": 1}, "macs / macs_per_gateway"),
+])
+def test_gateway_count_above_the_cap_is_failure(tmp_path, capsys, chiplet, changes, named):
+    """The builder wires one route per gateway (about 18 us each), so 10**9
+    gateways would run for hours; the count is rejected before anything is built."""
+    doc = default_config_doc()
+    [entry] = [c for c in doc["chiplets"] if c["id"] == chiplet]
+    entry.update(changes)
+    bad = write_yaml(tmp_path / "bad.yaml", doc)
+    start = time.perf_counter()
+    assert cli_main(["simulate", "--model", "lenet5", "--platform", "siph",
+                     "--config", str(bad), "--out", str(tmp_path / "run.json")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"chiplet '{chiplet}'" in err and named in err and "MAX_GATEWAYS" in err, err
+
+
+def test_gateway_cap_is_inclusive():
+    assert MAX_GATEWAYS >= 64
+    ChipletConfig("mem0", "memory", gateways=MAX_GATEWAYS).validate()
+    ChipletConfig("c0", "compute", "dense100", MAX_GATEWAYS * 2, 2).validate()
+    with pytest.raises(ConfigError, match="gateways"):
+        ChipletConfig("mem0", "memory", gateways=MAX_GATEWAYS + 1).validate()
