@@ -14,11 +14,11 @@ import sys
 from dataclasses import replace
 
 from . import engine, report
-from .config import KIND_ALIASES, ConfigError, SimConfig, default_config, load_config, with_kind
+from .config import KIND_ALIASES, SimConfig, default_config, load_config, with_kind
 from .mapper import map_model
 from .platform import PlatformTopology, build_topology
-from .workload import (DescriptorError, DnnModelSpec, ModelValidationError, load_model_file,
-                       load_shipped_model, param_count, shipped_model_names)
+from .workload import (DnnModelSpec, load_model_file, load_shipped_model, param_count,
+                       shipped_model_names)
 
 CONFIG_ENV_VAR = "CPS_CONFIG"
 
@@ -167,7 +167,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return _cmd_topology(args)   # the subparsers admit no fifth command
     except SystemExit as exc:  # parser.error inside command handling
         return exc.code if isinstance(exc.code, int) else 2
-    except (DescriptorError, ModelValidationError, ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:   # every cpsim input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OverflowError as exc:   # finite inputs whose products leave the float range

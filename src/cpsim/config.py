@@ -6,9 +6,10 @@ The bundled default config mirrors the reference platform sizing.
 
 A user's config file is YAML, parsed with ``YAML_LOADER``. The bundled
 default is JSON text, which is also YAML, parsed with ``json.loads``. Both
-documents go through ``config_from_doc``, which makes every check. PyYAML is
-imported on the first user file, so importing cpsim and running on the
-bundled files alone never imports it.
+documents go through ``config_from_doc``. Every record checks its own fields
+when built, so a config that exists is a valid one. PyYAML is imported on
+the first user file, so importing cpsim and running on the bundled files
+alone never imports it.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class PlatformSettings:
     monolithic_macs: Count = 128
     monolithic_vector_len: Count = 25
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_fields(self, ConfigError, "platform: ")
 
 
@@ -102,7 +103,7 @@ class ChipletConfig:
     gateways: NonNegInt = 0          # memory only; compute derives it
     vector_len: NonNegInt = 0        # compute only; overrides the mac_type registry entry
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         where = f"chiplet {self.id!r}: "
         check_fields(self, ConfigError, where)
         own, other = _ROLE_FIELDS[self.role]
@@ -135,24 +136,23 @@ class SimOptions:
     elec_congestion_factor: AtLeastOne = 2.0
     pcmc_switch_energy_pj: NonNeg = 1000.0   # per retuned coupler on reconfiguration
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_fields(self, ConfigError, "options: ")
 
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One platform's settings, chiplets, devices and options. Each record
+    checks its own fields when built; this one adds only what spans them."""
+
     platform: PlatformSettings
     chiplets: tuple[ChipletConfig, ...]
     devices: DeviceParams
     options: SimOptions
 
-    def validate(self) -> None:
-        self.platform.validate()
-        self.options.validate()
-        self.devices.validate()
+    def __post_init__(self) -> None:
         seen: set[str] = set()
         for chiplet in self.chiplets:
-            chiplet.validate()
             if chiplet.id in seen:
                 raise ConfigError(f"duplicate chiplet id {chiplet.id!r}")
             seen.add(chiplet.id)
@@ -167,12 +167,12 @@ def _build(cls, section: dict | None, where: str):
         raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
     try:
         return cls(**section)
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:   # a missing field; each record names its own bad values
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def config_from_doc(doc) -> SimConfig:
-    """Build and validate a config from its parsed document."""
+    """Build a config from its parsed document; each record checks itself."""
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
@@ -185,14 +185,12 @@ def config_from_doc(doc) -> SimConfig:
         raise ConfigError("chiplets section must be a list")
     chiplets = tuple(_build(ChipletConfig, entry, f"chiplets[{i}]")
                      for i, entry in enumerate(chiplet_entries))
-    cfg = SimConfig(
+    return SimConfig(
         platform=_build(PlatformSettings, doc.get("platform"), "platform"),
         chiplets=chiplets,
         devices=_build(DeviceParams, doc.get("devices"), "devices"),
         options=_build(SimOptions, doc.get("options"), "options"),
     )
-    cfg.validate()
-    return cfg
 
 
 def parse_config(text: str) -> SimConfig:
@@ -214,8 +212,5 @@ def default_config() -> SimConfig:
 
 
 def with_kind(cfg: SimConfig, kind: str) -> SimConfig:
-    """Same config targeting a different platform variant."""
-    kind = KIND_ALIASES.get(kind, kind)
-    if kind not in PLATFORM_KINDS:
-        raise ConfigError(f"unknown platform kind {kind!r}")
-    return replace(cfg, platform=replace(cfg.platform, kind=kind))
+    """Same config targeting a different platform variant, by kind or alias."""
+    return replace(cfg, platform=replace(cfg.platform, kind=KIND_ALIASES.get(kind, kind)))

@@ -24,25 +24,6 @@ CRYSTALLINE = "crystalline"
 PARTIAL = "partially_crystalline"
 AMORPHOUS = "amorphous"
 
-
-@dataclass(frozen=True)
-class PcmcState:
-    """Phase-change coupler state. ``t`` is the cross fraction for the
-    partially crystalline state."""
-
-    phase: str  # CRYSTALLINE | PARTIAL | AMORPHOUS
-    t: float = 0.0
-    excess_loss_db: float = 0.0
-
-    def validate(self) -> None:
-        if self.phase not in (CRYSTALLINE, PARTIAL, AMORPHOUS):
-            raise ValueError(f"unknown PCMC phase {self.phase!r}")
-        if self.phase == PARTIAL and not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"partial cross fraction {self.t} outside [0, 1]")
-        if self.excess_loss_db < 0.0:
-            raise ValueError("excess loss must be >= 0 dB")
-
-
 # A field's annotation names its domain: the types its value may take and the
 # one bound it must meet. Every module here imports annotations from
 # __future__, so an annotation is the string check_fields looks up; the aliases
@@ -114,6 +95,24 @@ def check_fields(obj, error: type[ValueError] = ValueError, where: str = "") -> 
             raise error(f"{where}{name} must be {bound}, got {value!r}")
 
 
+PcmcPhase = choice("PcmcPhase", CRYSTALLINE, PARTIAL, AMORPHOUS)
+
+
+@dataclass(frozen=True)
+class PcmcState:
+    """Phase-change coupler state. ``t`` is the cross fraction for the
+    partially crystalline state."""
+
+    phase: PcmcPhase
+    t: float = 0.0
+    excess_loss_db: NonNeg = 0.0
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if self.phase == PARTIAL and not 0.0 <= self.t <= 1.0:
+            raise ValueError(f"t must be in [0, 1] for a partial state, got {self.t!r}")
+
+
 @dataclass(frozen=True)
 class DeviceParams:
     coupler_loss_db: NonNeg = 1.0
@@ -132,7 +131,7 @@ class DeviceParams:
     pcm_transition_s: NonNeg = 10e-6
     group_velocity_mm_per_s: Positive = 7.5e10  # ~c / 4 in an SOI waveguide
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_fields(self, ValueError, "devices: ")
 
 
@@ -140,22 +139,18 @@ class DeviceParams:
 class OpticalPath:
     """Loss-relevant inventory of one laser-to-detector path."""
 
-    length_mm: float
-    mrs_passed: int = 0
-    drop_stages: int = 0
-    split_fanout: int = 1
-    couplers: int = 0
+    length_mm: NonNeg
+    mrs_passed: NonNegInt = 0
+    drop_stages: NonNegInt = 0
+    split_fanout: Count = 1
+    couplers: NonNegInt = 0
 
-    def validate(self) -> None:
-        if self.length_mm < 0 or self.mrs_passed < 0 or self.drop_stages < 0 or self.couplers < 0:
-            raise ValueError("path counts must be >= 0")
-        if self.split_fanout < 1:
-            raise ValueError("split fanout must be >= 1")
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 def pcmc_transfer(state: PcmcState) -> tuple[float, float]:
     """(bar, cross) power fractions; bar + cross = 10^(-excess_loss/10)."""
-    state.validate()
     through = 10.0 ** (-state.excess_loss_db / 10.0)
     if state.phase == CRYSTALLINE:
         return through, 0.0
@@ -165,9 +160,8 @@ def pcmc_transfer(state: PcmcState) -> tuple[float, float]:
 
 
 def pcmc_for_split(target_cross: float, excess_loss_db: float = 0.0) -> PcmcState:
-    """State whose pre-loss cross fraction equals target_cross."""
-    if not 0.0 <= target_cross <= 1.0:
-        raise ValueError(f"target cross fraction {target_cross} outside [0, 1]")
+    """State whose pre-loss cross fraction equals target_cross; a target
+    outside [0, 1] is a partial state the state itself rejects."""
     if target_cross == 0.0:
         return PcmcState(CRYSTALLINE, excess_loss_db=excess_loss_db)
     if target_cross == 1.0:
@@ -178,7 +172,6 @@ def pcmc_for_split(target_cross: float, excess_loss_db: float = 0.0) -> PcmcStat
 def path_insertion_loss(path: OpticalPath, params: DeviceParams) -> float:
     """dB along the path: couplers, propagation, passed MRs, drops, and an
     ideal 1/N split plus per-stage excess on a binary splitter tree."""
-    path.validate()
     loss = (path.couplers * params.coupler_loss_db
             + path.length_mm * params.propagation_loss_db_per_mm
             + path.mrs_passed * params.mr_through_loss_db

@@ -87,7 +87,7 @@ def transfer_time_photonic(bits: float, writer_bw: float, reader_bw: float,
     if writer_bw <= 0 or reader_bw <= 0:
         raise ValueError("bandwidths must be > 0")
     serialization = serialization_time(bits, 1, min(writer_bw, reader_bw))
-    propagation = route.length_mm / params.group_velocity_mm_per_s
+    propagation = route.path.length_mm / params.group_velocity_mm_per_s
     overhead = overhead_cycles / gateway_freq_hz
     return serialization + propagation + overhead
 
@@ -96,8 +96,9 @@ def transfer_time_electrical(bits: float, hops: int, topology: PlatformTopology,
                              congestion: float, router_cycles: int) -> float:
     """Per-hop router latency plus link serialization, scaled by a
     congestion factor when several chiplets contend for the memory node."""
-    link_bw = topology.noc_width_bits * topology.noc_freq_hz
-    header = hops * router_cycles / topology.noc_freq_hz
+    p = topology.platform
+    link_bw = p.noc_width_bits * p.noc_freq_hz
+    header = hops * router_cycles / p.noc_freq_hz
     return header + bits * congestion / link_bw
 
 
@@ -114,7 +115,7 @@ class EpochController:
     are worked out once per run, keyed by lit counts, and kept."""
 
     def __init__(self, topology: PlatformTopology, params: DeviceParams) -> None:
-        self._n_wavelengths, self._params = topology.n_wavelengths, params
+        self._n_wavelengths, self._params = topology.platform.n_wavelengths, params
         self._gw_bw = gateway_peak_bandwidth(topology)
         self._gateways = {c.id: c.gateways for c in topology.chiplets}
         self._memory_ids = [c.id for c in topology.memory_chiplets()]
@@ -180,9 +181,9 @@ def _photonic(topology: PlatformTopology, params: DeviceParams, options: SimOpti
     before every layer; a resize stalls for one phase-change transition."""
     controller = EpochController(topology, params)
     memory_ids = [c.id for c in topology.memory_chiplets()]
-    by_length = attrgetter("length_mm")
+    by_length = attrgetter("path.length_mm")
     read_route = max((r for r in topology.routes if r.protocol == SWMR), key=by_length)
-    freq, cycles = topology.gateway_freq_hz, options.gateway_overhead_cycles
+    freq, cycles = topology.platform.gateway_freq_hz, options.gateway_overhead_cycles
     conversion_pj = params.modulator_energy_pj_per_bit + params.filter_pd_energy_pj_per_bit
     trailing, gw_bw = options.demand_mode == "trailing", gateway_peak_bandwidth(topology)
     previous = ((), 0, 0)   # no history: the state with only gateway 0 of each chiplet lit
@@ -245,7 +246,8 @@ def _mesh(topology: PlatformTopology, params: DeviceParams, options: SimOptions)
     if not memory_ids:
         raise MappingError("electrical topology has no memory chiplet")
     n_routers = topology.mesh_dims[0] * topology.mesh_dims[1]
-    watts = {"electrical_noc": topology.noc_router_static_w * n_routers}
+    pj_per_bit_hop = topology.platform.noc_energy_pj_per_bit_hop
+    watts = {"electrical_noc": topology.platform.noc_router_static_w * n_routers}
 
     @cache
     def assigned(ids: tuple[str, ...]) -> tuple[int, tuple[int, ...], int, float]:
@@ -269,7 +271,7 @@ def _mesh(topology: PlatformTopology, params: DeviceParams, options: SimOptions)
 
         per_chiplet_bits = (weight_bits + traffic.output_bits) / n_ids + traffic.input_bits
         noc_dynamic_j = reduce(add, [per_chiplet_bits * h for h in hops], 0.0) \
-            * topology.noc_energy_pj_per_bit_hop * 1e-12
+            * pj_per_bit_hop * 1e-12
         return (read_s, write_s, 0.0, read_bits + write_bits,
                 {"electrical_noc": noc_dynamic_j}, watts)
 
@@ -278,13 +280,13 @@ def _mesh(topology: PlatformTopology, params: DeviceParams, options: SimOptions)
 
 def _offchip(topology: PlatformTopology, params: DeviceParams, options: SimOptions):
     """Monolithic chip: every tensor crosses the off-chip memory interface."""
-    bw = topology.offchip_bw_bps
+    bw, pj_per_bit = topology.platform.offchip_bw_bps, topology.platform.offchip_energy_pj_per_bit
 
     def layer(traffic: TrafficVolume, assignment: LayerAssignment, compute_s: float):
         read_bits = traffic.weight_bits * options.weight_refetch_factor + traffic.input_bits
         write_bits = float(traffic.output_bits)
         bits = read_bits + write_bits
-        joules = {"electrical_noc": bits * topology.offchip_energy_pj_per_bit * 1e-12}
+        joules = {"electrical_noc": bits * pj_per_bit * 1e-12}
         return read_bits / bw, write_bits / bw, 0.0, bits, joules, {}
 
     return layer, 0.0
@@ -325,13 +327,8 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
     """Run ``model`` as mapped by ``plan`` on ``topology``. Raises OverflowError
     when finite inputs give an infinite latency, energy or power."""
     options = options or SimOptions()
-    options.validate()
-    params.validate()
     _check_plan(model, topology, plan)
-    interconnect = _INTERCONNECTS.get(topology.kind)
-    if interconnect is None:
-        raise ValueError(f"unknown topology kind {topology.kind!r}")
-    price, link_tuning_w = interconnect(topology, params, options)
+    price, link_tuning_w = _INTERCONNECTS[topology.kind](topology, params, options)
     overlap, mac_rate_hz = options.overlap, options.mac_rate_hz
     zeros = dict.fromkeys(ENERGY_CATEGORIES, 0.0)
     results: list[LayerResult] = []

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import ELEC, MONO, SIPH, ChipletConfig, ConfigError, SimConfig, default_config
+from .config import (ELEC, MONO, SIPH, ChipletConfig, ConfigError, PlatformSettings, SimConfig,
+                     default_config, with_kind)
 from .devices import OpticalPath
 
 SWSR = "SWSR"
@@ -66,27 +67,20 @@ class WaveguideRoute:
     writer_index: int              # and its index on that chiplet's laser trunk
     protocol: str                  # SWSR | SWMR
     readers: tuple[str, ...]
-    length_mm: float
     path: OpticalPath
 
 
 @dataclass(frozen=True)
 class PlatformTopology:
-    kind: str
+    platform: PlatformSettings               # the settings it was built from
     chiplets: tuple[ChipletSpec, ...]
     routes: tuple[WaveguideRoute, ...]       # siph only
     mrgs: tuple[Mrg, ...]                    # siph only
-    mesh_dims: tuple[int, int]               # elec only
-    n_wavelengths: int
-    link_rate_bps: float
-    gateway_freq_hz: float
-    noc_width_bits: int
-    noc_freq_hz: float
-    interposer_side_mm: float
-    noc_energy_pj_per_bit_hop: float = 1.0
-    noc_router_static_w: float = 0.5
-    offchip_bw_bps: float = 256e9            # monolithic only
-    offchip_energy_pj_per_bit: float = 15.0
+    mesh_dims: tuple[int, int]               # chiplet grid, a router each on elec; (1, 1) on mono
+
+    @property
+    def kind(self) -> str:
+        return self.platform.kind
 
     def compute_chiplets(self) -> list[ChipletSpec]:
         return [c for c in self.chiplets if c.role == "compute"]
@@ -116,7 +110,7 @@ def gateway_peak_bandwidth(topology: PlatformTopology) -> float:
     """Peak bits/s through one active gateway."""
     if topology.kind != SIPH:
         raise ValueError(f"gateway bandwidth undefined for {topology.kind} topology")
-    return topology.n_wavelengths * topology.link_rate_bps
+    return topology.platform.n_wavelengths * topology.platform.link_rate_bps
 
 
 def electrical_hops(src_chiplet: str, dst_chiplet: str, topology: PlatformTopology) -> int:
@@ -198,7 +192,7 @@ def _wire_photonic(chiplets: list[ChipletSpec], p) -> tuple[list[WaveguideRoute]
         length = route_length(chiplet.position, [mem_chiplet.position], p.interposer_side_mm)
         path = OpticalPath(length_mm=length, mrs_passed=p.n_wavelengths,
                            drop_stages=1, split_fanout=1, couplers=1)
-        routes.append(WaveguideRoute(gw, chiplet.id, k, SWSR, (mem_gw,), length, path))
+        routes.append(WaveguideRoute(gw, chiplet.id, k, SWSR, (mem_gw,), path))
         fan_in[mem_gw] += 1
         mrgs.append(Mrg(gw, filter_rows=1, modulator_rows=1, mrs_per_row=p.n_wavelengths))
 
@@ -210,46 +204,29 @@ def _wire_photonic(chiplets: list[ChipletSpec], p) -> tuple[list[WaveguideRoute]
         length = route_length(chiplet.position, reader_positions, p.interposer_side_mm)
         path = OpticalPath(length_mm=length, mrs_passed=p.n_wavelengths,
                            drop_stages=1, split_fanout=max(1, len(reader_ids)), couplers=1)
-        routes.append(WaveguideRoute(gw, chiplet.id, k, SWMR, reader_ids, length, path))
+        routes.append(WaveguideRoute(gw, chiplet.id, k, SWMR, reader_ids, path))
         mrgs.append(Mrg(gw, filter_rows=fan_in[gw], modulator_rows=1,
                         mrs_per_row=p.n_wavelengths))
     return routes, mrgs
 
 
-def build_topology(cfg: SimConfig, kind: str | None = None) -> PlatformTopology:
-    """Wire a fully validated topology for the requested platform variant."""
-    cfg.validate()
+def build_topology(cfg: SimConfig) -> PlatformTopology:
+    """Wire the topology of ``cfg.platform.kind``; ``with_kind`` picks another."""
     p = cfg.platform
-    kind = kind or p.kind
-    common = dict(
-        n_wavelengths=p.n_wavelengths, link_rate_bps=p.link_rate_bps,
-        gateway_freq_hz=p.gateway_freq_hz, noc_width_bits=p.noc_width_bits,
-        noc_freq_hz=p.noc_freq_hz, interposer_side_mm=p.interposer_side_mm,
-        noc_energy_pj_per_bit_hop=p.noc_energy_pj_per_bit_hop,
-        noc_router_static_w=p.noc_router_static_w,
-        offchip_bw_bps=p.offchip_bw_bps,
-        offchip_energy_pj_per_bit=p.offchip_energy_pj_per_bit,
-    )
-    if kind == MONO:
+    if p.kind == MONO:
         mac = MacUnitType(f"mono{p.monolithic_vector_len}", p.monolithic_vector_len, "conv")
         chip = ChipletSpec("mono0", "compute", mac, p.monolithic_macs,
                            p.monolithic_macs, 1,
                            (p.interposer_side_mm / 2, p.interposer_side_mm / 2), (0, 0))
-        return PlatformTopology(kind=MONO, chiplets=(chip,), routes=(), mrgs=(),
-                                mesh_dims=(1, 1), **common)
+        return PlatformTopology(p, chiplets=(chip,), routes=(), mrgs=(), mesh_dims=(1, 1))
     chiplets = _place_chiplets(cfg)
     if not any(c.role == "compute" for c in chiplets):
         raise ConfigError("no compute chiplets configured")
-    if kind == ELEC:
-        return PlatformTopology(kind=ELEC, chiplets=tuple(chiplets), routes=(), mrgs=(),
-                                mesh_dims=(p.grid_rows, p.grid_cols), **common)
-    if kind != SIPH:
-        raise ConfigError(f"unknown platform kind {kind!r}")
-    routes, mrgs = _wire_photonic(chiplets, p)
-    return PlatformTopology(kind=SIPH, chiplets=tuple(chiplets), routes=tuple(routes),
-                            mrgs=tuple(mrgs), mesh_dims=(p.grid_rows, p.grid_cols), **common)
+    routes, mrgs = _wire_photonic(chiplets, p) if p.kind == SIPH else ((), ())
+    return PlatformTopology(p, chiplets=tuple(chiplets), routes=tuple(routes), mrgs=tuple(mrgs),
+                            mesh_dims=(p.grid_rows, p.grid_cols))
 
 
 def default_platform() -> PlatformTopology:
     """The bundled photonic-interposer platform."""
-    return build_topology(default_config(), SIPH)
+    return build_topology(with_kind(default_config(), SIPH))

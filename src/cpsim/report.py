@@ -191,10 +191,10 @@ def render_topology(topology: PlatformTopology) -> str:
     """The wired platform as JSON, for inspection."""
     doc = {
         "kind": topology.kind,
-        "n_wavelengths": topology.n_wavelengths,
-        "link_rate_bps": topology.link_rate_bps,
-        "gateway_freq_hz": topology.gateway_freq_hz,
-        "interposer_side_mm": topology.interposer_side_mm,
+        "n_wavelengths": topology.platform.n_wavelengths,
+        "link_rate_bps": topology.platform.link_rate_bps,
+        "gateway_freq_hz": topology.platform.gateway_freq_hz,
+        "interposer_side_mm": topology.platform.interposer_side_mm,
         "mesh_dims": list(topology.mesh_dims),
         "total_mrs": topology.total_mrs(),
         "chiplets": [
@@ -214,7 +214,7 @@ def render_topology(topology: PlatformTopology) -> str:
         ],
         "routes": [
             {"writer": r.writer_gateway, "protocol": r.protocol, "readers": len(r.readers),
-             "length_mm": r.length_mm, "split_fanout": r.path.split_fanout}
+             "length_mm": r.path.length_mm, "split_fanout": r.path.split_fanout}
             for r in topology.routes
         ],
     }

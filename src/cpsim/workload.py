@@ -108,13 +108,11 @@ class DnnModelSpec:
 
 
 class TrafficVolume(NamedTuple):
-    """Per-layer data movement (bits) and dot-product geometry."""
+    """Per-layer data movement (bits)."""
 
     weight_bits: int
     input_bits: int
     output_bits: int
-    dot_products: int
-    dot_length: int
 
     @property
     def total_bits(self) -> int:
@@ -130,13 +128,10 @@ def layer_traffic(layer: LayerSpec) -> TrafficVolume:
     """Bits moved when the layer executes once: weights read once, the input
     tensor broadcast once, outputs written once. Bias traffic is folded into
     weight_bits."""
-    dot_length = layer.dot_length
     return TrafficVolume(  # by position: keywords cost a third of the call
-        (dot_length + 1) * layer.out_channels * layer.weight_bitwidth,  # weights: params()
+        (layer.dot_length + 1) * layer.out_channels * layer.weight_bitwidth,  # weights: params()
         layer.in_h * layer.in_w * layer.in_channels * layer.activation_bitwidth,  # inputs
         layer.out_h * layer.out_w * layer.out_channels * layer.activation_bitwidth,  # outputs
-        layer.dot_products,
-        dot_length,
     )
 
 

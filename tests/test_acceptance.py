@@ -34,11 +34,11 @@ def criterion(number, description):
 def test_criterion_1_platform_golden():
     with criterion(1, "default platform configuration golden"):
         topo = default_platform()
-        assert topo.n_wavelengths == 64
-        assert topo.link_rate_bps == 12e9
-        assert topo.gateway_freq_hz == 2e9
-        assert topo.noc_width_bits == 128
-        assert topo.noc_freq_hz == 2e9
+        assert topo.platform.n_wavelengths == 64
+        assert topo.platform.link_rate_bps == 12e9
+        assert topo.platform.gateway_freq_hz == 2e9
+        assert topo.platform.noc_width_bits == 128
+        assert topo.platform.noc_freq_hz == 2e9
         assert len(topo.memory_chiplets()) == 1
         compute = topo.compute_chiplets()
         assert len(compute) == 8
@@ -159,7 +159,7 @@ def test_criterion_7_controller_properties(cfg):
         controller = EpochController(topo, cfg.devices)
         writer = {gw: (c.id, k) for c in topo.chiplets for k, gw in enumerate(c.gateway_ids())}
         rng = random.Random(99)
-        gw_bw = topo.n_wavelengths * topo.link_rate_bps
+        gw_bw = topo.platform.n_wavelengths * topo.platform.link_rate_bps
         for _ in range(100):
             demand = {c.id: rng.uniform(0, 5e12) for c in topo.chiplets}
             controller.resize(controller.lit_counts(
@@ -171,7 +171,7 @@ def test_criterion_7_controller_properties(cfg):
                    if writer[r.writer_gateway][1] < controller.active[writer[r.writer_gateway][0]]]
             assert controller.laser_w == pytest.approx(
                 required_laser_power([source_mw(p, cfg.devices) for p in lit],
-                                     topo.n_wavelengths, cfg.devices), rel=1e-12)
+                                     topo.platform.n_wavelengths, cfg.devices), rel=1e-12)
 
         layers = (LayerSpec(0, "conv", 3, 3, 8, 16, 8, 8, 8, 8),
                   LayerSpec(1, "fc", 1, 1, 64, 10, 1, 1, 1, 1))

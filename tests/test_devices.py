@@ -177,12 +177,12 @@ def test_mr_tuning_power_examples():
 
 def test_device_params_validation():
     with pytest.raises(ValueError):
-        DeviceParams(laser_efficiency=0.0).validate()
+        DeviceParams(laser_efficiency=0.0)
     with pytest.raises(ValueError):
-        DeviceParams(coupler_loss_db=-1.0).validate()
+        DeviceParams(coupler_loss_db=-1.0)
     # NaN fails no ordering check, so every field is checked for finiteness
     for name in ("pcm_transition_s", "coupler_loss_db", "group_velocity_mm_per_s"):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match=name):
-                DeviceParams(**{name: bad}).validate()
-    DeviceParams().validate()
+                DeviceParams(**{name: bad})
+    DeviceParams()

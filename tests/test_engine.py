@@ -36,7 +36,7 @@ def assignment(invocations, macs, vlen=100):
 def route_of_length(length_mm):
     path = OpticalPath(length_mm=length_mm, mrs_passed=64, drop_stages=1,
                        split_fanout=1, couplers=1)
-    return WaveguideRoute("w:g0", "w", 0, "SWSR", ("r:g0",), length_mm, path)
+    return WaveguideRoute("w:g0", "w", 0, "SWSR", ("r:g0",), path)
 
 
 # ------------------------------------------------------------ compute_time
@@ -69,7 +69,7 @@ def test_photonic_transfer_min_bandwidth_rule():
     route = route_of_length(10.0)
     full = transfer_time_photonic(10 ** 7, 768e9, 768e9, route, params, 2e9, 4)
     halved = transfer_time_photonic(10 ** 7, 768e9, 384e9, route, params, 2e9, 4)
-    fixed = route.length_mm / params.group_velocity_mm_per_s + 4 / 2e9
+    fixed = route.path.length_mm / params.group_velocity_mm_per_s + 4 / 2e9
     assert halved - fixed == pytest.approx(2 * (full - fixed), rel=1e-12)
 
 
@@ -145,7 +145,7 @@ def test_controller_laser_audit_and_pcmc_states(cfg):
             else:
                 assert controller.couplers(chiplet_id)[k].phase == CRYSTALLINE
         expected = required_laser_power([source_mw(p, cfg.devices) for p in lit_paths],
-                                        topo.n_wavelengths, cfg.devices)
+                                        topo.platform.n_wavelengths, cfg.devices)
         assert controller.laser_w == pytest.approx(expected, rel=1e-12)
 
 
@@ -197,7 +197,7 @@ def test_controller_matches_from_scratch_reference(demands):
         assert controller.active == expected
         assert list(controller.active) == [c.id for c in topo.chiplets]
         assert controller.laser_w == required_laser_power([source_mw(p, params) for p in paths],
-                                                          topo.n_wavelengths, params)
+                                                          topo.platform.n_wavelengths, params)
         assert switched == retuned
         assert (switched > 0) == (expected != lit)
         for c in topo.chiplets:
@@ -573,15 +573,10 @@ def test_plan_topology_mismatch_rejected(cfg):
                                                     ("options", "mac_rate_hz", "5e9"),
                                                     ("devices", "laser_efficiency", "0.1")])
 def test_library_value_of_the_wrong_type_is_rejected_naming_the_field(cfg, section, field, value):
-    """simulate_model checks every option and device field against its
-    annotation, as a config file's values are checked on load."""
-    topo = default_platform()
-    model = load_shipped_model("lenet5")
-    bad = replace(getattr(cfg, section), **{field: value})
-    params = bad if section == "devices" else cfg.devices
-    options = bad if section == "options" else cfg.options
+    """An option or device record checks every field against its annotation
+    when built, as a config file's values are checked on load."""
     with pytest.raises(ValueError, match=field):
-        simulate_model(model, topo, map_model(model, topo), params, options)
+        replace(getattr(cfg, section), **{field: value})
 
 
 def test_source_mw_prices_each_route_once_per_run(cfg, monkeypatch):

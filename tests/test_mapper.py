@@ -100,12 +100,8 @@ def test_map_conv3x3_spans_all_three_chiplets():
 def test_map_rejects_platform_without_compute():
     # build_topology refuses compute-less configs outright, so hand-build one
     base = default_platform()
-    memory_only = PlatformTopology(
-        kind=base.kind, chiplets=tuple(base.memory_chiplets()), routes=(), mrgs=(),
-        mesh_dims=base.mesh_dims, n_wavelengths=base.n_wavelengths,
-        link_rate_bps=base.link_rate_bps, gateway_freq_hz=base.gateway_freq_hz,
-        noc_width_bits=base.noc_width_bits, noc_freq_hz=base.noc_freq_hz,
-        interposer_side_mm=base.interposer_side_mm)
+    memory_only = PlatformTopology(base.platform, chiplets=tuple(base.memory_chiplets()),
+                                   routes=(), mrgs=(), mesh_dims=base.mesh_dims)
     model = DnnModelSpec("toy", (fc_layer(),), fc_layer().params())
     with pytest.raises(MappingError):
         map_model(model, memory_only)

@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import pytest
 
-from cpsim.config import ConfigError, parse_config
+from cpsim.config import (ChipletConfig, ConfigError, PlatformSettings, SimOptions, parse_config,
+                          with_kind)
+from cpsim.devices import DeviceParams, OpticalPath, PcmcState
 from cpsim.platform import (_grid_cells, build_topology, default_platform, electrical_hops,
                             gateway_peak_bandwidth, route_length)
 
@@ -80,7 +82,7 @@ def test_default_platform_compute_mrgs(topo):
 
 def test_default_platform_total_mrs(topo):
     g_c, g_m = gateway_count(topo.compute_chiplets()), gateway_count(topo.memory_chiplets())
-    assert topo.total_mrs() == (2 * g_c + g_c + g_m) * topo.n_wavelengths == 6_400
+    assert topo.total_mrs() == (2 * g_c + g_c + g_m) * topo.platform.n_wavelengths == 6_400
 
 
 def test_default_platform_memory_centered(topo):
@@ -90,11 +92,11 @@ def test_default_platform_memory_centered(topo):
 
 
 def test_default_platform_link_parameters(topo):
-    assert topo.n_wavelengths == 64
-    assert topo.link_rate_bps == 12e9
-    assert topo.gateway_freq_hz == 2e9
-    assert topo.noc_width_bits == 128
-    assert topo.noc_freq_hz == 2e9
+    assert topo.platform.n_wavelengths == 64
+    assert topo.platform.link_rate_bps == 12e9
+    assert topo.platform.gateway_freq_hz == 2e9
+    assert topo.platform.noc_width_bits == 128
+    assert topo.platform.noc_freq_hz == 2e9
 
 
 # ---------------------------------------------------------- build_topology
@@ -148,7 +150,7 @@ def test_huge_grid_builds_in_milliseconds(cfg):
     huge = replace(cfg, platform=replace(cfg.platform, grid_rows=1_000_000_000))
     for kind in ("siph_interposer", "elec_interposer", "monolithic"):
         t0 = time.perf_counter()
-        topology = build_topology(huge, kind)
+        topology = build_topology(with_kind(huge, kind))
         assert time.perf_counter() - t0 < 1.0, kind
         assert len(topology.chiplets) == (1 if kind == "monolithic" else len(cfg.chiplets))
     memory = build_topology(huge).memory_chiplets()[0]
@@ -171,18 +173,44 @@ def test_unknown_config_keys_rejected():
 @pytest.mark.parametrize("macs", ["8", 8.0])
 def test_library_chiplet_of_the_wrong_type_is_rejected_naming_it(cfg, macs):
     """A chiplet built in code is type-checked like one read from a config file."""
-    chiplets = tuple(replace(c, macs=macs) if c.id == "dense0" else c for c in cfg.chiplets)
+    dense0 = next(c for c in cfg.chiplets if c.id == "dense0")
     with pytest.raises(ConfigError, match="chiplet 'dense0': macs must be an integer"):
-        build_topology(replace(cfg, chiplets=chiplets), "siph_interposer")
+        replace(dense0, macs=macs)
+
+
+# each record checks its own fields when built, so no bad one reaches a topology
+BAD_RECORDS = {
+    "n_wavelengths": lambda cfg: PlatformSettings(n_wavelengths=0),
+    "mac_rate_hz": lambda cfg: SimOptions(mac_rate_hz="5e9"),
+    "laser_efficiency": lambda cfg: DeviceParams(laser_efficiency=0.0),
+    "macs": lambda cfg: ChipletConfig("mem0", "memory", macs=4, gateways=1),
+    "length_mm": lambda cfg: OpticalPath(length_mm=-1.0),
+    "phase": lambda cfg: PcmcState("molten"),
+    "chiplet id": lambda cfg: replace(cfg, chiplets=cfg.chiplets + cfg.chiplets[:1]),
+    "kind": lambda cfg: with_kind(cfg, "bogus"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(BAD_RECORDS))
+def test_bad_record_fails_when_built_naming_the_field(cfg, field):
+    with pytest.raises(ValueError, match=field):
+        BAD_RECORDS[field](cfg)
+
+
+@pytest.mark.parametrize("kind", ["siph", "elec", "mono"])
+def test_topology_carries_the_settings_it_was_built_from(cfg, kind):
+    variant = with_kind(cfg, kind)
+    topology = build_topology(variant)
+    assert topology.platform is variant.platform
+    assert topology.kind == variant.platform.kind
 
 
 def test_route_paths_carry_modulator_row_and_fanout(topo):
     for route in topo.routes:
-        assert route.path.mrs_passed == topo.n_wavelengths
+        assert route.path.mrs_passed == topo.platform.n_wavelengths
         assert route.path.drop_stages == 1
         assert route.path.couplers == 1
         assert route.path.split_fanout == (32 if route.protocol == "SWMR" else 1)
-        assert route.path.length_mm == route.length_mm
 
 
 def test_swsr_routes_partition_round_robin(topo):
@@ -220,7 +248,6 @@ def test_route_length_symmetric_and_monotone():
 
 def test_gateway_peak_bandwidth(topo, cfg):
     assert gateway_peak_bandwidth(topo) == pytest.approx(768e9)
-    from cpsim.config import with_kind
     elec = build_topology(with_kind(cfg, "elec_interposer"))
     with pytest.raises(ValueError):
         gateway_peak_bandwidth(elec)
@@ -234,7 +261,6 @@ def test_gateway_peak_bandwidth_scales():
 
 
 def test_electrical_hops(cfg):
-    from cpsim.config import with_kind
     topo = build_topology(with_kind(cfg, "elec_interposer"))
     cells = {c.grid_cell: c.id for c in topo.chiplets}
     origin, far, near = cells[(0, 0)], cells[(2, 2)], cells[(0, 1)]
@@ -246,12 +272,11 @@ def test_electrical_hops(cfg):
 
 
 def test_monolithic_topology(cfg):
-    from cpsim.config import with_kind
     topo = build_topology(with_kind(cfg, "monolithic"))
     assert topo.kind == "monolithic"
     assert len(topo.chiplets) == 1
     chip = topo.chiplets[0]
     assert chip.macs == 128
     assert chip.mac_type.vector_len == 25
-    assert topo.offchip_bw_bps == pytest.approx(256e9)
+    assert topo.platform.offchip_bw_bps == pytest.approx(256e9)
     assert not topo.routes and not topo.mrgs

@@ -404,7 +404,7 @@ def test_gateway_count_above_the_cap_is_failure(tmp_path, capsys, chiplet, chang
 
 def test_gateway_cap_is_inclusive():
     assert MAX_GATEWAYS >= 64
-    ChipletConfig("mem0", "memory", gateways=MAX_GATEWAYS).validate()
-    ChipletConfig("c0", "compute", "dense100", MAX_GATEWAYS * 2, 2).validate()
+    ChipletConfig("mem0", "memory", gateways=MAX_GATEWAYS)
+    ChipletConfig("c0", "compute", "dense100", MAX_GATEWAYS * 2, 2)
     with pytest.raises(ConfigError, match="gateways"):
-        ChipletConfig("mem0", "memory", gateways=MAX_GATEWAYS + 1).validate()
+        ChipletConfig("mem0", "memory", gateways=MAX_GATEWAYS + 1)

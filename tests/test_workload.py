@@ -110,17 +110,18 @@ def test_traffic_conv_example():
     assert t.weight_bits == (3 * 3 * 3 * 64 + 64) * 8 == 14_336
     assert t.input_bits == 224 * 224 * 3 * 8 == 1_204_224
     assert t.output_bits == 224 * 224 * 64 * 8 == 25_690_112
-    assert t.dot_length == 27
-    assert t.dot_products == 224 * 224 * 64
+    assert layer.dot_length == 27
+    assert layer.dot_products == 224 * 224 * 64
 
 
 def test_traffic_fc_example():
-    t = layer_traffic(fc(fin=100, fout=10))
+    layer = fc(fin=100, fout=10)
+    t = layer_traffic(layer)
     assert t.weight_bits == 8_080
     assert t.input_bits == 800
     assert t.output_bits == 80
-    assert t.dot_length == 100
-    assert t.dot_products == 10
+    assert layer.dot_length == 100
+    assert layer.dot_products == 10
 
 
 def test_traffic_unit_output():
@@ -189,8 +190,7 @@ def test_dot_geometry_matches_brute_force_count():
             cin=rng.randint(1, 4), cout=rng.randint(1, 4),
             in_hw=4, out_hw=rng.randint(1, 4),
         )
-        t = layer_traffic(layer)
-        assert t.dot_products * t.dot_length == brute_force_multiplies(layer)
+        assert layer.dot_products * layer.dot_length == brute_force_multiplies(layer)
 
 
 # -------------------------------------------------------------- load_model
