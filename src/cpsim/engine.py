@@ -12,6 +12,18 @@ every layer and retunes the phase-change couplers so only the gateways the
 demand justifies stay lit; shrinking or growing that active set stalls the
 pipeline for one phase-change transition and retunes the laser budget.
 
+What a run works out from its topology and DeviceParams alone is kept in a
+``PricingTables`` that the topology holds for the DeviceParams object it last
+ran with: the priced route paths, the controller's lit-count states with
+their laser watts and bandwidths, the retunes per pair of states, the write
+route and lit counts per chiplet set, the mesh hops and the MAC costs. Every
+later run on the same two objects reads them; a run keeps only the
+controller's current state, the trailing target and its results. The tables
+are found by object identity, not equality: one ``is`` test instead of
+comparing every route and device field, a table is reached only through the
+topology that holds it, and since every entry is a pure function of its key
+and the two objects, no run's output depends on which runs came before it.
+
 A single run is sequential and deterministic; identical inputs produce
 bit-identical metrics.
 """
@@ -20,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from operator import add, attrgetter
 from typing import NamedTuple
 
@@ -28,12 +40,13 @@ from typing import NamedTuple
 # bench/tracing.py binds them in engine until the benchmark refresh
 from .config import ELEC, MONO, SIPH, SimOptions, default_config
 from .devices import (DeviceParams, PcmcState, mr_tuning_power, pcmc_chain_for_equal_split,
-                      required_laser_power, serialization_time, source_mw)
+                      required_laser_power, source_mw)
 from .mapper import LayerAssignment, MappingError, MappingPlan, map_model
 from .platform import (SWMR, SWSR, PlatformTopology, WaveguideRoute, build_topology,
                        electrical_hops, gateway_peak_bandwidth)
 from .workload import DnnModelSpec, TrafficVolume, layer_traffic
 
+_BY_LENGTH = attrgetter("path.length_mm")
 ENERGY_CATEGORIES = ("laser", "tuning", "conversion", "mac", "gateway_elec",
                      "controller", "electrical_noc")
 
@@ -69,11 +82,8 @@ class RunMetrics:
 
 def compute_time(assignment: LayerAssignment, mac_rate_hz: float) -> float:
     """Seconds for the assigned MAC pool to retire all invocations, one
-    vector dot per MAC per cycle."""
-    if assignment.total_macs < 1:
-        raise ValueError("assignment has no MACs")
-    if mac_rate_hz <= 0:
-        raise ValueError("MAC rate must be > 0")
+    vector dot per MAC per cycle. ``SimOptions`` keeps the rate positive and
+    ``simulate_model`` rejects a plan with a MAC-less layer before its loop."""
     if assignment.invocations == 0:
         return 0.0
     return math.ceil(assignment.invocations / assignment.total_macs) / mac_rate_hz
@@ -83,10 +93,9 @@ def transfer_time_photonic(bits: float, writer_bw: float, reader_bw: float,
                            route: WaveguideRoute, params: DeviceParams,
                            gateway_freq_hz: float, overhead_cycles: int) -> float:
     """Serialization at the slower endpoint, plus waveguide propagation and
-    fixed store-and-forward gateway buffering."""
-    if writer_bw <= 0 or reader_bw <= 0:
-        raise ValueError("bandwidths must be > 0")
-    serialization = serialization_time(bits, 1, min(writer_bw, reader_bw))
+    fixed store-and-forward gateway buffering. A lit gateway count is at
+    least 1, so both bandwidths are positive."""
+    serialization = bits / min(writer_bw, reader_bw)
     propagation = route.path.length_mm / params.group_velocity_mm_per_s
     overhead = overhead_cycles / gateway_freq_hz
     return serialization + propagation + overhead
@@ -102,6 +111,52 @@ def transfer_time_electrical(bits: float, hops: int, topology: PlatformTopology,
     return header + bits * congestion / link_bw
 
 
+# ------------------------------------------------------------ shared tables
+
+
+class PricingTables:
+    """What runs price from a topology and a DeviceParams alone. The eager
+    part is built with the tables; every dict starts empty, the first run to
+    need an entry fills it, and no entry changes once written. Entries hold
+    numbers, tuples and routes only, never a run's controller or closures."""
+
+    def __init__(self, topology: PlatformTopology, params: DeviceParams) -> None:
+        self.params = params
+        self.memory_ids = [c.id for c in topology.memory_chiplets()]
+        # interposer rings stay locked to the WDM grid whether or not their
+        # gateway is lit; deactivation saves laser power, not trim power.
+        # Other kinds have no interposer rings: 0.0 W
+        self.link_tuning_w = mr_tuning_power(topology.total_mrs(), params)
+        self.mac_costs: dict = {}   # (total MACs, vector length) -> (trim W, converter pJ)
+        self.per_set: dict = {}     # chiplet ids -> write route (siph), hops and worst (elec)
+        if topology.kind != SIPH:
+            return
+        self.n_wavelengths = topology.platform.n_wavelengths
+        self.gw_bw = gateway_peak_bandwidth(topology)
+        self.gateways = {c.id: c.gateways for c in topology.chiplets}
+        # routes share a few distinct paths, each priced once; routes keep
+        # topology order, so the laser sum keeps its float order
+        path_mw = {p: source_mw(p, params) for p in {r.path for r in topology.routes}}
+        self.routes = [(r.writer_chiplet, r.writer_index, path_mw[r.path])
+                       for r in topology.routes]
+        self.read_route = max((r for r in topology.routes if r.protocol == SWMR), key=_BY_LENGTH)
+        # lit counts -> (active, laser W, bandwidths per chiplet set);
+        # (old, new) lit counts -> retunes; (ids, n, n_memory) -> lit counts
+        self.states: dict = {}
+        self.retunes: dict = {}
+        self.layer_counts: dict = {}
+
+
+def pricing_tables(topology: PlatformTopology, params: DeviceParams) -> PricingTables:
+    """The tables ``topology`` holds for ``params``: those of the last run if
+    it ran with this very DeviceParams object, else new ones, which replace them."""
+    slot = topology.pricing
+    tables = slot[0]
+    if tables is None or tables.params is not params:
+        tables = slot[0] = PricingTables(topology, params)
+    return tables
+
+
 # ------------------------------------------------------- epoch controller
 
 
@@ -112,20 +167,13 @@ class EpochController:
     target state follows from two integers, the gateways its demand fills on
     each assigned and on each memory chiplet. Each state's ``active`` dict,
     laser watts and lit bandwidths, and the retunes of each (old, new) pair,
-    are worked out once per run, keyed by lit counts, and kept."""
+    are worked out once per (topology, params) objects, keyed by lit counts,
+    and kept in their ``PricingTables``; a controller holds only its state."""
 
     def __init__(self, topology: PlatformTopology, params: DeviceParams) -> None:
-        self._n_wavelengths, self._params = topology.platform.n_wavelengths, params
-        self._gw_bw = gateway_peak_bandwidth(topology)
-        self._gateways = {c.id: c.gateways for c in topology.chiplets}
-        self._memory_ids = [c.id for c in topology.memory_chiplets()]
-        # routes share a few distinct paths, each priced once; routes keep
-        # topology order, so the laser sum keeps its float order
-        path_mw = {p: source_mw(p, params) for p in {r.path for r in topology.routes}}
-        self._routes = [(r.writer_chiplet, r.writer_index, path_mw[r.path])
-                        for r in topology.routes]
-        # lit counts -> (active, laser W, bandwidths); (old, new) lit counts -> retunes
-        self._states, self._retunes, self.counts = {}, {}, ()
+        self._tables = pricing_tables(topology, params)
+        self._gateways = self._tables.gateways
+        self.counts = ()
         self.resize(tuple(self._gateways.values()))   # power-on: every gateway lit
 
     def lit_counts(self, wanted: dict[str, int]) -> tuple[int, ...]:
@@ -135,20 +183,20 @@ class EpochController:
     def resize(self, counts: tuple[int, ...]) -> int:
         """Enter the state ``counts``; returns the couplers retuned, ``max(before, after)``
         per resized trunk: every lit tap's share changes and every tap going lit or dark flips."""
-        old = self.counts
+        old, tables = self.counts, self._tables
         if counts == old:
             return 0
-        retuned = self._retunes.get((old, counts))
+        retuned = tables.retunes.get((old, counts))
         if retuned is None:
-            retuned = self._retunes[old, counts] = sum(max(b, a) for b, a in zip(old, counts)
-                                                       if b != a)
-        state = self._states.get(counts)
+            retuned = tables.retunes[old, counts] = sum(max(b, a) for b, a in zip(old, counts)
+                                                        if b != a)
+        state = tables.states.get(counts)
         if state is None:
             active = dict(zip(self._gateways, counts))
             # every chiplet keeps gateway 0 lit, so some route is always driven
-            lit_mw = [mw for cid, k, mw in self._routes if k < active[cid]]
-            state = self._states[counts] = (active, required_laser_power(
-                lit_mw, self._n_wavelengths, self._params), {})
+            lit_mw = [mw for cid, k, mw in tables.routes if k < active[cid]]
+            state = tables.states[counts] = (active, required_laser_power(
+                lit_mw, tables.n_wavelengths, tables.params), {})
         self.counts, (self.active, self.laser_w, self._bandwidths_of) = counts, state
         return retuned
 
@@ -156,9 +204,10 @@ class EpochController:
         """Bits/s through the lit gateways of the memory chiplets and of ``ids``."""
         bandwidths = self._bandwidths_of.get(ids)
         if bandwidths is None:
-            lit, gw_bw = self.active, self._gw_bw
-            bandwidths = self._bandwidths_of[ids] = (sum(lit[m] for m in self._memory_ids) * gw_bw,
-                                                     sum(lit[c] for c in ids) * gw_bw)
+            lit, tables = self.active, self._tables
+            bandwidths = self._bandwidths_of[ids] = (
+                sum(lit[m] for m in tables.memory_ids) * tables.gw_bw,
+                sum(lit[c] for c in ids) * tables.gw_bw)
         return bandwidths
 
     def couplers(self, chiplet_id: str) -> list[PcmcState]:
@@ -169,40 +218,33 @@ class EpochController:
 
 
 # ---------------------------------------------------------- interconnects
-# One factory per platform kind works out the per-topology constants once and
-# returns (layer, tuning_w): a function pricing one layer's data movement as
-# (read_s, write_s, overhead_s, bits_moved, joules, watts), and the ring trim
-# power. ``joules`` holds the energy of the interconnect's own categories,
-# ``watts`` the power of those it draws for the whole layer.
+# One factory per platform kind returns a function pricing one layer's data
+# movement as (read_s, write_s, overhead_s, bits_moved, joules, watts) from
+# the run's options and the shared tables. ``joules`` holds the energy of the
+# interconnect's own categories, ``watts`` the power of those it draws for
+# the whole layer.
 
 
-def _photonic(topology: PlatformTopology, params: DeviceParams, options: SimOptions):
+def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOptions):
     """Photonic interposer: the epoch controller resizes the lit gateways
     before every layer; a resize stalls for one phase-change transition."""
+    params = tables.params
     controller = EpochController(topology, params)
-    memory_ids = [c.id for c in topology.memory_chiplets()]
-    by_length = attrgetter("path.length_mm")
-    read_route = max((r for r in topology.routes if r.protocol == SWMR), key=by_length)
+    memory_ids, write_routes, layer_counts = tables.memory_ids, tables.per_set, tables.layer_counts
+    read_route, gw_bw = tables.read_route, tables.gw_bw
     freq, cycles = topology.platform.gateway_freq_hz, options.gateway_overhead_cycles
     conversion_pj = params.modulator_energy_pj_per_bit + params.filter_pd_energy_pj_per_bit
-    trailing, gw_bw = options.demand_mode == "trailing", gateway_peak_bandwidth(topology)
+    trailing = options.demand_mode == "trailing"
     previous = ((), 0, 0)   # no history: the state with only gateway 0 of each chiplet lit
-
-    @cache
-    def assigned(ids: tuple[str, ...]) -> tuple[int, WaveguideRoute]:
-        """Chiplet count and a longest write route of one MAC type's chiplets."""
-        return len(ids), max((r for r in topology.routes if r.protocol == SWSR
-                              and r.writer_chiplet in ids), key=by_length)
-
-    @cache
-    def layer_counts(ids: tuple[str, ...], n: int, n_memory: int) -> tuple[int, ...]:
-        """The state for ``n`` gateways wanted per chiplet of ``ids``, ``n_memory`` per memory."""
-        return controller.lit_counts(dict.fromkeys(ids, n) | dict.fromkeys(memory_ids, n_memory))
 
     def layer(traffic: TrafficVolume, assignment: LayerAssignment, compute_s: float):
         nonlocal previous
         ids = assignment.chiplet_ids
-        n_ids, write_route = assigned(ids)
+        write_route = write_routes.get(ids)
+        if write_route is None:   # a longest write route of the set's chiplets
+            write_route = write_routes[ids] = max(
+                (r for r in topology.routes if r.protocol == SWSR and r.writer_chiplet in ids),
+                key=_BY_LENGTH)
         weight_bits = traffic.weight_bits * options.weight_refetch_factor
         read_bits = weight_bits + traffic.input_bits
         write_bits = float(traffic.output_bits)
@@ -212,11 +254,16 @@ def _photonic(topology: PlatformTopology, params: DeviceParams, options: SimOpti
             # every assigned chiplet gets one demand share, every memory chiplet another
             window = max(compute_s, options.epoch_s)
             target = (ids, math.ceil((traffic.input_bits + (weight_bits + traffic.output_bits)
-                                      / n_ids) / window / gw_bw),
+                                      / len(ids)) / window / gw_bw),
                       math.ceil((read_bits + write_bits) / window / len(memory_ids) / gw_bw))
             target, previous = (previous, target) if trailing else (target, target)
+            counts = layer_counts.get(target)
+            if counts is None:   # n gateways wanted per chiplet of ids, n_memory per memory
+                wanted_ids, n, n_memory = target
+                counts = layer_counts[target] = controller.lit_counts(
+                    dict.fromkeys(wanted_ids, n) | dict.fromkeys(memory_ids, n_memory))
             # a changed count always retunes a coupler, so switched > 0 is a resize
-            switched = controller.resize(layer_counts(*target))
+            switched = controller.resize(counts)
             if switched:
                 overhead_s = params.pcm_transition_s
 
@@ -234,31 +281,28 @@ def _photonic(topology: PlatformTopology, params: DeviceParams, options: SimOpti
         }
         return read_s, write_s, overhead_s, bits, joules, {"laser": controller.laser_w}
 
-    # interposer rings stay locked to the WDM grid whether or not their
-    # gateway is lit; deactivation saves laser power, not trim power
-    return layer, mr_tuning_power(topology.total_mrs(), params)
+    return layer
 
 
-def _mesh(topology: PlatformTopology, params: DeviceParams, options: SimOptions):
+def _mesh(topology: PlatformTopology, tables: PricingTables, options: SimOptions):
     """Electrical mesh interposer: one router per chiplet, each drawing
     static power for the whole layer."""
-    memory_ids = [c.id for c in topology.memory_chiplets()]
+    memory_ids, hops_of = tables.memory_ids, tables.per_set
     if not memory_ids:
         raise MappingError("electrical topology has no memory chiplet")
     n_routers = topology.mesh_dims[0] * topology.mesh_dims[1]
     pj_per_bit_hop = topology.platform.noc_energy_pj_per_bit_hop
     watts = {"electrical_noc": topology.platform.noc_router_static_w * n_routers}
 
-    @cache
-    def assigned(ids: tuple[str, ...]) -> tuple[int, tuple[int, ...], int, float]:
-        """Count, hops from each one's memory chiplet, worst hops, congestion."""
-        hops = {cid: electrical_hops(memory_ids[i % len(memory_ids)], cid, topology)
-                for i, cid in enumerate(ids)}
-        congestion = options.elec_congestion_factor if len(ids) > 1 else 1.0
-        return len(ids), tuple(hops.values()), max(hops.values()), congestion
-
     def layer(traffic: TrafficVolume, assignment: LayerAssignment, compute_s: float):
-        n_ids, hops, worst_hops, congestion = assigned(assignment.chiplet_ids)
+        ids = assignment.chiplet_ids
+        entry = hops_of.get(ids)
+        if entry is None:   # each chiplet's hops from its memory chiplet, and the most
+            hops = tuple(electrical_hops(memory_ids[i % len(memory_ids)], cid, topology)
+                         for i, cid in enumerate(ids))
+            entry = hops_of[ids] = (hops, max(hops))
+        (hops, worst_hops), n_ids = entry, len(ids)
+        congestion = options.elec_congestion_factor if n_ids > 1 else 1.0
         weight_bits = traffic.weight_bits * options.weight_refetch_factor
         # broadcast is replicated on the mesh: every assigned chiplet
         # receives its own copy of the input tensor
@@ -275,10 +319,10 @@ def _mesh(topology: PlatformTopology, params: DeviceParams, options: SimOptions)
         return (read_s, write_s, 0.0, read_bits + write_bits,
                 {"electrical_noc": noc_dynamic_j}, watts)
 
-    return layer, 0.0
+    return layer
 
 
-def _offchip(topology: PlatformTopology, params: DeviceParams, options: SimOptions):
+def _offchip(topology: PlatformTopology, tables: PricingTables, options: SimOptions):
     """Monolithic chip: every tensor crosses the off-chip memory interface."""
     bw, pj_per_bit = topology.platform.offchip_bw_bps, topology.platform.offchip_energy_pj_per_bit
 
@@ -289,7 +333,7 @@ def _offchip(topology: PlatformTopology, params: DeviceParams, options: SimOptio
         joules = {"electrical_noc": bits * pj_per_bit * 1e-12}
         return read_bits / bw, write_bits / bw, 0.0, bits, joules, {}
 
-    return layer, 0.0
+    return layer
 
 
 _INTERCONNECTS = {SIPH: _photonic, ELEC: _mesh, MONO: _offchip}
@@ -306,6 +350,8 @@ def _check_plan(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPl
         missing = set(chiplet_ids) - known
         if missing:
             raise MappingError(f"plan names chiplets absent from topology: {sorted(missing)}")
+    if min(map(attrgetter("total_macs"), plan.assignments)) < 1:
+        raise MappingError("assignment has no MACs")
 
 
 def _combine(layer_results: list[LayerResult], total_bits: int) -> RunMetrics:
@@ -328,16 +374,11 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
     when finite inputs give an infinite latency, energy or power."""
     options = options or SimOptions()
     _check_plan(model, topology, plan)
-    price, link_tuning_w = _INTERCONNECTS[topology.kind](topology, params, options)
-    overlap, mac_rate_hz = options.overlap, options.mac_rate_hz
+    tables = pricing_tables(topology, params)
+    price = _INTERCONNECTS[topology.kind](topology, tables, options)
+    overlap, mac_rate_hz, mac_costs = options.overlap, options.mac_rate_hz, tables.mac_costs
     zeros = dict.fromkeys(ENERGY_CATEGORIES, 0.0)
     results: list[LayerResult] = []
-
-    @cache
-    def mac_costs(total_macs: int, vector_len: int) -> tuple[float, float]:
-        """Ring trim watts of link and MAC pool, converter pJ per invocation."""
-        return (link_tuning_w + mr_tuning_power(total_macs * vector_len, params),
-                params.dac_energy_pj * vector_len + params.adc_energy_pj)
 
     for layer, traffic, assignment in zip(model.layers, model.traffic, plan.assignments):
         compute_s = compute_time(assignment, mac_rate_hz)
@@ -349,7 +390,14 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
         energy = {**zeros, **joules}
         for category, w in watts.items():
             energy[category] += w * latency
-        tuning_w, mac_pj = mac_costs(assignment.total_macs, assignment.mac_type.vector_len)
+        pool = (assignment.total_macs, assignment.mac_type.vector_len)
+        costs = mac_costs.get(pool)
+        if costs is None:   # ring trim W of link and MAC pool, converter pJ per invocation
+            total_macs, vector_len = pool
+            costs = mac_costs[pool] = (
+                tables.link_tuning_w + mr_tuning_power(total_macs * vector_len, params),
+                params.dac_energy_pj * vector_len + params.adc_energy_pj)
+        tuning_w, mac_pj = costs
         energy["tuning"] = tuning_w * latency
         energy["mac"] = assignment.invocations * mac_pj * 1e-12
         results.append(LayerResult(layer.index, compute_s, read_s, write_s, overhead_s,

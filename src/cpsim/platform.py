@@ -9,6 +9,7 @@ and the monolithic single-chip baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .config import (ELEC, MONO, SIPH, ChipletConfig, ConfigError, PlatformSettings, SimConfig,
                      default_config, with_kind)
@@ -81,6 +82,13 @@ class PlatformTopology:
     @property
     def kind(self) -> str:
         return self.platform.kind
+
+    # one slot for the engine's pricing tables of this topology and the one
+    # DeviceParams object it last ran with; not a field, so equality, repr
+    # and the field schema do not see it, and it goes when the topology goes
+    @cached_property
+    def pricing(self) -> list:
+        return [None]
 
     def compute_chiplets(self) -> list[ChipletSpec]:
         return [c for c in self.chiplets if c.role == "compute"]

@@ -267,7 +267,8 @@ def test_generated_models_trailing_mode_is_bit_identical(cfg):
 
 def test_state_table_keeps_what_it_built(cfg, monkeypatch):
     """The controller solves the laser power of each lit-count state once per
-    run, whether or not it leaves and comes back, and a return finds the same
+    (topology, params) objects, whether or not a run leaves and comes back and
+    however many runs and controllers use them, and a return finds the same
     laser power and bandwidths; a resize retunes max(before, after) couplers
     per changed chiplet in either direction."""
     laser_calls, states = [], set()
@@ -288,8 +289,11 @@ def test_state_table_keeps_what_it_built(cfg, monkeypatch):
     metrics = simulate_model(model, topo, map_model(model, topo), cfg.devices, cfg.options)
     resizes = sum(r.overhead_s > 0 for r in metrics.per_layer)
     assert len(laser_calls) == len(states) and 2 < len(states) < resizes
+    assert simulate_model(model, topo, map_model(model, topo), cfg.devices, cfg.options) == metrics
+    assert len(laser_calls) == len(states)   # the second run solves nothing
 
     laser_calls.clear()
+    topo = default_platform()   # a new topology object: its own tables
     controller = EpochController(topo, cfg.devices)
     full, ids = dict(controller.active), ("conv3a", "conv3b")
     carry(controller, topo, {"conv3a": 2e12, "dense0": 1e12})
@@ -303,6 +307,87 @@ def test_state_table_keeps_what_it_built(cfg, monkeypatch):
         assert controller.active == mixed
         assert (controller.laser_w, controller.bandwidths(ids)) == seen
     assert len(laser_calls) == 2   # power-on and the mixed state, once each
+    again = EpochController(topo, cfg.devices)
+    assert again.resize(tuple(mixed.values())) == retunes
+    assert (again.laser_w, again.bandwidths(ids)) == seen
+    assert len(laser_calls) == 2   # a second controller on the same objects solves nothing
+
+
+def test_sweep_prices_each_path_and_state_once(cfg, monkeypatch):
+    """Over a sweep of several models on one topology, each distinct route
+    path's loss is priced once and each distinct lit-count state's laser power
+    is solved once, for the whole sweep."""
+    losses, laser_calls, states = [], [], set()
+
+    def counted_loss(path, params):
+        losses.append(path)
+        return path_insertion_loss(path, params)
+
+    def counted_laser(*args):
+        laser_calls.append(args)
+        return required_laser_power(*args)
+
+    class Recording(EpochController):
+        def resize(self, counts):
+            states.add(counts)
+            return super().resize(counts)
+
+    monkeypatch.setattr(devices, "path_insertion_loss", counted_loss)
+    monkeypatch.setattr(engine, "required_laser_power", counted_laser)
+    monkeypatch.setattr(engine, "EpochController", Recording)
+    topo = default_platform()
+    runs = [simulate_model(m, topo, map_model(m, topo), cfg.devices, cfg.options)
+            for m in generated_models(5)]
+    assert len(losses) == len({r.path for r in topo.routes}) < len(topo.routes)
+    assert len(laser_calls) == len(states)
+    assert sum(r.overhead_s > 0 for m in runs for r in m.per_layer) > len(states)
+
+
+@pytest.mark.parametrize("kind, resipi, mode", [("siph", True, "upcoming"),
+                                                ("siph", False, "upcoming"),
+                                                ("siph", True, "trailing"),
+                                                ("elec", True, "upcoming")])
+def test_a_run_does_not_depend_on_the_runs_before_it(cfg, kind, resipi, mode):
+    """A model's metrics are the same run alone on a new topology, run after
+    other models on a shared one, and run on an equal but distinct topology
+    and DeviceParams: the shared tables hold nothing a run's history shapes."""
+    variant = with_kind(cfg, kind)
+    options = replace(variant.options, resipi_enabled=resipi, demand_mode=mode)
+    *others, model = generated_models(4)
+
+    def run(topology, params):
+        plan = map_model(model, topology)
+        return repr(simulate_model(model, topology, plan, params, options))
+
+    alone = run(build_topology(variant), variant.devices)
+    shared = build_topology(variant)
+    for other in others:
+        simulate_model(other, shared, map_model(other, shared), variant.devices, options)
+    after = run(shared, variant.devices)
+    twin, twin_params = build_topology(with_kind(cfg, kind)), replace(variant.devices)
+    assert twin == shared and twin is not shared
+    assert twin_params == variant.devices and twin_params is not variant.devices
+    assert alone == after == run(twin, twin_params)
+
+
+def test_alternating_device_params_each_get_their_own_laser_power(cfg):
+    """One topology run with two DeviceParams objects in turn gives each the
+    laser power and metrics it gets on a topology of its own."""
+    topo = default_platform()
+    model = generated_models(1)[0]
+    plan = map_model(model, topo)
+    lossy = replace(cfg.devices, coupler_loss_db=2.0)
+    alone = {id(p): simulate_model(model, default_platform(), plan, p, cfg.options)
+             for p in (cfg.devices, lossy)}
+    assert alone[id(cfg.devices)] != alone[id(lossy)]
+    for _ in range(2):
+        for params in (cfg.devices, lossy):
+            assert repr(simulate_model(model, topo, plan, params, cfg.options)) == repr(
+                alone[id(params)])
+            # power-on lights every gateway, so every route is driven
+            assert EpochController(topo, params).laser_w == required_laser_power(
+                [source_mw(r.path, params) for r in topo.routes], topo.platform.n_wavelengths,
+                params)
 
 # -------------------------------------------------- single-layer fc traces
 
@@ -556,17 +641,18 @@ def test_plan_topology_mismatch_rejected(cfg):
     ghost = last._replace(chiplet_ids=last.chiplet_ids + ("ghost",))
     with pytest.raises(MappingError, match="ghost"):
         simulate_model(two, topo, MappingPlan("two", (*head, ghost)), cfg.devices, cfg.options)
-    # device parameters are validated like the options, not only on config load
-    with pytest.raises(ValueError, match="laser_efficiency"):
-        simulate_model(model, topo, plan, DeviceParams(laser_efficiency=0.0), cfg.options)
+    # a hand-built plan with a MAC-less layer fails before the layer loop
+    no_macs = MappingPlan("two", (*head, last._replace(total_macs=0)))
+    with pytest.raises(ValueError, match="no MACs"):
+        simulate_model(two, topo, no_macs, cfg.devices, cfg.options)
+    # a bad device or option record fails when built, so no run ever sees one
     for bad in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="pcm_transition_s"):
-            simulate_model(model, topo, plan, DeviceParams(pcm_transition_s=bad), cfg.options)
+            DeviceParams(pcm_transition_s=bad)
     for name in ("weight_refetch_factor", "elec_congestion_factor"):
         for bad in (0.5, float("nan"), float("inf")):
             with pytest.raises(ValueError, match=name):
-                simulate_model(model, topo, plan, cfg.devices,
-                               replace(cfg.options, **{name: bad}))
+                replace(cfg.options, **{name: bad})
 
 
 @pytest.mark.parametrize("section, field, value", [("options", "overlap", "no"),
@@ -579,9 +665,10 @@ def test_library_value_of_the_wrong_type_is_rejected_naming_the_field(cfg, secti
         replace(getattr(cfg, section), **{field: value})
 
 
-def test_source_mw_prices_each_route_once_per_run(cfg, monkeypatch):
-    """The controller prices each distinct route path's loss once, at
-    construction; a new lit set only adds up the kept source powers."""
+def test_source_mw_prices_each_path_once_per_topology_and_params(cfg, monkeypatch):
+    """Each distinct route path's loss is priced once per (topology, params)
+    objects, by the first run on them; a new lit set only adds up the kept
+    source powers, and a later run on the same objects prices no path."""
     topo = default_platform()
     model = load_shipped_model("resnet50")
     plan = map_model(model, topo)
@@ -595,4 +682,7 @@ def test_source_mw_prices_each_route_once_per_run(cfg, monkeypatch):
     metrics = simulate_model(model, topo, plan, cfg.devices, cfg.options)
     assert len(calls) == len({r.path for r in topo.routes}) < len(topo.routes)
     assert sum(r.overhead_s > 0 for r in metrics.per_layer) > 1   # several lit sets reached
+    calls.clear()
+    assert simulate_model(model, topo, plan, cfg.devices, cfg.options) == metrics
+    assert not calls
 
