@@ -4,19 +4,20 @@ A config file has three sections — ``platform``, ``chiplets``, ``devices`` —
 plus an optional ``options`` section. Unknown keys are rejected everywhere.
 The bundled default config mirrors the reference platform sizing.
 
-A user's config file is YAML, parsed with ``YAML_LOADER``. The bundled
-default is JSON text, which is also YAML, parsed with ``json.loads``. Both
-documents go through ``config_from_doc``. Every record checks its own fields
-when built, so a config that exists is a valid one. PyYAML is imported on
-the first user file, so importing cpsim and running on the bundled files
-alone never imports it.
+A user's config file is YAML, parsed with ``YAML_LOADER``: a module global,
+``None`` until ``safe_load``'s first call sets it, which tests may replace.
+The bundled default is JSON text, which is also YAML, parsed with
+``json.loads``. Both documents go through ``config_from_doc``, and every
+mapping in them, as in a model descriptor, goes through ``read_keys``. Every
+record checks its own fields when built, so a config that exists is a valid
+one. PyYAML is imported on the first user file, so importing cpsim and
+running on the bundled files alone never imports it.
 """
 
 from __future__ import annotations
 
 import json
-import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .devices import (AtLeastOne, Count, DeviceParams, NonNeg, NonNegInt, Positive, check_fields,
                       choice)
@@ -32,29 +33,39 @@ DemandMode = choice("DemandMode", "upcoming", "trailing")
 # CLI shorthand for the three platform variants
 KIND_ALIASES = {"siph": SIPH, "elec": ELEC, "mono": MONO}
 
-
-def __getattr__(name: str):
-    """``YAML_LOADER`` on first use (PEP 562), then a module global: libyaml's
-    C parser when PyYAML was built with it, else the pure-Python one. Both feed
-    the same SafeConstructor and Resolver, so they load equal objects."""
-    if name != "YAML_LOADER":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import yaml
-
-    global YAML_LOADER
-    YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    return YAML_LOADER
+# libyaml's C parser when PyYAML was built with it, else the pure-Python one.
+# Both feed the same SafeConstructor and Resolver, so they load equal objects.
+YAML_LOADER = None
 
 
 def safe_load(text: str, error: type[ValueError], what: str):
-    """Parse one YAML document with ``YAML_LOADER``; malformed YAML raises
-    ``error``, saying which ``what`` was unparseable and where."""
+    """Parse one YAML document with ``YAML_LOADER``, set on the first call;
+    malformed YAML raises ``error``, saying which ``what`` was unparseable and where."""
+    global YAML_LOADER
     import yaml
 
-    try:   # attribute access, so the first call resolves YAML_LOADER
-        return yaml.load(text, Loader=sys.modules[__name__].YAML_LOADER)
+    if YAML_LOADER is None:
+        YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    try:
+        return yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise error(f"unparseable {what}: {exc}") from exc
+
+
+def read_keys(doc, allowed: set, required: set, error: type[ValueError], where: str) -> dict:
+    """``doc`` if it is a mapping whose keys are all ``allowed`` and include
+    every ``required`` one; else ``error`` names ``where`` and the keys. Keys
+    are sorted as strings, since YAML keys may be of mixed types."""
+    if not isinstance(doc, dict):
+        raise error(f"{where}: expected a mapping, got {type(doc).__name__}")
+    keys = set(doc)
+    unknown = keys - allowed
+    if unknown:
+        raise error(f"{where}: unknown keys {sorted(unknown, key=str)}")
+    missing = required - keys
+    if missing:
+        raise error(f"{where}: missing keys {sorted(missing)}")
+    return doc
 
 
 class ConfigError(ValueError):
@@ -158,29 +169,22 @@ class SimConfig:
             seen.add(chiplet.id)
 
 
-def _build(cls, section: dict | None, where: str):
-    section = section or {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} section must be a mapping")
-    unknown = set(section) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
-    try:
-        return cls(**section)
-    except TypeError as exc:   # a missing field; each record names its own bad values
-        raise ConfigError(f"{where}: {exc}") from exc
+_SECTIONS = {"platform", "chiplets", "devices", "options"}
+
+
+def _build(cls, section, where: str):
+    """A ``cls`` record from its config section; a section left out or null
+    takes every default."""
+    keys = fields(cls)
+    section = read_keys({} if section is None else section, {f.name for f in keys},
+                        {f.name for f in keys if f.default is MISSING}, ConfigError, where)
+    return cls(**section)
 
 
 def config_from_doc(doc) -> SimConfig:
     """Build a config from its parsed document; each record checks itself."""
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a mapping")
-    unknown = set(doc) - {"platform", "chiplets", "devices", "options"}
-    if unknown:
-        raise ConfigError(f"unknown config sections {sorted(unknown, key=str)}")
-    chiplet_entries = doc.get("chiplets") or []
+    doc = read_keys({} if doc is None else doc, _SECTIONS, set(), ConfigError, "config")
+    chiplet_entries = [] if doc.get("chiplets") is None else doc["chiplets"]
     if not isinstance(chiplet_entries, list):
         raise ConfigError("chiplets section must be a list")
     chiplets = tuple(_build(ChipletConfig, entry, f"chiplets[{i}]")
@@ -195,7 +199,15 @@ def config_from_doc(doc) -> SimConfig:
 
 def parse_config(text: str) -> SimConfig:
     """Parse a YAML config document and build it."""
-    return config_from_doc(safe_load(text, ConfigError, "config"))
+    doc = safe_load(text, ConfigError, "config")
+    try:
+        return config_from_doc(doc)
+    except ValueError as exc:
+        if " must be a number, got '" not in str(exc):
+            raise
+        # YAML 1.1 reads 5e9 as a string: a float needs a dot and a signed exponent
+        raise ConfigError(f"{exc}; in YAML, write a float with a dot and a signed exponent, "
+                          "such as 5.0e+9") from exc
 
 
 def load_config(path: str) -> SimConfig:

@@ -84,11 +84,7 @@ def check_fields(obj, error: type[ValueError] = ValueError, where: str = "") -> 
     for name, accepted, noun, test, bound in field_schema(type(obj)):
         value = getattr(obj, name)
         if type(value) not in accepted:
-            hint = ""
-            if accepted is _FLOAT and type(value) is str:
-                # YAML 1.1 reads 5e9 as a string: a float needs a dot and a signed exponent
-                hint = "; in YAML, write a float with a dot and a signed exponent, such as 5.0e+9"
-            raise error(f"{where}{name} must be {noun}, got {value!r}{hint}")
+            raise error(f"{where}{name} must be {noun}, got {value!r}")
         if type(value) is float and not math.isfinite(value):
             raise error(f"{where}{name} must be finite, got {value}")
         if test is not None and not test(value):

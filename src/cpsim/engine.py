@@ -84,8 +84,6 @@ def compute_time(assignment: LayerAssignment, mac_rate_hz: float) -> float:
     """Seconds for the assigned MAC pool to retire all invocations, one
     vector dot per MAC per cycle. ``SimOptions`` keeps the rate positive and
     ``simulate_model`` rejects a plan with a MAC-less layer before its loop."""
-    if assignment.invocations == 0:
-        return 0.0
     return math.ceil(assignment.invocations / assignment.total_macs) / mac_rate_hz
 
 
@@ -101,14 +99,11 @@ def transfer_time_photonic(bits: float, writer_bw: float, reader_bw: float,
     return serialization + propagation + overhead
 
 
-def transfer_time_electrical(bits: float, hops: int, topology: PlatformTopology,
-                             congestion: float, router_cycles: int) -> float:
-    """Per-hop router latency plus link serialization, scaled by a
-    congestion factor when several chiplets contend for the memory node."""
-    p = topology.platform
-    link_bw = p.noc_width_bits * p.noc_freq_hz
-    header = hops * router_cycles / p.noc_freq_hz
-    return header + bits * congestion / link_bw
+def transfer_time_electrical(bits: float, header_s: float, link_bw: float,
+                             congestion: float) -> float:
+    """The header's per-hop router latency plus link serialization, scaled by
+    a congestion factor when several chiplets contend for the memory node."""
+    return header_s + bits * congestion / link_bw
 
 
 # ------------------------------------------------------------ shared tables
@@ -290,9 +285,11 @@ def _mesh(topology: PlatformTopology, tables: PricingTables, options: SimOptions
     memory_ids, hops_of = tables.memory_ids, tables.per_set
     if not memory_ids:
         raise MappingError("electrical topology has no memory chiplet")
+    p = topology.platform
     n_routers = topology.mesh_dims[0] * topology.mesh_dims[1]
-    pj_per_bit_hop = topology.platform.noc_energy_pj_per_bit_hop
-    watts = {"electrical_noc": topology.platform.noc_router_static_w * n_routers}
+    pj_per_bit_hop, noc_freq_hz = p.noc_energy_pj_per_bit_hop, p.noc_freq_hz
+    link_bw, router_cycles = p.noc_width_bits * noc_freq_hz, options.router_latency_cycles
+    watts = {"electrical_noc": p.noc_router_static_w * n_routers}
 
     def layer(traffic: TrafficVolume, assignment: LayerAssignment, compute_s: float):
         ids = assignment.chiplet_ids
@@ -308,10 +305,9 @@ def _mesh(topology: PlatformTopology, tables: PricingTables, options: SimOptions
         # receives its own copy of the input tensor
         read_bits = weight_bits + traffic.input_bits * n_ids
         write_bits = float(traffic.output_bits)
-        read_s = transfer_time_electrical(read_bits, worst_hops, topology, congestion,
-                                          options.router_latency_cycles)
-        write_s = transfer_time_electrical(write_bits, worst_hops, topology, congestion,
-                                           options.router_latency_cycles)
+        header_s = worst_hops * router_cycles / noc_freq_hz
+        read_s = transfer_time_electrical(read_bits, header_s, link_bw, congestion)
+        write_s = transfer_time_electrical(write_bits, header_s, link_bw, congestion)
 
         per_chiplet_bits = (weight_bits + traffic.output_bits) / n_ids + traffic.input_bits
         noc_dynamic_j = reduce(add, [per_chiplet_bits * h for h in hops], 0.0) \

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .config import safe_load
+from .config import read_keys, safe_load
 from .devices import Bitwidth, Count, NonNegInt, check_fields, choice
 
 DEFAULT_BITWIDTH = 8
@@ -79,10 +79,7 @@ class DnnModelSpec:
     layers: tuple[LayerSpec, ...]
     declared_param_count: int
 
-    def __post_init__(self) -> None:
-        self.validate()   # a model is checked once, when built, never in the layer loop
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:   # checked once, when built, never in the layer loop
         check_fields(self, ModelValidationError, f"model {self.name!r}: ")
         if not self.layers:
             raise ModelValidationError(f"model {self.name!r}: no layers")
@@ -94,7 +91,7 @@ class DnnModelSpec:
                 f"model {self.name!r}: computed {computed} parameters, "
                 f"descriptor declares {self.declared_param_count}")
 
-    # worked out once per model from the layers validate() accepted; not
+    # worked out once per model from the layers __post_init__ accepted; not
     # fields, so equality, repr and the field schema do not see them
     @cached_property
     def traffic(self) -> tuple[TrafficVolume, ...]:
@@ -139,6 +136,9 @@ def layer_traffic(layer: LayerSpec) -> TrafficVolume:
 
 _LAYER_KEYS = {"kind", "kernel", "channels_in", "channels_out", "in_hw", "out_hw",
                "stride", "weight_bitwidth", "activation_bitwidth"}
+# fc layers may omit geometry; anything given must satisfy the 1x1 convention
+_FC_KEYS = {"kind", "channels_in", "channels_out"}
+_CONV_KEYS = _FC_KEYS | {"kernel", "in_hw", "out_hw", "stride"}
 _MODEL_KEYS = {"name", "declared_param_count", "declared_conv_layers",
                "declared_fc_layers", "layers"}
 
@@ -153,23 +153,13 @@ def _pair(value, key: str, index: int) -> tuple:
     return value[0], value[1]
 
 
-def _layer_from_entry(entry: dict, index: int) -> LayerSpec:
-    if not isinstance(entry, dict):
-        raise DescriptorError(f"layer {index}: expected a mapping, got {type(entry).__name__}")
-    unknown = set(entry) - _LAYER_KEYS
-    if unknown:
-        raise DescriptorError(f"layer {index}: unknown keys {sorted(unknown, key=str)}")
-    kind = entry.get("kind")
+def _layer_from_entry(entry, index: int) -> LayerSpec:
+    kind = entry.get("kind") if isinstance(entry, dict) else None
+    read_keys(entry, _LAYER_KEYS, _CONV_KEYS if kind == "conv" else _FC_KEYS,
+              DescriptorError, f"layer {index}")
     if kind not in ("conv", "fc"):
         raise DescriptorError(f"layer {index}: kind must be conv or fc, got {kind!r}")
-    required = {"kind", "kernel", "channels_in", "channels_out", "in_hw", "out_hw", "stride"}
-    if kind == "fc":
-        required = {"kind", "channels_in", "channels_out"}
-    missing = required - set(entry)
-    if missing:
-        raise DescriptorError(f"layer {index}: missing keys {sorted(missing)}")
-    # fc layers may omit geometry; anything given must satisfy the 1x1
-    # convention. Values are taken as written: LayerSpec.validate checks them.
+    # values are taken as written: LayerSpec.validate checks them
     kh, kw = _pair(entry.get("kernel", 1), "kernel", index)
     in_h, in_w = _pair(entry.get("in_hw", 1), "in_hw", index)
     out_h, out_w = _pair(entry.get("out_hw", 1), "out_hw", index)
@@ -191,17 +181,11 @@ def model_from_doc(doc) -> DnnModelSpec:
     when the content violates a model invariant (for example a parameter-count
     mismatch); validation errors name the offending layer index.
     """
-    if not isinstance(doc, dict):
-        raise DescriptorError("descriptor must be a mapping with a layers array")
-    unknown = set(doc) - _MODEL_KEYS
-    if unknown:
-        raise DescriptorError(f"unknown model keys {sorted(unknown, key=str)}")
-    for key in ("name", "declared_param_count", "layers"):
-        if key not in doc:
-            raise DescriptorError(f"missing model key {key!r}")
+    read_keys(doc, _MODEL_KEYS, {"name", "declared_param_count", "layers"},
+              DescriptorError, "model")
     for key in ("declared_param_count", "declared_conv_layers", "declared_fc_layers"):
         if key in doc and type(doc[key]) is not int:
-            raise DescriptorError(f"{key} must be an integer, got {doc[key]!r}")
+            raise DescriptorError(f"model: {key} must be an integer, got {doc[key]!r}")
     entries = doc["layers"]
     if not isinstance(entries, list):
         raise DescriptorError("layers must be an array")

@@ -74,10 +74,15 @@ def test_photonic_transfer_min_bandwidth_rule():
 
 
 def test_electrical_transfer_examples(cfg):
-    topo = build_topology(with_kind(cfg, "elec_interposer"))
-    assert transfer_time_electrical(256, 1, topo, 1.0, 3) == pytest.approx(2.5e-9, rel=1e-12)
-    assert transfer_time_electrical(0, 5, topo, 1.0, 3) == pytest.approx(7.5e-9, rel=1e-12)
-    congested = transfer_time_electrical(256, 1, topo, 2.0, 3)
+    p = build_topology(with_kind(cfg, "elec_interposer")).platform
+    link_bw = p.noc_width_bits * p.noc_freq_hz
+
+    def transfer(bits, hops, congestion):   # 3 router cycles per hop
+        return transfer_time_electrical(bits, hops * 3 / p.noc_freq_hz, link_bw, congestion)
+
+    assert transfer(256, 1, 1.0) == pytest.approx(2.5e-9, rel=1e-12)
+    assert transfer(0, 5, 1.0) == pytest.approx(7.5e-9, rel=1e-12)
+    congested = transfer(256, 1, 2.0)
     assert congested == pytest.approx(1.5e-9 + 2e-9, rel=1e-12)
 
 

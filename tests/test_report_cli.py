@@ -7,7 +7,8 @@ import yaml
 
 from cpsim import engine
 from cpsim.cli import cli_main
-from cpsim.config import MAX_GATEWAYS, ChipletConfig, ConfigError, parse_config
+from cpsim.config import MAX_GATEWAYS, ChipletConfig, ConfigError, SimOptions, parse_config
+from cpsim.devices import pcmc_for_split
 from cpsim.engine import RunMetrics
 from cpsim.report import (LabeledRun, comparison_table, emit_report, reference_rows,
                           render_report)
@@ -301,17 +302,30 @@ def test_mistyped_or_negative_config_value_is_failure(tmp_path, capsys, text, fi
 
 
 @pytest.mark.parametrize("text, where", [
-    ("platform: {1: 2, bogus: 3}", "platform: unknown keys"),
-    ("1: 2\nbogus: 3", "unknown config sections"),
+    ("platform: {1: 2, bogus: 3}", "platform: unknown keys [1, 'bogus']"),
+    ("1: 2\nbogus: 3", "config: unknown keys [1, 'bogus']"),
+    ("chiplets: [{id: m, role: memory, gateways: 4, 1: 2, bogus: 3}]",
+     "chiplets[0]: unknown keys [1, 'bogus']"),
+    ("devices: {1: 2, bogus: 3}", "devices: unknown keys [1, 'bogus']"),
+    ("options: {1: 2, bogus: 3}", "options: unknown keys [1, 'bogus']"),
+    ("- platform", "config: expected a mapping, got list"),
+    ("platform: []", "platform: expected a mapping, got list"),   # not an empty mapping
+    ("chiplets: 0", "chiplets section must be a list"),
+    ("chiplets: [memory]", "chiplets[0]: expected a mapping, got str"),
+    ("devices: 5", "devices: expected a mapping, got int"),
+    ("options: bogus", "options: expected a mapping, got str"),
+    ("chiplets: [{role: memory, gateways: 4}]", "chiplets[0]: missing keys ['id']"),
 ])
 def test_unknown_keys_that_are_not_strings_are_failure(tmp_path, capsys, text, where):
-    """Unknown keys of mixed types are named, not compared with each other."""
+    """Every level of a config is read by one reader: a value that is not a
+    mapping, unknown keys of mixed types and a missing key are named, and
+    unknown keys are not compared with each other."""
     bad = tmp_path / "bad.yaml"
     bad.write_text(text + "\n")
     assert cli_main(["simulate", "--model", "lenet5", "--platform", "siph",
                      "--config", str(bad)]) == 1
     err = capsys.readouterr().err
-    assert f"{where} [1, 'bogus']" in err and "Traceback" not in err, err
+    assert where in err and "Traceback" not in err, err
 
 
 def test_unsigned_exponent_message_suggests_a_yaml_float():
@@ -319,6 +333,22 @@ def test_unsigned_exponent_message_suggests_a_yaml_float():
         parse_config("options: {mac_rate_hz: 5e9}")
     # an int is a number; the loaded value keeps its type
     assert parse_config("options: {mac_rate_hz: 5000000000}").options.mac_rate_hz == 5e9
+
+
+def test_float_spelling_advice_is_for_yaml_configs_only(tmp_path, capsys):
+    """The advice on writing a float in YAML comes with a YAML config, and
+    never with a record built in Python."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("options: {mac_rate_hz: 5e9}\n")
+    assert cli_main(["simulate", "--model", "lenet5", "--platform", "siph",
+                     "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "mac_rate_hz" in err and "5.0e+9" in err and "Traceback" not in err, err
+    for build, field in ((lambda: SimOptions(mac_rate_hz="5e9"), "mac_rate_hz"),
+                         (lambda: pcmc_for_split("x"), "t")):
+        with pytest.raises(ValueError, match=f"{field} must be a number") as exc:
+            build()
+        assert "YAML" not in str(exc.value) and "5.0e+9" not in str(exc.value)
 
 
 def default_config_doc():

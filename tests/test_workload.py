@@ -274,18 +274,31 @@ def test_load_model_rejects_unknown_keys():
         load_model(text)
 
 
-@pytest.mark.parametrize("header, entry, where", [
-    ("", ", 1: 2, bogus: 3", "layer 0: unknown keys"),
-    ("1: 2\nbogus: 3\n", "", "unknown model keys"),
-])
-def test_unknown_keys_that_are_not_strings_exit_1(tmp_path, capsys, header, entry, where):
-    """Unknown keys of mixed types are named, not compared with each other."""
+HEADER = "name: keys\ndeclared_param_count: 1010\n"
+FC = "kind: fc, channels_in: 100, channels_out: 10"
+
+
+@pytest.mark.parametrize("text, where", [
+    (f"{HEADER}layers:\n- {{{FC}, 1: 2, bogus: 3}}", "layer 0: unknown keys [1, 'bogus']"),
+    (f"{HEADER}1: 2\nbogus: 3\nlayers:\n- {{{FC}}}", "model: unknown keys [1, 'bogus']"),
+    (f"{HEADER}layers:\n- [{FC}]", "layer 0: expected a mapping, got list"),
+    (f"- {{{FC}}}", "model: expected a mapping, got list"),   # the layers alone
+    (f"{HEADER}layers:\n- {{kind: conv, channels_in: 100, channels_out: 10, stride: 1}}",
+     "layer 0: missing keys ['in_hw', 'kernel', 'out_hw']"),
+    (f"{HEADER}layers:\n- {{kind: fc, channels_in: 100}}",
+     "layer 0: missing keys ['channels_out']"),
+    (f"declared_param_count: 1010\nlayers:\n- {{{FC}}}", "model: missing keys ['name']"),
+], ids=["layer-unknown-keys", "model-unknown-keys", "layer-not-a-mapping", "model-not-a-mapping",
+        "conv-layer-missing-keys", "fc-layer-missing-keys", "model-missing-keys"])
+def test_unknown_keys_that_are_not_strings_exit_1(tmp_path, capsys, text, where):
+    """The model and each layer are read by one reader: a value that is not a
+    mapping, unknown keys of mixed types and missing keys are named, and
+    unknown keys are not compared with each other."""
     path = tmp_path / "keys.desc"
-    path.write_text(f"name: keys\ndeclared_param_count: 1010\n{header}layers:\n"
-                    f"- {{kind: fc, channels_in: 100, channels_out: 10{entry}}}\n")
+    path.write_text(text + "\n")
     assert cli_main(["validate", str(path)]) == 1
     err = capsys.readouterr().err
-    assert f"{where} [1, 'bogus']" in err and "Traceback" not in err, err
+    assert where in err and "Traceback" not in err, err
 
 
 def test_load_model_rejects_garbage():

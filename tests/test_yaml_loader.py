@@ -50,6 +50,7 @@ def shipped_texts():
 
 
 def test_c_loader_is_the_default_when_available():
+    parse_config("{}")   # the first parse sets the loader
     assert config.YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
