@@ -7,11 +7,14 @@ engine's layer loop. A golden changes only when the model changes on
 purpose, and that change lists the deltas in CHANGES.md.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
 import yaml
 
+from cpsim import (build_topology, default_config, default_platform, load_shipped_model,
+                   map_model, with_kind)
 from cpsim.cli import cli_main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -73,3 +76,27 @@ def test_flag_cases_differ_from_default():
         if parts[0] == "simulate" and len(parts) > 3:
             default = GOLDEN / f"simulate_{parts[1]}_{parts[2]}.json"
             assert (GOLDEN / name).read_bytes() != default.read_bytes(), name
+
+
+# sha256 of the repr of each record tree; a repr names every field and value
+# of every nested record, so a change to how records are built shows here
+RECORD_REPR_SHA256 = {
+    "default_config": "7fab366341880dea1d34a5d4345c9214e40a7ab5f398cee915b1f009415feae5",
+    "default_platform": "adba4492ab10fbf42046c7106c9feab47e6c395800aa7664ce56aaf0ede70a8a",
+    "elec_topology": "296549c4a766188d54a2be6668eb7e7b5587de1f4715f00a282b192076692127",
+    "lenet5": "7962d2e7f8bfad1f2831133277a2810130ef3505d3f5bba999629d6eca9efb60",
+    "resnet50_plan": "84084c193364725c336b50f523ef142eb506ff15fc6047ee8366d05ca15dde08",
+}
+RECORDS = {
+    "default_config": default_config,
+    "default_platform": default_platform,
+    "elec_topology": lambda: build_topology(with_kind(default_config(), "elec")),
+    "lenet5": lambda: load_shipped_model("lenet5"),
+    "resnet50_plan": lambda: map_model(load_shipped_model("resnet50"), default_platform()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_repr_is_pinned(name):
+    text = repr(RECORDS[name]())
+    assert hashlib.sha256(text.encode()).hexdigest() == RECORD_REPR_SHA256[name]
