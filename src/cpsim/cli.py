@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import engine, report
 from .config import KIND_ALIASES, SimConfig, default_config, load_config, with_kind
+from .devices import replace
 from .mapper import map_model
 from .platform import PlatformTopology, build_topology
 from .workload import (DnnModelSpec, load_model_file, load_shipped_model, param_count,

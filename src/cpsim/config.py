@@ -17,10 +17,10 @@ running on the bundled files alone never imports it.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass
 
-from .devices import (AtLeastOne, Count, DeviceParams, NonNeg, NonNegInt, Positive, check_fields,
-                      choice)
+from .devices import (AtLeastOne, Count, DeviceParams, NonNeg, NonNegInt, Positive, Record,
+                      check_fields, choice, replace)
 
 SIPH = "siph_interposer"
 ELEC = "elec_interposer"
@@ -72,8 +72,7 @@ class ConfigError(ValueError):
     """Config file rejected by schema validation."""
 
 
-@dataclass(frozen=True)
-class PlatformSettings:
+class PlatformSettings(Record):
     kind: PlatformKind = SIPH
     n_wavelengths: Count = 64
     link_rate_bps: Positive = 12e9          # per wavelength
@@ -104,8 +103,7 @@ _ROLE_FIELDS = {"memory": (("gateways",), ("mac_type", "macs", "macs_per_gateway
                 "compute": (("mac_type", "macs", "macs_per_gateway"), ("gateways",))}
 
 
-@dataclass(frozen=True)
-class ChipletConfig:
+class ChipletConfig(Record):
     id: str
     role: ChipletRole = "compute"
     mac_type: str = ""               # compute only
@@ -134,6 +132,8 @@ class ChipletConfig:
                               f"more than MAX_GATEWAYS ({MAX_GATEWAYS})")
 
 
+# SimOptions alone stays a frozen dataclass: the benchmark derives its options
+# with dataclasses.replace. Its fields and defaults read as a Record's do.
 @dataclass(frozen=True)
 class SimOptions:
     overlap: bool = True                     # max(compute, read, write) per layer
@@ -151,8 +151,7 @@ class SimOptions:
         check_fields(self, ConfigError, "options: ")
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """One platform's settings, chiplets, devices and options. Each record
     checks its own fields when built; this one adds only what spans them."""
 
@@ -174,10 +173,11 @@ _SECTIONS = {"platform", "chiplets", "devices", "options"}
 
 def _build(cls, section, where: str):
     """A ``cls`` record from its config section; a section left out or null
-    takes every default."""
-    keys = fields(cls)
-    section = read_keys({} if section is None else section, {f.name for f in keys},
-                        {f.name for f in keys if f.default is MISSING}, ConfigError, where)
+    takes every default. Its annotations name the fields, and a field with no
+    class attribute has no default."""
+    names = cls.__annotations__.keys()
+    section = read_keys({} if section is None else section, names,
+                        {name for name in names if name not in vars(cls)}, ConfigError, where)
     return cls(**section)
 
 

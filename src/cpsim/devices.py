@@ -9,15 +9,16 @@ calibration values with physically typical magnitudes, not measured data.
 PCMC loss is not modeled: every route's OpticalPath carries a fixed
 couplers=1, and only tests reach pcmc_transfer and PcmcState.excess_loss_db.
 The field schema lives here too: check_fields checks every config, device
-and layer field against the domain its annotation names.
+and layer field against the domain its annotation names; so does Record, the
+base of every record that checks itself, and replace, which derives a
+changed copy of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
-from operator import add
+from operator import add, attrgetter
 from typing import Sequence
 
 CRYSTALLINE = "crystalline"
@@ -66,9 +67,10 @@ def choice(alias: str, *values: str) -> type:
 
 def field_schema(cls: type) -> tuple:
     """(name, types, noun, bound test, bound text) of each field of the
-    dataclass or named tuple ``cls``, in field order, resolved once per class.
-    A named tuple keeps each annotation as a ForwardRef, and ``tuple[X, ...]``
-    is checked as a tuple."""
+    Record, named tuple or dataclass ``cls``, in field order, resolved once
+    per class. Each reads its fields from its class annotations; a named
+    tuple keeps each annotation as a ForwardRef, and ``tuple[X, ...]`` is
+    checked as a tuple."""
     schema = _SCHEMAS.get(cls)
     if schema is None:
         schema = _SCHEMAS[cls] = tuple(
@@ -91,11 +93,82 @@ def check_fields(obj, error: type[ValueError] = ValueError, where: str = "") -> 
             raise error(f"{where}{name} must be {bound}, got {value!r}")
 
 
+class Record:
+    """Base of the records that check themselves when built. The class
+    annotations, in order, are the fields, and a class attribute is a field's
+    default. A record is built from positional or keyword arguments, then
+    ``__post_init__`` checks it; after that it is frozen. It compares, hashes
+    and prints by its field values, as a frozen dataclass does, in the same
+    repr format. It keeps a ``__dict__``, so a ``cached_property`` works on it
+    and stays out of equality and repr. Records are built without generating
+    code per class, which keeps import fast."""
+
+    _fields: tuple = ()   # set per subclass, as are the others
+    _field_set: frozenset = frozenset()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._field_set = frozenset(cls._fields)
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+        # what equality and hash compare: the tuple of field values, or the one
+        # value of a one-field record; an attrgetter does not bind, so it is
+        # called with the record
+        cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        names, cls = self._fields, type(self).__name__
+        if args:
+            if len(args) > len(names):
+                raise TypeError(f"{cls}() takes {len(names)} arguments, got {len(args)}")
+            positional = dict(zip(names, args))
+            repeated = sorted(positional.keys() & kwargs.keys())
+            if repeated:
+                raise TypeError(f"{cls}() got multiple values for {repeated}")
+            kwargs.update(positional)
+        values = {**self._defaults, **kwargs}
+        if values.keys() != self._field_set:
+            unknown = sorted(values.keys() - self._field_set)
+            if unknown:
+                raise TypeError(f"{cls}() got unexpected keyword arguments {unknown}")
+            missing = [name for name in names if name not in values]
+            raise TypeError(f"{cls}() missing required arguments {missing}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check the fields just set; a record with no checks inherits this."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def replace(record, /, **changes):
+    """A copy of the Record or dataclass ``record`` with ``changes`` made,
+    built through its constructor, so the copy is checked again."""
+    return type(record)(**{**{name: getattr(record, name)
+                              for name in type(record).__annotations__}, **changes})
+
+
 PcmcPhase = choice("PcmcPhase", CRYSTALLINE, PARTIAL, AMORPHOUS)
 
 
-@dataclass(frozen=True)
-class PcmcState:
+class PcmcState(Record):
     """Phase-change coupler state. ``t`` is the cross fraction for the
     partially crystalline state."""
 
@@ -109,8 +182,7 @@ class PcmcState:
             raise ValueError(f"t must be in [0, 1] for a partial state, got {self.t!r}")
 
 
-@dataclass(frozen=True)
-class DeviceParams:
+class DeviceParams(Record):
     coupler_loss_db: NonNeg = 1.0
     propagation_loss_db_per_mm: NonNeg = 0.1
     mr_through_loss_db: NonNeg = 0.01
@@ -131,8 +203,7 @@ class DeviceParams:
         check_fields(self, ValueError, "devices: ")
 
 
-@dataclass(frozen=True)
-class OpticalPath:
+class OpticalPath(Record):
     """Loss-relevant inventory of one laser-to-detector path."""
 
     length_mm: NonNeg

@@ -31,7 +31,6 @@ bit-identical metrics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, attrgetter
 from typing import NamedTuple
@@ -66,8 +65,7 @@ class LayerResult(NamedTuple):
         return reduce(add, self.energy_j.values(), 0.0)
 
 
-@dataclass(frozen=True)
-class RunMetrics:
+class RunMetrics(NamedTuple):
     total_latency_s: float
     total_energy_j: float
     energy_breakdown: dict[str, float]

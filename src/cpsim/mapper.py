@@ -9,7 +9,6 @@ partial sums accumulate electronically at the MAC unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .platform import MacUnitType, PlatformTopology
@@ -29,8 +28,7 @@ class LayerAssignment(NamedTuple):
     invocations: int
 
 
-@dataclass(frozen=True)
-class MappingPlan:
+class MappingPlan(NamedTuple):
     model_name: str
     assignments: tuple[LayerAssignment, ...]
 

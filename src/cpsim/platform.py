@@ -8,19 +8,18 @@ and the monolithic single-chip baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .config import (ELEC, MONO, SIPH, ChipletConfig, ConfigError, PlatformSettings, SimConfig,
                      default_config, with_kind)
-from .devices import OpticalPath
+from .devices import OpticalPath, Record
 
 SWSR = "SWSR"
 SWMR = "SWMR"
 
 
-@dataclass(frozen=True)
-class MacUnitType:
+class MacUnitType(NamedTuple):
     name: str
     vector_len: int    # dot-product lanes
     family: str        # "conv" | "dense"
@@ -34,8 +33,7 @@ DEFAULT_MAC_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class ChipletSpec:
+class ChipletSpec(NamedTuple):
     id: str
     role: str                      # "compute" | "memory"
     mac_type: MacUnitType | None
@@ -49,8 +47,7 @@ class ChipletSpec:
         return [f"{self.id}:g{k}" for k in range(self.gateways)]
 
 
-@dataclass(frozen=True)
-class Mrg:
+class Mrg(NamedTuple):
     owner_gateway: str
     filter_rows: int
     modulator_rows: int
@@ -61,8 +58,7 @@ class Mrg:
         return (self.filter_rows + self.modulator_rows) * self.mrs_per_row
 
 
-@dataclass(frozen=True)
-class WaveguideRoute:
+class WaveguideRoute(NamedTuple):
     writer_gateway: str
     writer_chiplet: str            # the writer gateway's chiplet id
     writer_index: int              # and its index on that chiplet's laser trunk
@@ -71,8 +67,7 @@ class WaveguideRoute:
     path: OpticalPath
 
 
-@dataclass(frozen=True)
-class PlatformTopology:
+class PlatformTopology(Record):
     platform: PlatformSettings               # the settings it was built from
     chiplets: tuple[ChipletSpec, ...]
     routes: tuple[WaveguideRoute, ...]       # siph only
@@ -85,7 +80,7 @@ class PlatformTopology:
 
     # one slot for the engine's pricing tables of this topology and the one
     # DeviceParams object it last ran with; not a field, so equality, repr
-    # and the field schema do not see it, and it goes when the topology goes
+    # and replace do not see it, and it goes when the topology goes
     @cached_property
     def pricing(self) -> list:
         return [None]

@@ -13,23 +13,21 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
+from typing import NamedTuple
 
 from .engine import ENERGY_CATEGORIES, RunMetrics
 from .platform import PlatformTopology
 
 
-@dataclass(frozen=True)
-class LabeledRun:
+class LabeledRun(NamedTuple):
     platform: str
     model: str
     metrics: RunMetrics
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     platform: str
     model: str
     power_w: float
@@ -47,8 +45,7 @@ COLUMNS = ("platform", "model", "power_w", "latency_s", "epb_j_per_bit",
            "normalized_power", "normalized_latency", "normalized_epb", "reference_only")
 
 
-@dataclass(frozen=True)
-class ReferenceBaseline:
+class ReferenceBaseline(NamedTuple):
     name: str
     power_w: float
     latency_ms: float

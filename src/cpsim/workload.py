@@ -10,12 +10,11 @@ Both documents go through ``model_from_doc``, which makes every check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 from .config import read_keys, safe_load
-from .devices import Bitwidth, Count, NonNegInt, check_fields, choice
+from .devices import Bitwidth, Count, NonNegInt, Record, check_fields, choice
 
 DEFAULT_BITWIDTH = 8
 LayerKind = choice("LayerKind", "conv", "fc")
@@ -73,8 +72,7 @@ class LayerSpec(NamedTuple):
         return self.dot_length * self.out_channels + self.out_channels
 
 
-@dataclass(frozen=True)
-class DnnModelSpec:
+class DnnModelSpec(Record):
     name: str
     layers: tuple[LayerSpec, ...]
     declared_param_count: int

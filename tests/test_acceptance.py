@@ -4,10 +4,10 @@ pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``)."""
 import math
 import random
 from contextlib import contextmanager
-from dataclasses import replace
 
 import pytest
 
+from cpsim import replace
 from cpsim.cli import cli_main
 from cpsim.devices import (DeviceParams, OpticalPath, PcmcState, pcmc_transfer,
                            path_insertion_loss, required_laser_power, serialization_time,

@@ -2,7 +2,6 @@ import hashlib
 import importlib.util
 import math
 import random
-from dataclasses import replace
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpsim import devices, engine, workload
+from cpsim import devices, engine, replace, workload
 from cpsim.config import with_kind
 from cpsim.devices import (CRYSTALLINE, DeviceParams, OpticalPath, path_insertion_loss,
                            pcmc_chain_for_equal_split, required_laser_power, source_mw)

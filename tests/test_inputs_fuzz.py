@@ -19,7 +19,6 @@ import copy
 import io
 import json
 import math
-from dataclasses import replace
 from functools import cache
 from importlib import resources
 
@@ -28,7 +27,7 @@ import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cpsim import build_topology, default_config, map_model, simulate_model, with_kind
+from cpsim import build_topology, default_config, map_model, replace, simulate_model, with_kind
 from cpsim.cli import cli_main
 from cpsim.config import ChipletConfig, PlatformSettings, SimOptions
 from cpsim.devices import DeviceParams, field_schema

@@ -1,8 +1,8 @@
 import time
-from dataclasses import replace
 
 import pytest
 
+from cpsim import replace
 from cpsim.config import (ChipletConfig, ConfigError, PlatformSettings, SimOptions, parse_config,
                           with_kind)
 from cpsim.devices import DeviceParams, OpticalPath, PcmcState
