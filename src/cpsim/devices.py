@@ -9,9 +9,8 @@ calibration values with physically typical magnitudes, not measured data.
 PCMC loss is not modeled: every route's OpticalPath carries a fixed
 couplers=1, and only tests reach pcmc_transfer and PcmcState.excess_loss_db.
 The field schema lives here too: check_fields checks every config, device
-and layer field against the domain its annotation names; so does Record, the
-base of every record that checks itself, and replace, which derives a
-changed copy of one.
+and layer field against the domain its annotation names. So does Record, the
+base of every record that checks itself when built, and ``replace``.
 """
 
 from __future__ import annotations
@@ -111,9 +110,7 @@ class Record:
         cls._fields = tuple(cls.__annotations__)
         cls._field_set = frozenset(cls._fields)
         cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
-        # what equality and hash compare: the tuple of field values, or the one
-        # value of a one-field record; an attrgetter does not bind, so it is
-        # called with the record
+        # the field values equality and hash compare; not bound, so called with the record
         cls._values = attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs) -> None:

@@ -60,10 +60,6 @@ class LayerResult(NamedTuple):
     energy_j: dict[str, float]
     bits_moved: float
 
-    @property
-    def total_energy_j(self) -> float:
-        return reduce(add, self.energy_j.values(), 0.0)
-
 
 class RunMetrics(NamedTuple):
     total_latency_s: float

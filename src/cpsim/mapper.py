@@ -24,8 +24,7 @@ class LayerAssignment(NamedTuple):
     mac_type: MacUnitType
     chiplet_ids: tuple[str, ...]
     total_macs: int
-    chunks_per_dot: int
-    invocations: int
+    invocations: int    # dot products times chunks_per_dot
 
 
 class MappingPlan(NamedTuple):
@@ -87,7 +86,6 @@ def map_model(model: DnnModelSpec, topology: PlatformTopology) -> MappingPlan:
             placement = placements[window] = (mac_type, tuple(c.id for c in chiplets),
                                               sum(c.macs for c in chiplets))
         mac_type, chiplet_ids, total_macs = placement
-        chunks = chunks_per_dot(layer.dot_length, mac_type.vector_len)
-        assignments.append(LayerAssignment(layer.index, mac_type, chiplet_ids, total_macs,
-                                           chunks, layer.dot_products * chunks))
+        assignments.append(LayerAssignment(layer.index, mac_type, chiplet_ids, total_macs, (
+            layer.dot_products * chunks_per_dot(layer.dot_length, mac_type.vector_len))))
     return MappingPlan(model_name=model.name, assignments=tuple(assignments))

