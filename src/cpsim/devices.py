@@ -130,7 +130,8 @@ class Record:
                 raise TypeError(f"{cls}() got unexpected keyword arguments {unknown}")
             missing = [name for name in names if name not in values]
             raise TypeError(f"{cls}() missing required arguments {missing}")
-        self.__dict__.update(values)
+        for name, value in values.items():   # as a dataclass sets them, so reads stay as fast
+            object.__setattr__(self, name, value)
         self.__post_init__()
 
     def __post_init__(self) -> None:
