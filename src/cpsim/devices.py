@@ -159,8 +159,8 @@ class Record:
 def replace(record, /, **changes):
     """A copy of the Record or dataclass ``record`` with ``changes`` made,
     built through its constructor, so the copy is checked again."""
-    return type(record)(**{**{name: getattr(record, name)
-                              for name in type(record).__annotations__}, **changes})
+    cls = type(record)
+    return cls(**{name: getattr(record, name) for name in cls.__annotations__} | changes)
 
 
 PcmcPhase = choice("PcmcPhase", CRYSTALLINE, PARTIAL, AMORPHOUS)
