@@ -86,6 +86,7 @@ def map_model(model: DnnModelSpec, topology: PlatformTopology) -> MappingPlan:
             placement = placements[window] = (mac_type, tuple(c.id for c in chiplets),
                                               sum(c.macs for c in chiplets))
         mac_type, chiplet_ids, total_macs = placement
-        assignments.append(LayerAssignment(layer.index, mac_type, chiplet_ids, total_macs, (
-            layer.dot_products * chunks_per_dot(layer.dot_length, mac_type.vector_len))))
+        invocations = layer.dot_products * chunks_per_dot(layer.dot_length, mac_type.vector_len)
+        assignments.append(LayerAssignment(layer.index, mac_type, chiplet_ids, total_macs,
+                                           invocations))
     return MappingPlan(model_name=model.name, assignments=tuple(assignments))
