@@ -2,4 +2,5 @@ import sys
 
 from .cli import cli_main
 
-sys.exit(cli_main())
+if __name__ == "__main__":
+    sys.exit(cli_main())

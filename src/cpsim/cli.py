@@ -155,9 +155,6 @@ def cli_main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
         if args.command == "validate":
             return _cmd_validate(args)
         if args.command == "simulate":
@@ -165,7 +162,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             return _cmd_compare(args, parser)
         return _cmd_topology(args)   # the subparsers admit no fifth command
-    except SystemExit as exc:  # parser.error inside command handling
+    except SystemExit as exc:   # --help, or a usage error from parse_args or parser.error
         return exc.code if isinstance(exc.code, int) else 2
     except (ValueError, OSError) as exc:   # every cpsim input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)

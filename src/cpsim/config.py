@@ -168,7 +168,7 @@ class SimConfig(Record):
             seen.add(chiplet.id)
 
 
-_SECTIONS = {"platform", "chiplets", "devices", "options"}
+_SECTIONS = SimConfig.__annotations__.keys()
 
 
 def _build(cls, section, where: str):

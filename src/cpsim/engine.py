@@ -14,7 +14,7 @@ pipeline for one phase-change transition and retunes the laser budget.
 
 What a run works out from its topology and DeviceParams alone is kept in a
 ``PricingTables`` that the topology holds for the DeviceParams object it last
-ran with: the priced route paths, the controller's lit-count states with
+ran with: each route's source power, the controller's lit-count states with
 their laser watts and bandwidths, the retunes per pair of states, the write
 route and lit counts per chiplet set, the mesh hops and the MAC costs. Every
 later run on the same two objects reads them; a run keeps only the
@@ -123,10 +123,8 @@ class PricingTables:
         self.n_wavelengths = topology.platform.n_wavelengths
         self.gw_bw = gateway_peak_bandwidth(topology)
         self.gateways = {c.id: c.gateways for c in topology.chiplets}
-        # routes share a few distinct paths, each priced once; routes keep
-        # topology order, so the laser sum keeps its float order
-        path_mw = {p: source_mw(p, params) for p in {r.path for r in topology.routes}}
-        self.routes = [(r.writer_chiplet, r.writer_index, path_mw[r.path])
+        # in topology order, so the laser sum keeps its float order
+        self.routes = [(r.writer_chiplet, r.writer_index, source_mw(r.path, params))
                        for r in topology.routes]
         self.read_route = max((r for r in topology.routes if r.protocol == SWMR), key=_BY_LENGTH)
         # lit counts -> (active, laser W, bandwidths per chiplet set);

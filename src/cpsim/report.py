@@ -40,9 +40,7 @@ class ComparisonRow(NamedTuple):
     summary: bool = False
 
 
-# the report's columns: ComparisonRow's fields, in order, up to ``summary``
-COLUMNS = ("platform", "model", "power_w", "latency_s", "epb_j_per_bit",
-           "normalized_power", "normalized_latency", "normalized_epb", "reference_only")
+COLUMNS = ComparisonRow._fields[:-1]   # every field but ``summary``
 
 
 class ReferenceBaseline(NamedTuple):
@@ -137,18 +135,14 @@ def _table(header, rows, format: str) -> str:
     return "".join(sep.join(map(_fmt, cells)) + "\n" for cells in [header, *rows])
 
 
-def _row_values(row: ComparisonRow) -> list:
-    return [getattr(row, c) for c in COLUMNS]
-
-
 def render_report(rows: list[ComparisonRow], format: str) -> str:
     """Byte-stable text for the chosen format; numbers carry 6 significant
     digits in every format."""
     if format == "json":
         payload = [{key: float(_fmt(value)) if isinstance(value, float) else value
-                    for key, value in zip(COLUMNS, _row_values(row))} for row in rows]
+                    for key, value in zip(COLUMNS, row)} for row in rows]
         return json.dumps({"rows": payload}, indent=2) + "\n"
-    return _table(COLUMNS, map(_row_values, rows), format)
+    return _table(COLUMNS, [row[:-1] for row in rows], format)
 
 
 def layer_rows(metrics: RunMetrics) -> list[dict]:

@@ -124,7 +124,7 @@ def layer_traffic(layer: LayerSpec) -> TrafficVolume:
     tensor broadcast once, outputs written once. Bias traffic is folded into
     weight_bits."""
     return TrafficVolume(  # by position: keywords cost a third of the call
-        (layer.dot_length + 1) * layer.out_channels * layer.weight_bitwidth,  # weights: params()
+        layer.params() * layer.weight_bitwidth,  # weights
         layer.in_h * layer.in_w * layer.in_channels * layer.activation_bitwidth,  # inputs
         layer.out_h * layer.out_w * layer.out_channels * layer.activation_bitwidth,  # outputs
     )

@@ -6,14 +6,16 @@ still derives options from."""
 import dataclasses
 import importlib
 import inspect
+import json
 import pkgutil
+from importlib import resources
 
 import pytest
 
 import cpsim
 from cpsim import (DeviceParams, OpticalPath, SimOptions, build_topology, default_config, replace,
                    with_kind)
-from cpsim.config import ConfigError, PlatformSettings
+from cpsim.config import ConfigError, PlatformSettings, config_from_doc
 
 
 @pytest.fixture(scope="module")
@@ -89,10 +91,23 @@ def test_sim_options_is_the_only_dataclass():
     without generating code; a new dataclass would show here."""
     found = set()
     for info in pkgutil.walk_packages(cpsim.__path__, "cpsim."):
-        if info.name == "cpsim.__main__":   # runs the CLI when imported; defines no class
-            continue
         module = importlib.import_module(info.name)
         found |= {f"{info.name}.{name}" for name, obj in inspect.getmembers(module, inspect.isclass)
                   if obj.__module__ == info.name and dataclasses.is_dataclass(obj)}
     assert found == {"cpsim.config.SimOptions"}
 
+
+def test_shipped_config_restates_the_record_defaults():
+    """The default config's platform, devices and options sections list
+    exactly their record's fields, each equal to its default in value and
+    type, so the records' defaults alone rebuild the shipped config."""
+    doc = json.loads(resources.files("cpsim.data").joinpath("default_platform.yaml")
+                     .read_text("utf-8"))
+    for section, cls in (("platform", PlatformSettings), ("devices", DeviceParams),
+                         ("options", SimOptions)):
+        assert list(doc[section]) == list(cls.__annotations__), section
+        default = cls()
+        for name, value in doc[section].items():
+            expect = getattr(default, name)
+            assert (value, type(value)) == (expect, type(expect)), f"{section}.{name}"
+    assert config_from_doc({"chiplets": doc["chiplets"]}) == default_config()

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 import yaml
@@ -168,6 +172,8 @@ def test_validate_bad_descriptor(tmp_path, capsys):
                    "- {kind: fc, channels_in: 100, channels_out: 10}\n")
     assert cli_main(["validate", str(bad)]) == 1
     assert "error" in capsys.readouterr().err
+    assert cli_main(["validate", str(tmp_path / "absent.desc")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_simulate_requires_model(capsys):
@@ -176,6 +182,22 @@ def test_simulate_requires_model(capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert cli_main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["compare", "--help"]])
+def test_help_is_success(argv, capsys):
+    assert cli_main(argv) == 0
+    assert "usage: cpsim" in capsys.readouterr().out
+
+
+def test_python_m_cpsim_runs_the_cli_and_importing_it_does_not():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")) if p))
+    for argv, out in ((["-c", "import cpsim.__main__"], ""),
+                      (["-m", "cpsim", "validate", "lenet5"], "62006 parameters OK\n")):
+        proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, ""), argv
 
 
 def test_simulate_json_output(tmp_path):

@@ -1,52 +1,38 @@
 #!/usr/bin/env python3
 """Generate the shipped model descriptor files.
 
-Each descriptor lists per-layer geometry for a well-known DNN. The simulator
-counts parameters as conv: kh*kw*cin*cout + cout, fc: fin*fout + fout. The
-published totals for most of these models also include batch-norm parameters,
-which this format does not represent, so designated "ballast" layers carry a
-small channel pad (and the classifier input width absorbs the rest) to make
-the computed total match the published figure exactly. The pads are printed
-when the files are written, and the README's descriptor section lists them.
+Each descriptor lists per-layer geometry for a well-known DNN, built as
+cpsim's own ``LayerSpec``s, so ``LayerSpec.params`` counts the parameters
+here as it does in the simulator. The published totals for most of these
+models also include batch-norm parameters, which this format does not
+represent, so designated "ballast" layers carry a small channel pad (and the
+classifier input width absorbs the rest) to make the computed total match
+the published figure exactly. The pads are printed when the files are
+written, and the README's descriptor section lists them.
 
 The files are JSON text, one layer per line, which cpsim parses with
 ``json.loads``; JSON is also YAML, so a copy still loads as a user file.
 
-Run from the repo root:  python tools/make_descriptors.py
+Run from the repo root, with cpsim importable:
+    PYTHONPATH=src python tools/make_descriptors.py
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+
+from cpsim.workload import LayerSpec
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "cpsim", "data", "models")
 
 
-@dataclass
-class L:
-    kind: str  # conv | fc
-    kh: int = 1
-    kw: int = 1
-    cin: int = 1
-    cout: int = 1
-    in_hw: int = 1
-    out_hw: int = 1
-    stride: int = 1
-
-    def params(self) -> int:
-        if self.kind == "conv":
-            return self.kh * self.kw * self.cin * self.cout + self.cout
-        return self.cin * self.cout + self.cout
-
-
 def conv(k, cin, cout, in_hw, out_hw, stride=1):
-    return L("conv", k, k, cin, cout, in_hw, out_hw, stride)
+    return LayerSpec(0, "conv", k, k, cin, cout, in_hw, in_hw, out_hw, out_hw, stride)
 
 
 def fc(fin, fout):
-    return L("fc", cin=fin, cout=fout)
+    return LayerSpec(0, "fc", 1, 1, fin, fout, 1, 1, 1, 1)
 
 
 def total(layers):
@@ -151,13 +137,13 @@ def absorb_gap(name, layers, target):
     if gap == 0:
         return layers, []
     fc_idx = next(i for i, l in enumerate(layers) if l.kind == "fc")
-    fout = layers[fc_idx].cout
+    fout = layers[fc_idx].out_channels
     # candidate ballast convs: odd per-channel cost, coprime with fout
     cands = []
     for i, l in enumerate(layers):
         if l.kind != "conv":
             continue
-        unit = l.kh * l.kw * l.cin + 1
+        unit = l.dot_length + 1
         if unit % 2 == 1 and unit % 5 != 0:
             cands.append((i, unit))
     best = None
@@ -165,14 +151,13 @@ def absorb_gap(name, layers, target):
         for j, uj in cands[ai + 1 :][:40]:
             for x in range(-24, 25):
                 rem = gap - ui * x
-                if (rem - 0) % 1 != 0:
-                    continue
                 for z in range(-24, 25):
                     rem2 = rem - uj * z
                     if rem2 % fout != 0:
                         continue
                     y = rem2 // fout
-                    if abs(y) > 600 or layers[i].cout + x < 8 or layers[j].cout + z < 8:
+                    if (abs(y) > 600 or layers[i].out_channels + x < 8
+                            or layers[j].out_channels + z < 8):
                         continue
                     score = (abs(x) + abs(z), abs(y), i, j)
                     if best is None or score < best[0]:
@@ -181,15 +166,15 @@ def absorb_gap(name, layers, target):
         raise RuntimeError(f"{name}: no adjustment found for gap {gap}")
     _, i, x, j, z, y = best
     notes = []
-    if x:
-        layers[i] = replace(layers[i], cout=layers[i].cout + x)
-        notes.append(f"layer {i} channels_out {layers[i].cout - x} -> {layers[i].cout}")
-    if z:
-        layers[j] = replace(layers[j], cout=layers[j].cout + z)
-        notes.append(f"layer {j} channels_out {layers[j].cout - z} -> {layers[j].cout}")
+    for k, pad in ((i, x), (j, z)):
+        if pad:
+            cout = layers[k].out_channels
+            layers[k] = layers[k]._replace(out_channels=cout + pad)
+            notes.append(f"layer {k} channels_out {cout} -> {cout + pad}")
     if y:
-        layers[fc_idx] = replace(layers[fc_idx], cin=layers[fc_idx].cin + y)
-        notes.append(f"layer {fc_idx} in_features {layers[fc_idx].cin - y} -> {layers[fc_idx].cin}")
+        fin = layers[fc_idx].in_channels
+        layers[fc_idx] = layers[fc_idx]._replace(in_channels=fin + y)
+        notes.append(f"layer {fc_idx} in_features {fin} -> {fin + y}")
     assert total(layers) == target, (name, total(layers), target)
     return layers, notes
 
@@ -206,12 +191,11 @@ def emit(name, layers, target) -> str:
             "declared_conv_layers": n_conv, "declared_fc_layers": len(layers) - n_conv}
     rows = []
     for l in layers:
-        if l.kind == "conv":
-            entry = {"kind": "conv", "kernel": l.kh, "channels_in": l.cin,
-                     "channels_out": l.cout, "in_hw": l.in_hw, "out_hw": l.out_hw,
-                     "stride": l.stride}
-        else:
-            entry = {"kind": "fc", "channels_in": l.cin, "channels_out": l.cout}
+        entry = {"kind": l.kind, "kernel": l.kernel_h, "channels_in": l.in_channels,
+                 "channels_out": l.out_channels, "in_hw": l.in_h, "out_hw": l.out_h,
+                 "stride": l.stride}
+        if l.kind == "fc":   # the 1x1 geometry is left out
+            entry = {k: entry[k] for k in ("kind", "channels_in", "channels_out")}
         rows.append("    " + json.dumps(entry))
     lines = ["{"] + [f"  {json.dumps(k)}: {json.dumps(v)}," for k, v in head.items()]
     lines += ['  "layers": [', ",\n".join(rows), "  ]", "}"]
