@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import importlib.util
 import math
 import random
+import weakref
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -392,6 +394,28 @@ def test_alternating_device_params_each_get_their_own_laser_power(cfg):
             assert EpochController(topo, params).laser_w == required_laser_power(
                 [source_mw(r.path, params) for r in topo.routes], topo.platform.n_wavelengths,
                 params)
+
+
+@pytest.mark.parametrize("kind", ["siph", "elec", "mono"])
+def test_a_topology_and_its_tables_die_with_their_last_reference(cfg, kind):
+    """The pricing tables and what fills them hold no strong reference back to
+    their topology or to themselves, so with the cyclic collector off,
+    dropping a topology that has run frees it and its tables at once."""
+    variant = with_kind(cfg, kind)
+    model = load_shipped_model("lenet5")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        topology = build_topology(variant)
+        simulate_model(model, topology, map_model(model, topology), variant.devices,
+                       variant.options)
+        refs = [weakref.ref(topology),
+                weakref.ref(engine.pricing_tables(topology, variant.devices))]
+        del topology
+        assert [ref() is None for ref in refs] == [True, True]
+    finally:
+        if enabled:
+            gc.enable()
 
 # -------------------------------------------------- single-layer fc traces
 
