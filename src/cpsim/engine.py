@@ -14,15 +14,12 @@ pipeline for one phase-change transition and retunes the laser budget.
 
 What a run works out from its topology and DeviceParams alone is kept in a
 ``PricingTables`` that the topology holds for the DeviceParams object it last
-ran with: each route's source power, the controller's lit-count states with
-their laser watts and bandwidths, the retunes per pair of states, the write
-route and lit counts per chiplet set, the mesh hops and the MAC costs. Every
-later run on the same two objects reads them; a run keeps only the
-controller's current state, the trailing target and its results. The tables
-are found by object identity, not equality: one ``is`` test instead of
-comparing every route and device field, a table is reached only through the
-topology that holds it, and since every entry is a pure function of its key
-and the two objects, no run's output depends on which runs came before it.
+ran with, found by identity. Besides each route's source power, every table
+(MAC costs, mesh hops, write routes, the controller's lit-count states, their
+retunes and the lit counts per layer target) is a ``Memo`` declared with its
+one rule; the layer loop and the controller only look entries up. Every entry
+is a pure function of its key and the two objects, so no run's output depends
+on which runs came before it.
 
 A single run is sequential and deterministic; identical inputs produce
 bit-identical metrics.
@@ -31,6 +28,7 @@ bit-identical metrics.
 from __future__ import annotations
 
 import math
+import weakref
 from functools import reduce
 from operator import add, attrgetter
 from typing import NamedTuple
@@ -103,35 +101,70 @@ def transfer_time_electrical(bits: float, header_s: float, link_bw: float,
 # ------------------------------------------------------------ shared tables
 
 
+class Memo(dict):
+    """A table whose missing entry is ``rule(key)``, worked out once and kept."""
+    def __init__(self, rule) -> None:
+        self.rule = rule
+
+    def __missing__(self, key):
+        value = self[key] = self.rule(key)
+        return value
+
+
 class PricingTables:
-    """What runs price from a topology and a DeviceParams alone. The eager
-    part is built with the tables; every dict starts empty, the first run to
-    need an entry fills it, and no entry changes once written. Entries hold
-    numbers, tuples and routes only, never a run's controller or closures."""
+    """What runs price from a topology and a DeviceParams alone: each lazy
+    table is a ``Memo`` declared here with its one rule, and no entry changes
+    once written. No rule holds the topology or the tables, so both go with
+    their last reference, and no entry holds a run's controller."""
 
     def __init__(self, topology: PlatformTopology, params: DeviceParams) -> None:
         self.params = params
-        self.memory_ids = [c.id for c in topology.memory_chiplets()]
+        self.memory_ids = memory_ids = [c.id for c in topology.memory_chiplets()]
         # interposer rings stay locked to the WDM grid whether or not their
         # gateway is lit; deactivation saves laser power, not trim power.
         # Other kinds have no interposer rings: 0.0 W
-        self.link_tuning_w = mr_tuning_power(topology.total_mrs(), params)
-        self.mac_costs: dict = {}   # (total MACs, vector length) -> (trim W, converter pJ)
-        self.per_set: dict = {}     # chiplet ids -> write route (siph), hops and worst (elec)
+        link_w = mr_tuning_power(topology.total_mrs(), params)
+        # (total MACs, vector length) -> (ring trim W of link and MAC pool, converter pJ)
+        self.mac_costs = Memo(lambda pool: (
+            link_w + mr_tuning_power(pool[0] * pool[1], params),
+            params.dac_energy_pj * pool[1] + params.adc_energy_pj))
+        if topology.kind == ELEC:
+            mesh = weakref.proxy(topology)   # held strongly, the topology would be in a cycle
+            # chiplet ids -> (each one's hops from its memory chiplet, the most)
+            self.hops = Memo(lambda ids: (each := tuple(
+                electrical_hops(memory_ids[i % len(memory_ids)], cid, mesh)
+                for i, cid in enumerate(ids)), max(each)))
         if topology.kind != SIPH:
             return
-        self.n_wavelengths = topology.platform.n_wavelengths
-        self.gw_bw = gateway_peak_bandwidth(topology)
-        self.gateways = {c.id: c.gateways for c in topology.chiplets}
+        n_wavelengths = topology.platform.n_wavelengths
+        self.gw_bw = gw_bw = gateway_peak_bandwidth(topology)
+        self.gateways = gateways = {c.id: c.gateways for c in topology.chiplets}
+
+        def lit_counts(wanted):   # the lit-count clamp: at least 1, at most all
+            return tuple(max(1, min(wanted.get(cid, 0), n)) for cid, n in gateways.items())
+        self.lit_counts = lit_counts
         # in topology order, so the laser sum keeps its float order
-        self.routes = [(r.writer_chiplet, r.writer_index, source_mw(r.path, params))
-                       for r in topology.routes]
+        routes = [(r.writer_chiplet, r.writer_index, source_mw(r.path, params))
+                  for r in topology.routes]
         self.read_route = max((r for r in topology.routes if r.protocol == SWMR), key=_BY_LENGTH)
-        # lit counts -> (active, laser W, bandwidths per chiplet set);
-        # (old, new) lit counts -> retunes; (ids, n, n_memory) -> lit counts
-        self.states: dict = {}
-        self.retunes: dict = {}
-        self.layer_counts: dict = {}
+        writes = [r for r in topology.routes if r.protocol == SWSR]
+        # chiplet ids -> a longest write route of those chiplets
+        self.write_routes = Memo(lambda ids: max((r for r in writes if r.writer_chiplet in ids),
+                                                 key=_BY_LENGTH))
+
+        def state(counts):   # lit counts -> (active, laser W, bandwidths per chiplet set)
+            active = dict(zip(gateways, counts))
+            # every chiplet keeps gateway 0 lit, so some route is always driven
+            lit_mw = [mw for cid, k, mw in routes if k < active[cid]]
+            return active, required_laser_power(lit_mw, n_wavelengths, params), Memo(
+                lambda ids: (sum(active[m] for m in memory_ids) * gw_bw,
+                             sum(active[c] for c in ids) * gw_bw))
+        self.states = Memo(state)
+        # (old, new) lit counts -> couplers retuned
+        self.retunes = Memo(lambda pair: sum(max(b, a) for b, a in zip(*pair) if b != a))
+        # (ids, n, n_memory) -> lit counts: n wanted per chiplet of ids, n_memory per memory
+        self.layer_counts = Memo(lambda target: lit_counts(
+            dict.fromkeys(target[0], target[1]) | dict.fromkeys(memory_ids, target[2])))
 
 
 def pricing_tables(topology: PlatformTopology, params: DeviceParams) -> PricingTables:
@@ -154,8 +187,8 @@ class EpochController:
     target state follows from two integers, the gateways its demand fills on
     each assigned and on each memory chiplet. Each state's ``active`` dict,
     laser watts and lit bandwidths, and the retunes of each (old, new) pair,
-    are worked out once per (topology, params) objects, keyed by lit counts,
-    and kept in their ``PricingTables``; a controller holds only its state."""
+    are looked up in the ``Memo`` tables of its (topology, params) objects,
+    keyed by lit counts; a controller holds only its state."""
 
     def __init__(self, topology: PlatformTopology, params: DeviceParams) -> None:
         self._tables = pricing_tables(topology, params)
@@ -165,7 +198,7 @@ class EpochController:
 
     def lit_counts(self, wanted: dict[str, int]) -> tuple[int, ...]:
         """The state for ``wanted`` gateways per chiplet, at least 1 and at most all."""
-        return tuple(max(1, min(wanted.get(cid, 0), n)) for cid, n in self._gateways.items())
+        return self._tables.lit_counts(wanted)
 
     def resize(self, counts: tuple[int, ...]) -> int:
         """Enter the state ``counts``; returns the couplers retuned, ``max(before, after)``
@@ -173,29 +206,13 @@ class EpochController:
         old, tables = self.counts, self._tables
         if counts == old:
             return 0
-        retuned = tables.retunes.get((old, counts))
-        if retuned is None:
-            retuned = tables.retunes[old, counts] = sum(max(b, a) for b, a in zip(old, counts)
-                                                        if b != a)
-        state = tables.states.get(counts)
-        if state is None:
-            active = dict(zip(self._gateways, counts))
-            # every chiplet keeps gateway 0 lit, so some route is always driven
-            lit_mw = [mw for cid, k, mw in tables.routes if k < active[cid]]
-            state = tables.states[counts] = (active, required_laser_power(
-                lit_mw, tables.n_wavelengths, tables.params), {})
-        self.counts, (self.active, self.laser_w, self._bandwidths_of) = counts, state
-        return retuned
+        self.counts = counts
+        self.active, self.laser_w, self._bandwidths_of = tables.states[counts]
+        return tables.retunes[old, counts]
 
     def bandwidths(self, ids: tuple[str, ...]) -> tuple[float, float]:
         """Bits/s through the lit gateways of the memory chiplets and of ``ids``."""
-        bandwidths = self._bandwidths_of.get(ids)
-        if bandwidths is None:
-            lit, tables = self.active, self._tables
-            bandwidths = self._bandwidths_of[ids] = (
-                sum(lit[m] for m in tables.memory_ids) * tables.gw_bw,
-                sum(lit[c] for c in ids) * tables.gw_bw)
-        return bandwidths
+        return self._bandwidths_of[ids]
 
     def couplers(self, chiplet_id: str) -> list[PcmcState]:
         """Coupler states along the chiplet's trunk: the trunk is split
@@ -217,8 +234,8 @@ def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOpt
     before every layer; a resize stalls for one phase-change transition."""
     params = tables.params
     controller = EpochController(topology, params)
-    memory_ids, write_routes, layer_counts = tables.memory_ids, tables.per_set, tables.layer_counts
-    read_route, gw_bw = tables.read_route, tables.gw_bw
+    memory_ids, layer_counts = tables.memory_ids, tables.layer_counts
+    read_route, write_routes, gw_bw = tables.read_route, tables.write_routes, tables.gw_bw
     freq, cycles = topology.platform.gateway_freq_hz, options.gateway_overhead_cycles
     conversion_pj = params.modulator_energy_pj_per_bit + params.filter_pd_energy_pj_per_bit
     trailing = options.demand_mode == "trailing"
@@ -227,11 +244,6 @@ def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOpt
     def layer(traffic: TrafficVolume, assignment: LayerAssignment, compute_s: float):
         nonlocal previous
         ids = assignment.chiplet_ids
-        write_route = write_routes.get(ids)
-        if write_route is None:   # a longest write route of the set's chiplets
-            write_route = write_routes[ids] = max(
-                (r for r in topology.routes if r.protocol == SWSR and r.writer_chiplet in ids),
-                key=_BY_LENGTH)
         weight_bits = traffic.weight_bits * options.weight_refetch_factor
         read_bits = weight_bits + traffic.input_bits
         write_bits = float(traffic.output_bits)
@@ -244,20 +256,15 @@ def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOpt
                                       / len(ids)) / window / gw_bw),
                       math.ceil((read_bits + write_bits) / window / len(memory_ids) / gw_bw))
             target, previous = (previous, target) if trailing else (target, target)
-            counts = layer_counts.get(target)
-            if counts is None:   # n gateways wanted per chiplet of ids, n_memory per memory
-                wanted_ids, n, n_memory = target
-                counts = layer_counts[target] = controller.lit_counts(
-                    dict.fromkeys(wanted_ids, n) | dict.fromkeys(memory_ids, n_memory))
             # a changed count always retunes a coupler, so switched > 0 is a resize
-            switched = controller.resize(counts)
+            switched = controller.resize(layer_counts[target])
             if switched:
                 overhead_s = params.pcm_transition_s
 
         memory_bw, assigned_bw = controller.bandwidths(ids)
         read_s = transfer_time_photonic(read_bits, memory_bw, assigned_bw, read_route,
                                         params, freq, cycles)
-        write_s = transfer_time_photonic(write_bits, assigned_bw, memory_bw, write_route,
+        write_s = transfer_time_photonic(write_bits, assigned_bw, memory_bw, write_routes[ids],
                                          params, freq, cycles)
 
         bits = read_bits + write_bits
@@ -274,23 +281,18 @@ def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOpt
 def _mesh(topology: PlatformTopology, tables: PricingTables, options: SimOptions):
     """Electrical mesh interposer: one router per chiplet, each drawing
     static power for the whole layer."""
-    memory_ids, hops_of = tables.memory_ids, tables.per_set
-    if not memory_ids:
+    if not tables.memory_ids:
         raise MappingError("electrical topology has no memory chiplet")
     p = topology.platform
     n_routers = topology.mesh_dims[0] * topology.mesh_dims[1]
     pj_per_bit_hop, noc_freq_hz = p.noc_energy_pj_per_bit_hop, p.noc_freq_hz
     link_bw, router_cycles = p.noc_width_bits * noc_freq_hz, options.router_latency_cycles
     watts = {"electrical_noc": p.noc_router_static_w * n_routers}
+    hops_of = tables.hops
 
     def layer(traffic: TrafficVolume, assignment: LayerAssignment, compute_s: float):
         ids = assignment.chiplet_ids
-        entry = hops_of.get(ids)
-        if entry is None:   # each chiplet's hops from its memory chiplet, and the most
-            hops = tuple(electrical_hops(memory_ids[i % len(memory_ids)], cid, topology)
-                         for i, cid in enumerate(ids))
-            entry = hops_of[ids] = (hops, max(hops))
-        (hops, worst_hops), n_ids = entry, len(ids)
+        (hops, worst_hops), n_ids = hops_of[ids], len(ids)
         congestion = options.elec_congestion_factor if n_ids > 1 else 1.0
         weight_bits = traffic.weight_bits * options.weight_refetch_factor
         # broadcast is replicated on the mesh: every assigned chiplet
@@ -378,14 +380,7 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
         energy = {**zeros, **joules}
         for category, w in watts.items():
             energy[category] += w * latency
-        pool = (assignment.total_macs, assignment.mac_type.vector_len)
-        costs = mac_costs.get(pool)
-        if costs is None:   # ring trim W of link and MAC pool, converter pJ per invocation
-            total_macs, vector_len = pool
-            costs = mac_costs[pool] = (
-                tables.link_tuning_w + mr_tuning_power(total_macs * vector_len, params),
-                params.dac_energy_pj * vector_len + params.adc_energy_pj)
-        tuning_w, mac_pj = costs
+        tuning_w, mac_pj = mac_costs[assignment.total_macs, assignment.mac_type.vector_len]
         energy["tuning"] = tuning_w * latency
         energy["mac"] = assignment.invocations * mac_pj * 1e-12
         results.append(LayerResult(layer.index, compute_s, read_s, write_s, overhead_s,

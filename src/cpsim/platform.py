@@ -178,8 +178,6 @@ def _chiplet_spec(entry: ChipletConfig, cell: tuple[int, int], p) -> ChipletSpec
 def _wire_photonic(chiplets: list[ChipletSpec], p) -> tuple[list[WaveguideRoute], list[Mrg]]:
     compute = [c for c in chiplets if c.role == "compute"]
     memory = [c for c in chiplets if c.role == "memory"]
-    if not memory:
-        raise ConfigError("photonic interposer needs at least one memory chiplet")
     # (gateway id, chiplet, index on the chiplet's trunk)
     compute_gws = [(gw, c, k) for c in compute for k, gw in enumerate(c.gateway_ids())]
     memory_gws = [(gw, c, k) for c in memory for k, gw in enumerate(c.gateway_ids())]
@@ -225,6 +223,8 @@ def build_topology(cfg: SimConfig) -> PlatformTopology:
     chiplets = _place_chiplets(cfg)
     if not any(c.role == "compute" for c in chiplets):
         raise ConfigError("no compute chiplets configured")
+    if not any(c.role == "memory" for c in chiplets):   # both interposers route to memory
+        raise ConfigError(f"{p.kind} needs at least one memory chiplet")
     routes, mrgs = _wire_photonic(chiplets, p) if p.kind == SIPH else ((), ())
     return PlatformTopology(p, chiplets=tuple(chiplets), routes=tuple(routes), mrgs=tuple(mrgs),
                             mesh_dims=(p.grid_rows, p.grid_cols))

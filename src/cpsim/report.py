@@ -4,8 +4,10 @@ Comparison rows normalize power, latency, and energy-per-bit against a
 chosen baseline platform, per model, with a geometric-mean summary row per
 platform. Published figures for other accelerators ship as reference-only
 rows for context; they never enter the summaries. A run's per-layer record
-is ``layer_rows``; every format of a run or a comparison goes through one
-number format, ``_fmt``, and csv/tsv through one table writer, ``_table``.
+is ``layer_rows``. csv/tsv go through one table writer, ``_table``; its cells
+and every number of a comparison go through one 6-significant-digit format,
+``_fmt``. A run's JSON and the topology JSON write each float at full
+precision, as its shortest round-trip ``repr``.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ SEPARATORS = {"csv": ",", "tsv": "\t"}
 
 
 def _fmt(value) -> str:
-    """The one number format: 6 significant digits; None is an empty cell."""
+    """The table and comparison number format: 6 significant digits; None is an empty cell."""
     if value is None:
         return ""
     if isinstance(value, bool):

@@ -460,3 +460,20 @@ def test_gateway_cap_is_inclusive():
     ChipletConfig("c0", "compute", "dense100", MAX_GATEWAYS * 2, 2)
     with pytest.raises(ConfigError, match="gateways"):
         ChipletConfig("mem0", "memory", gateways=MAX_GATEWAYS + 1)
+
+
+@pytest.mark.parametrize("kind", ["siph", "elec"])
+def test_interposer_without_a_memory_chiplet_fails_when_built(tmp_path, capsys, kind):
+    """Both interposer kinds reject a config with no memory chiplet when the
+    topology is built, so ``topology`` fails as ``simulate`` does; the
+    monolithic chip has no interposer and runs."""
+    doc = default_config_doc()
+    doc["chiplets"] = [c for c in doc["chiplets"] if c["role"] == "compute"][:1]
+    config = write_yaml(tmp_path / "compute_only.yaml", doc)
+    for argv in (["topology", "--out", str(tmp_path / "t.json")],
+                 ["simulate", "--model", "lenet5", "--out", str(tmp_path / "run.json")]):
+        assert cli_main([*argv, "--platform", kind, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "needs at least one memory chiplet" in err and "Traceback" not in err
+    assert cli_main(["simulate", "--model", "lenet5", "--platform", "mono", "--config",
+                     str(config), "--out", str(tmp_path / "mono.json")]) == 0
