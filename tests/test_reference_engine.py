@@ -143,11 +143,8 @@ def reference(model, topology, plan, params, options) -> RunMetrics:
     breakdown = {k: fold(r.energy_j[k] for r in results) for k in ENERGY_CATEGORIES}
     latency = fold(r.layer_latency_s for r in results)
     energy = fold(breakdown.values())
-    metrics = RunMetrics(latency, energy, breakdown, energy / latency if latency else 0.0,
-                         total_bits, energy / total_bits if total_bits else 0.0, tuple(results))
-    if not all(map(math.isfinite, (latency, energy, metrics.avg_power_w))):
-        raise OverflowError(model.name)
-    return metrics
+    return RunMetrics(latency, energy, breakdown, energy / latency if latency else 0.0,
+                      total_bits, energy / total_bits if total_bits else 0.0, tuple(results))
 
 
 # ---------------------------------------------------------------- drawing
@@ -226,14 +223,6 @@ MODELS = st.lists(st.tuples(st.integers(0, 50), st.integers(3, 40)), min_size=1,
     lambda drawn: [shipped(name) for name in SHIPPED] + [generated(*d) for d in drawn])
 
 
-def outcome(run) -> str:
-    """The repr of ``run()``'s metrics, or the name of the error it raised."""
-    try:
-        return repr(run())
-    except OverflowError as exc:
-        return type(exc).__name__
-
-
 # not shrunk: an example runs hundreds of layers, and shrinking one mismatch took minutes
 @settings(max_examples=20, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(platforms(), st.lists(DEVICES, min_size=1, max_size=2),
@@ -247,4 +236,4 @@ def test_engine_matches_from_scratch_reference(cfg, devices, options, models):
         for i, model in enumerate(models):
             args = (model, topology, map_model(model, topology),
                     devices[i % len(devices)], options[i % len(options)])
-            assert outcome(lambda: simulate_model(*args)) == outcome(lambda: reference(*args))
+            assert repr(simulate_model(*args)) == repr(reference(*args))
