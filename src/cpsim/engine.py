@@ -1,11 +1,14 @@
 """End-to-end execution model.
 
-Layers run strictly in order, through one loop for every platform. Per
-layer the loop prices compute time on the assigned MAC arrays, MAC ring
-tuning and MAC energy, and asks the platform's interconnect (photonic
-gateways, electrical mesh or off-chip link) for the read/write transfer
-time, any reconfiguration stall, and the energy its lasers, conversions,
-gateway electronics, controller, mesh or off-chip interface draw.
+Layers run strictly in order, and a run is priced column by column: one
+list per quantity, one entry per layer. ``simulate_model`` works out the
+compute-time column on the assigned MAC arrays, then calls the platform's
+interconnect builder (photonic gateways, electrical mesh or off-chip link)
+once for the read/write transfer time, reconfiguration stall and bits moved
+of every layer, and the energy its lasers, conversions, gateway electronics,
+controller, mesh or off-chip interface draw. From those it works out the
+latency, MAC ring tuning and MAC energy columns, builds each layer's record
+once and folds the run's totals from the columns.
 
 On the photonic interposer an epoch controller re-evaluates traffic before
 every layer and retunes the phase-change couplers so only the gateways the
@@ -17,9 +20,9 @@ What a run works out from its topology and DeviceParams alone is kept in a
 ran with, found by identity. Besides each route's source power, every table
 (MAC costs, mesh hops, write routes, the controller's lit-count states, their
 retunes and the lit counts per layer target) is a ``Memo`` declared with its
-one rule; the layer loop and the controller only look entries up. Every entry
-is a pure function of its key and the two objects, so no run's output depends
-on which runs came before it.
+one rule; the interconnect builders and the controller only look entries up.
+Every entry is a pure function of its key and the two objects, so no run's
+output depends on which runs came before it.
 
 A single run is sequential and deterministic; identical inputs produce
 bit-identical metrics.
@@ -39,8 +42,8 @@ from .config import ELEC, MONO, SIPH, SimOptions, default_config
 from .devices import (DeviceParams, PcmcState, mr_tuning_power, pcmc_chain_for_equal_split,
                       required_laser_power, source_mw)
 from .mapper import LayerAssignment, MappingError, MappingPlan, map_model
-from .platform import (SWMR, SWSR, PlatformTopology, WaveguideRoute, build_topology,
-                       electrical_hops, gateway_peak_bandwidth)
+from .platform import (SWMR, SWSR, PlatformTopology, build_topology, electrical_hops,
+                       gateway_peak_bandwidth)
 from .workload import DnnModelSpec, TrafficVolume, layer_traffic
 
 _BY_LENGTH = attrgetter("path.length_mm")
@@ -67,35 +70,6 @@ class RunMetrics(NamedTuple):
     total_bits: int
     epb_j_per_bit: float
     per_layer: tuple[LayerResult, ...]
-
-
-# ------------------------------------------------------------ primitives
-
-
-def compute_time(assignment: LayerAssignment, mac_rate_hz: float) -> float:
-    """Seconds for the assigned MAC pool to retire all invocations, one
-    vector dot per MAC per cycle. ``SimOptions`` keeps the rate positive and
-    ``simulate_model`` rejects a plan with a MAC-less layer before its loop."""
-    return math.ceil(assignment.invocations / assignment.total_macs) / mac_rate_hz
-
-
-def transfer_time_photonic(bits: float, writer_bw: float, reader_bw: float,
-                           route: WaveguideRoute, params: DeviceParams,
-                           gateway_freq_hz: float, overhead_cycles: int) -> float:
-    """Serialization at the slower endpoint, plus waveguide propagation and
-    fixed store-and-forward gateway buffering. A lit gateway count is at
-    least 1, so both bandwidths are positive."""
-    serialization = bits / min(writer_bw, reader_bw)
-    propagation = route.path.length_mm / params.group_velocity_mm_per_s
-    overhead = overhead_cycles / gateway_freq_hz
-    return serialization + propagation + overhead
-
-
-def transfer_time_electrical(bits: float, header_s: float, link_bw: float,
-                             congestion: float) -> float:
-    """The header's per-hop router latency plus link serialization, scaled by
-    a congestion factor when several chiplets contend for the memory node."""
-    return header_s + bits * congestion / link_bw
 
 
 # ------------------------------------------------------------ shared tables
@@ -222,108 +196,119 @@ class EpochController:
 
 
 # ---------------------------------------------------------- interconnects
-# One factory per platform kind returns a function pricing one layer's data
-# movement as (read_s, write_s, overhead_s, bits_moved, joules, watts) from
-# the run's options and the shared tables. ``joules`` holds the energy of the
-# interconnect's own categories, ``watts`` the power of those it draws for
-# the whole layer.
+# One builder per platform kind prices a whole run's data movement from the
+# model's traffic, the plan's assignments and the compute-time column. It
+# returns the per-layer columns read_s, write_s, overhead_s and bits_moved,
+# and a function of the latency column giving the columns of the kind's own
+# energy categories: laser, conversion, gateway_elec, controller and
+# electrical_noc, a literal 0.0 per layer where the kind has no hardware.
 
 
-def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOptions):
+def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOptions,
+              traffic: tuple[TrafficVolume, ...], assignments: tuple[LayerAssignment, ...],
+              compute: list[float]):
     """Photonic interposer: the epoch controller resizes the lit gateways
-    before every layer; a resize stalls for one phase-change transition."""
+    before every layer; a resize stalls for one phase-change transition.
+    A transfer is serialization at the slower endpoint, plus waveguide
+    propagation and fixed store-and-forward gateway buffering."""
     params = tables.params
     controller = EpochController(topology, params)
-    memory_ids, layer_counts = tables.memory_ids, tables.layer_counts
-    read_route, write_routes, gw_bw = tables.read_route, tables.write_routes, tables.gw_bw
-    freq, cycles = topology.platform.gateway_freq_hz, options.gateway_overhead_cycles
-    conversion_pj = params.modulator_energy_pj_per_bit + params.filter_pd_energy_pj_per_bit
-    trailing = options.demand_mode == "trailing"
+    layer_counts, write_routes = tables.layer_counts, tables.write_routes
+    n_memory, gw_bw = len(tables.memory_ids), tables.gw_bw
+    velocity = params.group_velocity_mm_per_s
+    read_flight = tables.read_route.path.length_mm / velocity
+    hold = options.gateway_overhead_cycles / topology.platform.gateway_freq_hz
+    refetch, epoch_s = options.weight_refetch_factor, options.epoch_s
+    resipi, trailing = options.resipi_enabled, options.demand_mode == "trailing"
     previous = ((), 0, 0)   # no history: the state with only gateway 0 of each chiplet lit
+    rows = []
 
-    def layer(traffic: TrafficVolume, assignment: LayerAssignment, compute_s: float):
-        nonlocal previous
+    for t, assignment, compute_s in zip(traffic, assignments, compute):
         ids = assignment.chiplet_ids
-        weight_bits = traffic.weight_bits * options.weight_refetch_factor
-        read_bits = weight_bits + traffic.input_bits
-        write_bits = float(traffic.output_bits)
-
-        overhead_s, switched = 0.0, 0
-        if options.resipi_enabled:
+        weight_bits = t.weight_bits * refetch
+        read_bits = weight_bits + t.input_bits
+        write_bits = float(t.output_bits)
+        switched = 0
+        if resipi:
             # every assigned chiplet gets one demand share, every memory chiplet another
-            window = max(compute_s, options.epoch_s)
-            target = (ids, math.ceil((traffic.input_bits + (weight_bits + traffic.output_bits)
-                                      / len(ids)) / window / gw_bw),
-                      math.ceil((read_bits + write_bits) / window / len(memory_ids) / gw_bw))
+            window = max(compute_s, epoch_s)
+            target = (ids, math.ceil((t.input_bits + (weight_bits + t.output_bits) / len(ids))
+                                     / window / gw_bw),
+                      math.ceil((read_bits + write_bits) / window / n_memory / gw_bw))
             target, previous = (previous, target) if trailing else (target, target)
             # a changed count always retunes a coupler, so switched > 0 is a resize
             switched = controller.resize(layer_counts[target])
-            if switched:
-                overhead_s = params.pcm_transition_s
-
         memory_bw, assigned_bw = controller.bandwidths(ids)
-        read_s = transfer_time_photonic(read_bits, memory_bw, assigned_bw, read_route,
-                                        params, freq, cycles)
-        write_s = transfer_time_photonic(write_bits, assigned_bw, memory_bw, write_routes[ids],
-                                         params, freq, cycles)
+        rows.append((
+            (read_bits / min(memory_bw, assigned_bw) + read_flight) + hold,
+            (write_bits / min(assigned_bw, memory_bw)
+             + write_routes[ids].path.length_mm / velocity) + hold,
+            params.pcm_transition_s if switched else 0.0,
+            read_bits + write_bits, controller.laser_w, switched))
 
-        bits = read_bits + write_bits
-        joules = {
-            "conversion": bits * conversion_pj * 1e-12,
-            "gateway_elec": bits * params.gateway_elec_energy_pj_per_bit * 1e-12,
-            "controller": switched * options.pcmc_switch_energy_pj * 1e-12,
-        }
-        return read_s, write_s, overhead_s, bits, joules, {"laser": controller.laser_w}
+    read, write, overhead, bits, laser_w, switches = zip(*rows)
+    conversion_pj = params.modulator_energy_pj_per_bit + params.filter_pd_energy_pj_per_bit
+    gateway_pj, switch_pj = params.gateway_elec_energy_pj_per_bit, options.pcmc_switch_energy_pj
+    conversion = [b * conversion_pj * 1e-12 for b in bits]
+    gateway = [b * gateway_pj * 1e-12 for b in bits]
+    control = [s * switch_pj * 1e-12 for s in switches]
+    zeros = [0.0] * len(rows)
+    return read, write, overhead, bits, lambda latency: (
+        [w * t for w, t in zip(laser_w, latency)], conversion, gateway, control, zeros)
 
-    return layer
 
-
-def _mesh(topology: PlatformTopology, tables: PricingTables, options: SimOptions):
+def _mesh(topology: PlatformTopology, tables: PricingTables, options: SimOptions,
+          traffic: tuple[TrafficVolume, ...], assignments: tuple[LayerAssignment, ...],
+          compute: list[float]):
     """Electrical mesh interposer: one router per chiplet, each drawing
-    static power for the whole layer."""
+    static power for the whole layer. A transfer is the header's per-hop
+    router latency plus link serialization, scaled by a congestion factor
+    when several chiplets contend for the memory node."""
     if not tables.memory_ids:
         raise MappingError("electrical topology has no memory chiplet")
     p = topology.platform
-    n_routers = topology.mesh_dims[0] * topology.mesh_dims[1]
+    static_w = p.noc_router_static_w * (topology.mesh_dims[0] * topology.mesh_dims[1])
     pj_per_bit_hop, noc_freq_hz = p.noc_energy_pj_per_bit_hop, p.noc_freq_hz
     link_bw, router_cycles = p.noc_width_bits * noc_freq_hz, options.router_latency_cycles
-    watts = {"electrical_noc": p.noc_router_static_w * n_routers}
+    refetch, crowded = options.weight_refetch_factor, options.elec_congestion_factor
     hops_of = tables.hops
+    rows = []
 
-    def layer(traffic: TrafficVolume, assignment: LayerAssignment, compute_s: float):
+    for t, assignment in zip(traffic, assignments):
         ids = assignment.chiplet_ids
         (hops, worst_hops), n_ids = hops_of[ids], len(ids)
-        congestion = options.elec_congestion_factor if n_ids > 1 else 1.0
-        weight_bits = traffic.weight_bits * options.weight_refetch_factor
+        congestion = crowded if n_ids > 1 else 1.0
+        weight_bits = t.weight_bits * refetch
         # broadcast is replicated on the mesh: every assigned chiplet
         # receives its own copy of the input tensor
-        read_bits = weight_bits + traffic.input_bits * n_ids
-        write_bits = float(traffic.output_bits)
+        read_bits = weight_bits + t.input_bits * n_ids
+        write_bits = float(t.output_bits)
         header_s = worst_hops * router_cycles / noc_freq_hz
-        read_s = transfer_time_electrical(read_bits, header_s, link_bw, congestion)
-        write_s = transfer_time_electrical(write_bits, header_s, link_bw, congestion)
+        per_chiplet_bits = (weight_bits + t.output_bits) / n_ids + t.input_bits
+        rows.append((header_s + read_bits * congestion / link_bw,
+                     header_s + write_bits * congestion / link_bw, read_bits + write_bits,
+                     reduce(add, [per_chiplet_bits * h for h in hops], 0.0)
+                     * pj_per_bit_hop * 1e-12))
 
-        per_chiplet_bits = (weight_bits + traffic.output_bits) / n_ids + traffic.input_bits
-        noc_dynamic_j = reduce(add, [per_chiplet_bits * h for h in hops], 0.0) \
-            * pj_per_bit_hop * 1e-12
-        return (read_s, write_s, 0.0, read_bits + write_bits,
-                {"electrical_noc": noc_dynamic_j}, watts)
-
-    return layer
+    read, write, bits, dynamic = zip(*rows)
+    zeros = [0.0] * len(rows)
+    return read, write, zeros, bits, lambda latency: (
+        zeros, zeros, zeros, zeros, [d + static_w * t for d, t in zip(dynamic, latency)])
 
 
-def _offchip(topology: PlatformTopology, tables: PricingTables, options: SimOptions):
+def _offchip(topology: PlatformTopology, tables: PricingTables, options: SimOptions,
+             traffic: tuple[TrafficVolume, ...], assignments: tuple[LayerAssignment, ...],
+             compute: list[float]):
     """Monolithic chip: every tensor crosses the off-chip memory interface."""
     bw, pj_per_bit = topology.platform.offchip_bw_bps, topology.platform.offchip_energy_pj_per_bit
-
-    def layer(traffic: TrafficVolume, assignment: LayerAssignment, compute_s: float):
-        read_bits = traffic.weight_bits * options.weight_refetch_factor + traffic.input_bits
-        write_bits = float(traffic.output_bits)
-        bits = read_bits + write_bits
-        joules = {"electrical_noc": bits * pj_per_bit * 1e-12}
-        return read_bits / bw, write_bits / bw, 0.0, bits, joules, {}
-
-    return layer
+    refetch = options.weight_refetch_factor
+    read_bits = [t.weight_bits * refetch + t.input_bits for t in traffic]
+    write_bits = [float(t.output_bits) for t in traffic]
+    bits = [r + w for r, w in zip(read_bits, write_bits)]
+    noc = [b * pj_per_bit * 1e-12 for b in bits]
+    zeros = [0.0] * len(bits)
+    return ([b / bw for b in read_bits], [b / bw for b in write_bits], zeros, bits,
+            lambda latency: (zeros, zeros, zeros, zeros, noc))
 
 
 _INTERCONNECTS = {SIPH: _photonic, ELEC: _mesh, MONO: _offchip}
@@ -344,20 +329,6 @@ def _check_plan(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPl
         raise MappingError("assignment has no MACs")
 
 
-def _combine(layer_results: list[LayerResult], total_bits: int) -> RunMetrics:
-    # every float sum is a left fold from 0.0 in layer or category order (each energy
-    # dict holds ENERGY_CATEGORIES in order), so no Python version's sum() moves it
-    columns = zip(*[r.energy_j.values() for r in layer_results])
-    breakdown = {k: reduce(add, column, 0.0) for k, column in zip(ENERGY_CATEGORIES, columns)}
-    total_latency = reduce(add, map(attrgetter("layer_latency_s"), layer_results), 0.0)
-    total_energy = reduce(add, breakdown.values(), 0.0)
-    return RunMetrics(total_latency_s=total_latency, total_energy_j=total_energy,
-                      energy_breakdown=breakdown, total_bits=total_bits,
-                      avg_power_w=total_energy / total_latency if total_latency else 0.0,
-                      epb_j_per_bit=total_energy / total_bits if total_bits else 0.0,
-                      per_layer=tuple(layer_results))
-
-
 def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPlan,
                    params: DeviceParams, options: SimOptions | None = None) -> RunMetrics:
     """Run ``model`` as mapped by ``plan`` on ``topology``. Raises OverflowError
@@ -365,31 +336,37 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
     options = options or SimOptions()
     _check_plan(model, topology, plan)
     tables = pricing_tables(topology, params)
-    price = _INTERCONNECTS[topology.kind](topology, tables, options)
-    overlap, mac_rate_hz, mac_costs = options.overlap, options.mac_rate_hz, tables.mac_costs
-    zeros = dict.fromkeys(ENERGY_CATEGORIES, 0.0)
-    results: list[LayerResult] = []
+    assignments, mac_rate_hz = plan.assignments, options.mac_rate_hz
+    # the assigned MAC pool retires one vector dot per MAC per cycle
+    compute = [math.ceil(a.invocations / a.total_macs) / mac_rate_hz for a in assignments]
+    read, write, overhead, bits, own_energy = _INTERCONNECTS[topology.kind](
+        topology, tables, options, model.traffic, assignments, compute)
+    columns = zip(compute, read, write, overhead)
+    latency = ([max(c, r, w) + o for c, r, w, o in columns] if options.overlap
+               else [c + r + w + o for c, r, w, o in columns])
 
-    for layer, traffic, assignment in zip(model.layers, model.traffic, plan.assignments):
-        compute_s = compute_time(assignment, mac_rate_hz)
-        read_s, write_s, overhead_s, bits_moved, joules, watts = price(traffic, assignment,
-                                                                       compute_s)
-        latency = (max(compute_s, read_s, write_s) if overlap
-                   else compute_s + read_s + write_s) + overhead_s
+    costs = [tables.mac_costs[a.total_macs, a.mac_type.vector_len] for a in assignments]
+    tuning = [w * t for (w, _), t in zip(costs, latency)]
+    mac = [a.invocations * pj * 1e-12 for a, (_, pj) in zip(assignments, costs)]
+    laser, conversion, gateway, control, noc = own_energy(latency)
+    energy = (laser, tuning, conversion, mac, gateway, control, noc)   # ENERGY_CATEGORIES
+    energies = [{"laser": la, "tuning": tu, "conversion": cv, "mac": mc, "gateway_elec": ge,
+                 "controller": ct, "electrical_noc": en}
+                for la, tu, cv, mc, ge, ct, en in zip(*energy)]
+    per_layer = tuple(map(LayerResult, [layer.index for layer in model.layers], compute, read,
+                          write, overhead, latency, energies, bits))
 
-        energy = {**zeros, **joules}
-        for category, w in watts.items():
-            energy[category] += w * latency
-        tuning_w, mac_pj = mac_costs[assignment.total_macs, assignment.mac_type.vector_len]
-        energy["tuning"] = tuning_w * latency
-        energy["mac"] = assignment.invocations * mac_pj * 1e-12
-        results.append(LayerResult(layer.index, compute_s, read_s, write_s, overhead_s,
-                                   latency, energy, bits_moved))
-
-    metrics = _combine(results, model.total_bits)
-    totals = (metrics.total_latency_s, metrics.total_energy_j, metrics.avg_power_w)
-    if not all(map(math.isfinite, totals)):
+    # every float sum is a left fold from 0.0 in layer or category order,
+    # so no Python version's sum() moves it
+    breakdown = {k: reduce(add, column, 0.0) for k, column in zip(ENERGY_CATEGORIES, energy)}
+    total_latency = reduce(add, latency, 0.0)
+    total_energy = reduce(add, breakdown.values(), 0.0)
+    avg_power = total_energy / total_latency if total_latency else 0.0
+    if not all(map(math.isfinite, (total_latency, total_energy, avg_power))):
         raise OverflowError(f"{model.name} on {topology.kind} gives latency "
-                            f"{totals[0]} s and energy {totals[1]} J")
-    return metrics
-
+                            f"{total_latency} s and energy {total_energy} J")
+    total_bits = model.total_bits
+    return RunMetrics(total_latency_s=total_latency, total_energy_j=total_energy,
+                      energy_breakdown=breakdown, avg_power_w=avg_power, total_bits=total_bits,
+                      epb_j_per_bit=total_energy / total_bits if total_bits else 0.0,
+                      per_layer=per_layer)

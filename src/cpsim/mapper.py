@@ -69,10 +69,8 @@ def map_model(model: DnnModelSpec, topology: PlatformTopology) -> MappingPlan:
     compute = topology.compute_chiplets()
     if not compute:
         raise MappingError(f"topology {topology.kind!r} has no compute chiplets")
-    types: dict[str, MacUnitType] = {}
-    for chiplet in compute:
-        types[chiplet.mac_type.name] = chiplet.mac_type
-    available = list(types.values())
+    # a type is its name and its vector length: chiplets of one name may differ in lanes
+    available = list(dict.fromkeys(c.mac_type for c in compute))
 
     # the MAC type depends only on the layer's kind and kernel window
     placements: dict[tuple[str, int], tuple[MacUnitType, tuple[str, ...], int]] = {}
@@ -82,7 +80,7 @@ def map_model(model: DnnModelSpec, topology: PlatformTopology) -> MappingPlan:
         placement = placements.get(window)
         if placement is None:
             mac_type = select_mac_type(layer, available)
-            chiplets = [c for c in compute if c.mac_type.name == mac_type.name]
+            chiplets = [c for c in compute if c.mac_type == mac_type]
             placement = placements[window] = (mac_type, tuple(c.id for c in chiplets),
                                               sum(c.macs for c in chiplets))
         mac_type, chiplet_ids, total_macs = placement

@@ -16,75 +16,101 @@ from cpsim import devices, engine, replace, workload
 from cpsim.config import with_kind
 from cpsim.devices import (CRYSTALLINE, DeviceParams, OpticalPath, path_insertion_loss,
                            pcmc_chain_for_equal_split, required_laser_power, source_mw)
-from cpsim.engine import (EpochController, compute_time, simulate_model,
-                          transfer_time_electrical, transfer_time_photonic)
+from cpsim.engine import EpochController, simulate_model
 from cpsim.mapper import LayerAssignment, MappingError, MappingPlan, map_model
-from cpsim.platform import (DEFAULT_MAC_TYPES, WaveguideRoute, build_topology, default_platform,
+from cpsim.platform import (DEFAULT_MAC_TYPES, build_topology, default_platform,
                             gateway_peak_bandwidth)
 from cpsim.workload import DnnModelSpec, LayerSpec, layer_traffic, load_model, load_shipped_model
 
 
-def fc_model(fin=100, fout=10):
-    layer = LayerSpec(0, "fc", 1, 1, fin, fout, 1, 1, 1, 1)
+def fc_model(fin=100, fout=10, weight_bitwidth=8, activation_bitwidth=8):
+    layer = LayerSpec(0, "fc", 1, 1, fin, fout, 1, 1, 1, 1, 1, weight_bitwidth,
+                      activation_bitwidth)
     return DnnModelSpec("onefc", (layer,), layer.params())
 
 
-def assignment(invocations, macs, vlen=100):
+def assignment(invocations, macs, vlen=100, ids=("dense0",)):
     mac = next(t for t in DEFAULT_MAC_TYPES.values() if t.vector_len == vlen)
-    return LayerAssignment(0, mac, ("dense0",), macs, invocations)
+    return LayerAssignment(0, mac, ids, macs, invocations)
 
 
-def route_of_length(length_mm):
-    path = OpticalPath(length_mm=length_mm, mrs_passed=64, drop_stages=1,
-                       split_fanout=1, couplers=1)
-    return WaveguideRoute("w:g0", "w", 0, "SWSR", ("r:g0",), path)
+def single_layer(variant, placed, model=None, **options):
+    """The one LayerResult of ``model`` (fc 100->10 by default) on the platform
+    of ``variant``, placed as the LayerAssignment ``placed`` says."""
+    model = model or fc_model()
+    metrics = simulate_model(model, build_topology(variant), MappingPlan(model.name, (placed,)),
+                             variant.devices, replace(variant.options, **options))
+    [layer] = metrics.per_layer
+    return layer
 
 
-# ------------------------------------------------------------ compute_time
+# ------------------------------------------------------------ compute time
 
 
-def test_compute_time_examples():
-    assert compute_time(assignment(10, 8), 2e9) == pytest.approx(1e-9, rel=1e-12)
-    assert compute_time(assignment(0, 8), 2e9) == 0.0
-    assert compute_time(assignment(132, 132, vlen=9), 2e9) == pytest.approx(0.5e-9, rel=1e-12)
+def test_compute_time_examples(cfg):
+    """ceil(invocations / MACs) cycles at the MAC rate."""
+    def compute_s(invocations, macs, vlen=100):
+        return single_layer(cfg, assignment(invocations, macs, vlen), mac_rate_hz=2e9).compute_s
+
+    assert compute_s(10, 8) == pytest.approx(1e-9, rel=1e-12)
+    assert compute_s(0, 8) == 0.0
+    assert compute_s(132, 132, vlen=9) == pytest.approx(0.5e-9, rel=1e-12)
 
 
 # ---------------------------------------------------------- transfer times
+# fc 100->950 at 8-bit weights and 4-bit activations reads 767,600 + 400 bits
 
 
-def test_photonic_transfer_example():
-    params = DeviceParams(group_velocity_mm_per_s=7.5e10)
-    t = transfer_time_photonic(768_000, 768e9, 768e9, route_of_length(18.4), params, 2e9, 4)
-    assert t == pytest.approx(1e-6 + 18.4 / 7.5e10 + 2e-9, rel=1e-12)
-    assert t == pytest.approx(1.0022453e-6, rel=1e-6)
+def test_photonic_transfer_example(cfg):
+    """768,000 bits read through one lit gateway at each end (768 Gb/s) over
+    the 18.4 mm broadcast route, plus 4 buffering cycles at 2 GHz."""
+    layer = single_layer(cfg, assignment(1, 4), fc_model(100, 950, 8, 4))
+    assert layer.read_s == pytest.approx(1e-6 + 18.4 / 7.5e10 + 2e-9, rel=1e-12)
+    assert layer.read_s == pytest.approx(1.0022453e-6, rel=1e-6)
 
 
-def test_photonic_transfer_overhead_only():
-    params = DeviceParams(group_velocity_mm_per_s=7.5e10)
-    t = transfer_time_photonic(0, 768e9, 768e9, route_of_length(18.4), params, 2e9, 4)
-    assert t == pytest.approx(2.2453333e-9, rel=1e-6)
+def test_photonic_transfer_overhead_only(cfg):
+    """At a line rate that makes serialization vanish, a transfer costs its
+    propagation and buffering alone."""
+    fast = replace(cfg, platform=replace(cfg.platform, link_rate_bps=1e300))
+    layer = single_layer(fast, assignment(1, 4), fc_model(100, 950, 8, 4))
+    assert layer.read_s == pytest.approx(2.2453333e-9, rel=1e-6)
 
 
-def test_photonic_transfer_min_bandwidth_rule():
-    params = DeviceParams()
-    route = route_of_length(10.0)
-    full = transfer_time_photonic(10 ** 7, 768e9, 768e9, route, params, 2e9, 4)
-    halved = transfer_time_photonic(10 ** 7, 768e9, 384e9, route, params, 2e9, 4)
-    fixed = route.path.length_mm / params.group_velocity_mm_per_s + 4 / 2e9
-    assert halved - fixed == pytest.approx(2 * (full - fixed), rel=1e-12)
+def test_photonic_transfer_min_bandwidth_rule(cfg):
+    """Serialization runs at the slower endpoint: with every gateway lit, a
+    memory chiplet with half the gateways doubles it, and a second assigned
+    chiplet, which widens only the other end, leaves it as it is."""
+    narrow = replace(cfg, chiplets=tuple(replace(c, gateways=2) if c.role == "memory" else c
+                                         for c in cfg.chiplets))
+    model = fc_model(1000, 1000)
+
+    def serialization(variant, ids=("dense0",)):
+        topo = build_topology(variant)
+        fixed = (max(r.path.length_mm for r in topo.routes if r.protocol == "SWMR")
+                 / variant.devices.group_velocity_mm_per_s + 4 / 2e9)
+        layer = single_layer(variant, assignment(1, 4, ids=ids), model, resipi_enabled=False)
+        return layer.read_s - fixed
+
+    full = serialization(cfg)
+    [traffic] = model.traffic   # 4 lit gateways of 768 Gb/s at each end
+    assert full == pytest.approx((traffic.weight_bits + traffic.input_bits) / 4 / 768e9, rel=1e-6)
+    assert serialization(narrow) == pytest.approx(2 * full, rel=1e-9)
+    assert serialization(cfg, ("dense0", "dense1")) == pytest.approx(full, rel=1e-9)
 
 
 def test_electrical_transfer_examples(cfg):
-    p = build_topology(with_kind(cfg, "elec_interposer")).platform
-    link_bw = p.noc_width_bits * p.noc_freq_hz
+    """3 router cycles at 2 GHz per hop from the memory chiplet (2 to dense0
+    and dense1, 3 to conv3a), then 128-bit links at 2 GHz; two chiplets
+    contend for the memory node, which doubles the serialization."""
+    variant = with_kind(cfg, "elec_interposer")
 
-    def transfer(bits, hops, congestion):   # 3 router cycles per hop
-        return transfer_time_electrical(bits, hops * 3 / p.noc_freq_hz, link_bw, congestion)
+    def write_s(*ids):   # fc 100->32 writes 256 bits
+        return single_layer(variant, assignment(1, 4, ids=ids), fc_model(100, 32)).write_s
 
-    assert transfer(256, 1, 1.0) == pytest.approx(2.5e-9, rel=1e-12)
-    assert transfer(0, 5, 1.0) == pytest.approx(7.5e-9, rel=1e-12)
-    congested = transfer(256, 1, 2.0)
-    assert congested == pytest.approx(1.5e-9 + 2e-9, rel=1e-12)
+    assert write_s("dense0") == pytest.approx(3e-9 + 1e-9, rel=1e-12)
+    assert write_s("conv3a") == pytest.approx(4.5e-9 + 1e-9, rel=1e-12)
+    assert write_s("dense0", "dense1") == pytest.approx(3e-9 + 2e-9, rel=1e-12)
 
 
 # ------------------------------------------------------- epoch controller
@@ -554,6 +580,30 @@ def test_overflowing_run_raises_rather_than_returning_infinities(cfg):
     with pytest.raises(OverflowError, match="lenet5"):
         simulate_model(model, topo, map_model(model, topo), cfg.devices,
                        replace(cfg.options, mac_rate_hz=5e-324))
+
+
+ABSENT = {"siph_interposer": ("electrical_noc",),
+          "elec_interposer": ("laser", "conversion", "gateway_elec", "controller"),
+          "monolithic": ("laser", "conversion", "gateway_elec", "controller")}
+
+
+@pytest.mark.parametrize("kind", sorted(ABSENT))
+def test_energy_rows_hold_every_category_and_zero_for_absent_hardware(sweep, cfg, kind):
+    """Each layer's energy dict lists ENERGY_CATEGORIES in order; a category
+    the kind has no hardware for is exactly 0.0 on every layer, never a
+    product with the latency, so an infinite latency still reads as an
+    infinite energy rather than nan."""
+    for (_, run_kind), metrics in sweep.items():
+        if run_kind == kind:
+            for r in metrics.per_layer:
+                assert tuple(r.energy_j) == engine.ENERGY_CATEGORIES
+                assert [r.energy_j[k] for k in ABSENT[kind]] == [0.0] * len(ABSENT[kind])
+                assert all(math.copysign(1.0, r.energy_j[k]) == 1.0 for k in ABSENT[kind])
+    variant = with_kind(cfg, kind)
+    topo, model = build_topology(variant), load_shipped_model("lenet5")
+    with pytest.raises(OverflowError, match=r"gives latency inf s and energy inf J"):
+        simulate_model(model, topo, map_model(model, topo), variant.devices,
+                       replace(variant.options, mac_rate_hz=5e-324))
 
 
 def test_bit_identical_reruns(cfg):

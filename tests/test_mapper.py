@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+from cpsim import replace
+from cpsim.config import default_config, with_kind
 from cpsim.mapper import MappingError, chunks_per_dot, map_model, select_mac_type
-from cpsim.platform import DEFAULT_MAC_TYPES, PlatformTopology, default_platform
+from cpsim.platform import DEFAULT_MAC_TYPES, PlatformTopology, build_topology, default_platform
 from cpsim.workload import DnnModelSpec, LayerSpec, load_shipped_model
 
 TYPES = list(DEFAULT_MAC_TYPES.values())
@@ -95,6 +97,26 @@ def test_map_conv3x3_spans_all_three_chiplets():
     assert set(a.chiplet_ids) == {"conv3a", "conv3b", "conv3c"}
     assert chunks_per_dot(layer.dot_length, 9) == 16
     assert a.invocations == layer.dot_products * 16
+
+
+@pytest.mark.parametrize("kind", ["siph_interposer", "elec_interposer"])
+def test_chiplets_of_one_type_name_with_other_lanes_are_another_type(kind):
+    """conv3c alone at 16 lanes is a type of its own: every chiplet an
+    assignment names has the assignment's MAC type, vector length included."""
+    cfg = with_kind(default_config(), kind)
+    cfg = replace(cfg, chiplets=tuple(replace(c, vector_len=16) if c.id == "conv3c" else c
+                                      for c in cfg.chiplets))
+    topo = build_topology(cfg)
+    for name in ("lenet5", "resnet50", "densenet121", "vgg16", "mobilenetv2"):
+        model = load_shipped_model(name)
+        for a in map_model(model, topo).assignments:
+            assert {topo.chiplet(cid).mac_type for cid in a.chiplet_ids} == {a.mac_type}
+            assert a.total_macs == sum(topo.chiplet(cid).macs for cid in a.chiplet_ids)
+    resnet = load_shipped_model("resnet50")
+    threes = [a for layer, a in zip(resnet.layers, map_model(resnet, topo).assignments)
+              if (layer.kernel_h, layer.kernel_w) == (3, 3)]
+    assert threes and {a.chiplet_ids for a in threes} == {("conv3a", "conv3b")}
+    assert {a.mac_type.vector_len for a in threes} == {9}
 
 
 def test_map_rejects_platform_without_compute():
