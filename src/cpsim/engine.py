@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import weakref
 from functools import reduce
+from itertools import repeat
 from operator import add, attrgetter
 from typing import NamedTuple
 
@@ -271,23 +272,24 @@ def _mesh(topology: PlatformTopology, tables: PricingTables, options: SimOptions
     pj_per_bit_hop, noc_freq_hz = p.noc_energy_pj_per_bit_hop, p.noc_freq_hz
     link_bw, router_cycles = p.noc_width_bits * noc_freq_hz, options.router_latency_cycles
     refetch, crowded = options.weight_refetch_factor, options.elec_congestion_factor
-    hops_of = tables.hops
-    rows = []
+
+    def link(ids):   # chiplet set -> (hops, chiplets, congestion, header seconds)
+        hops, worst_hops = tables.hops[ids]
+        return (hops, len(ids), crowded if len(ids) > 1 else 1.0,
+                worst_hops * router_cycles / noc_freq_hz)
+    links, rows = Memo(link), []
 
     for t, assignment in zip(traffic, assignments):
-        ids = assignment.chiplet_ids
-        (hops, worst_hops), n_ids = hops_of[ids], len(ids)
-        congestion = crowded if n_ids > 1 else 1.0
+        hops, n_ids, congestion, header_s = links[assignment.chiplet_ids]
         weight_bits = t.weight_bits * refetch
         # broadcast is replicated on the mesh: every assigned chiplet
         # receives its own copy of the input tensor
         read_bits = weight_bits + t.input_bits * n_ids
         write_bits = float(t.output_bits)
-        header_s = worst_hops * router_cycles / noc_freq_hz
         per_chiplet_bits = (weight_bits + t.output_bits) / n_ids + t.input_bits
         rows.append((header_s + read_bits * congestion / link_bw,
                      header_s + write_bits * congestion / link_bw, read_bits + write_bits,
-                     reduce(add, [per_chiplet_bits * h for h in hops], 0.0)
+                     reduce(add, map(per_chiplet_bits.__mul__, hops), 0.0)
                      * pj_per_bit_hop * 1e-12))
 
     read, write, bits, dynamic = zip(*rows)
@@ -321,7 +323,7 @@ def _check_plan(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPl
     if plan.model_name != model.name or len(plan.assignments) != len(model.layers):
         raise MappingError(f"plan for {plan.model_name!r} does not match model {model.name!r}")
     known = {c.id for c in topology.chiplets}
-    for chiplet_ids in dict.fromkeys(a.chiplet_ids for a in plan.assignments):
+    for chiplet_ids in dict.fromkeys(map(attrgetter("chiplet_ids"), plan.assignments)):
         missing = set(chiplet_ids) - known
         if missing:
             raise MappingError(f"plan names chiplets absent from topology: {sorted(missing)}")
@@ -353,8 +355,10 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
     energies = [{"laser": la, "tuning": tu, "conversion": cv, "mac": mc, "gateway_elec": ge,
                  "controller": ct, "electrical_noc": en}
                 for la, tu, cv, mc, ge, ct, en in zip(*energy)]
-    per_layer = tuple(map(LayerResult, [layer.index for layer in model.layers], compute, read,
-                          write, overhead, latency, energies, bits))
+    # tuple.__new__ makes each record from its row with no Python-level call
+    per_layer = tuple(map(tuple.__new__, repeat(LayerResult), zip(
+        [layer.index for layer in model.layers], compute, read, write, overhead, latency,
+        energies, bits)))
 
     # every float sum is a left fold from 0.0 in layer or category order,
     # so no Python version's sum() moves it

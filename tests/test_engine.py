@@ -100,9 +100,10 @@ def test_photonic_transfer_min_bandwidth_rule(cfg):
 
 
 def test_electrical_transfer_examples(cfg):
-    """3 router cycles at 2 GHz per hop from the memory chiplet (2 to dense0
-    and dense1, 3 to conv3a), then 128-bit links at 2 GHz; two chiplets
-    contend for the memory node, which doubles the serialization."""
+    """3 router cycles at 2 GHz per hop from the memory chiplet, the local
+    port included (2 hops to dense0 and dense1, 3 to conv3a), then 128-bit
+    links at 2 GHz; two chiplets contend for the memory node, which doubles
+    the serialization."""
     variant = with_kind(cfg, "elec_interposer")
 
     def write_s(*ids):   # fc 100->32 writes 256 bits
