@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 from . import engine, report
 from .config import KIND_ALIASES, SimConfig, default_config, load_config, with_kind
@@ -23,6 +24,7 @@ from .workload import (DnnModelSpec, load_model_file, load_shipped_model, param_
 CONFIG_ENV_VAR = "CPS_CONFIG"
 
 
+@cache   # the parser depends on no input, and parsing leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cpsim",
                                      description="Chiplet photonics accelerator simulator")

@@ -9,8 +9,9 @@ calibration values with physically typical magnitudes, not measured data.
 PCMC loss is not modeled: every route's OpticalPath carries a fixed
 couplers=1, and only tests reach pcmc_transfer and PcmcState.excess_loss_db.
 The field schema lives here too: check_fields checks every config, device
-and layer field against the domain its annotation names. So does Record, the
-base of every record that checks itself when built, and ``replace``.
+and layer field against the domain its annotation names, and fields_hold a
+column of layers at once. So does Record, the base of every record that
+checks itself when built, and ``replace``.
 """
 
 from __future__ import annotations
@@ -90,6 +91,20 @@ def check_fields(obj, error: type[ValueError] = ValueError, where: str = "") -> 
             raise error(f"{where}{name} must be finite, got {value}")
         if test is not None and not test(value):
             raise error(f"{where}{name} must be {bound}, got {value!r}")
+
+
+def fields_hold(cls: type, columns) -> bool:
+    """Whether ``check_fields`` passes every row of ``cls`` records given as
+    ``columns``, one per field: each one's types, then its distinct values' bound."""
+    for (_, accepted, _, test, _), column in zip(field_schema(cls), columns):
+        types = set(map(type, column))
+        if not types.issubset(accepted):
+            return False
+        distinct = set(column)
+        if (float in types and not all(map(math.isfinite, distinct))
+                or test is not None and not all(map(test, distinct))):
+            return False
+    return True
 
 
 class Record:

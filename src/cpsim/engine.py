@@ -42,7 +42,7 @@ from typing import NamedTuple
 from .config import ELEC, MONO, SIPH, SimOptions, default_config
 from .devices import (DeviceParams, PcmcState, mr_tuning_power, pcmc_chain_for_equal_split,
                       required_laser_power, source_mw)
-from .mapper import LayerAssignment, MappingError, MappingPlan, map_model
+from .mapper import MappingError, MappingPlan, map_model
 from .platform import (SWMR, SWSR, PlatformTopology, build_topology, electrical_hops,
                        gateway_peak_bandwidth)
 from .workload import DnnModelSpec, TrafficVolume, layer_traffic
@@ -198,7 +198,7 @@ class EpochController:
 
 # ---------------------------------------------------------- interconnects
 # One builder per platform kind prices a whole run's data movement from the
-# model's traffic, the plan's assignments and the compute-time column. It
+# model's traffic, the plan's chiplet-set column and the compute-time column. It
 # returns the per-layer columns read_s, write_s, overhead_s and bits_moved,
 # and a function of the latency column giving the columns of the kind's own
 # energy categories: laser, conversion, gateway_elec, controller and
@@ -206,7 +206,7 @@ class EpochController:
 
 
 def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOptions,
-              traffic: tuple[TrafficVolume, ...], assignments: tuple[LayerAssignment, ...],
+              traffic: tuple[TrafficVolume, ...], chiplet_ids: tuple[tuple[str, ...], ...],
               compute: list[float]):
     """Photonic interposer: the epoch controller resizes the lit gateways
     before every layer; a resize stalls for one phase-change transition.
@@ -224,8 +224,7 @@ def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOpt
     previous = ((), 0, 0)   # no history: the state with only gateway 0 of each chiplet lit
     rows = []
 
-    for t, assignment, compute_s in zip(traffic, assignments, compute):
-        ids = assignment.chiplet_ids
+    for t, ids, compute_s in zip(traffic, chiplet_ids, compute):
         weight_bits = t.weight_bits * refetch
         read_bits = weight_bits + t.input_bits
         write_bits = float(t.output_bits)
@@ -259,7 +258,7 @@ def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOpt
 
 
 def _mesh(topology: PlatformTopology, tables: PricingTables, options: SimOptions,
-          traffic: tuple[TrafficVolume, ...], assignments: tuple[LayerAssignment, ...],
+          traffic: tuple[TrafficVolume, ...], chiplet_ids: tuple[tuple[str, ...], ...],
           compute: list[float]):
     """Electrical mesh interposer: one router per chiplet, each drawing
     static power for the whole layer. A transfer is the header's per-hop
@@ -279,8 +278,8 @@ def _mesh(topology: PlatformTopology, tables: PricingTables, options: SimOptions
                 worst_hops * router_cycles / noc_freq_hz)
     links, rows = Memo(link), []
 
-    for t, assignment in zip(traffic, assignments):
-        hops, n_ids, congestion, header_s = links[assignment.chiplet_ids]
+    for t, ids in zip(traffic, chiplet_ids):
+        hops, n_ids, congestion, header_s = links[ids]
         weight_bits = t.weight_bits * refetch
         # broadcast is replicated on the mesh: every assigned chiplet
         # receives its own copy of the input tensor
@@ -299,7 +298,7 @@ def _mesh(topology: PlatformTopology, tables: PricingTables, options: SimOptions
 
 
 def _offchip(topology: PlatformTopology, tables: PricingTables, options: SimOptions,
-             traffic: tuple[TrafficVolume, ...], assignments: tuple[LayerAssignment, ...],
+             traffic: tuple[TrafficVolume, ...], chiplet_ids: tuple[tuple[str, ...], ...],
              compute: list[float]):
     """Monolithic chip: every tensor crosses the off-chip memory interface."""
     bw, pj_per_bit = topology.platform.offchip_bw_bps, topology.platform.offchip_energy_pj_per_bit
@@ -319,16 +318,20 @@ _INTERCONNECTS = {SIPH: _photonic, ELEC: _mesh, MONO: _offchip}
 # ------------------------------------------------------------- simulation
 
 
-def _check_plan(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPlan) -> None:
+def _plan_columns(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPlan) -> tuple:
+    """The plan's assignments transposed, one tuple per field, once checked
+    against the model and topology."""
     if plan.model_name != model.name or len(plan.assignments) != len(model.layers):
         raise MappingError(f"plan for {plan.model_name!r} does not match model {model.name!r}")
+    columns = _, _, chiplet_ids, total_macs, _ = tuple(zip(*plan.assignments))
     known = {c.id for c in topology.chiplets}
-    for chiplet_ids in dict.fromkeys(map(attrgetter("chiplet_ids"), plan.assignments)):
-        missing = set(chiplet_ids) - known
+    for ids in dict.fromkeys(chiplet_ids):
+        missing = set(ids) - known
         if missing:
             raise MappingError(f"plan names chiplets absent from topology: {sorted(missing)}")
-    if min(map(attrgetter("total_macs"), plan.assignments)) < 1:
+    if min(total_macs) < 1:
         raise MappingError("assignment has no MACs")
+    return columns
 
 
 def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPlan,
@@ -336,20 +339,19 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
     """Run ``model`` as mapped by ``plan`` on ``topology``. Raises OverflowError
     when finite inputs give an infinite latency, energy or power."""
     options = options or SimOptions()
-    _check_plan(model, topology, plan)
-    tables = pricing_tables(topology, params)
-    assignments, mac_rate_hz = plan.assignments, options.mac_rate_hz
+    _, mac_types, chiplet_ids, total_macs, invocations = _plan_columns(model, topology, plan)
+    tables, mac_rate_hz = pricing_tables(topology, params), options.mac_rate_hz
     # the assigned MAC pool retires one vector dot per MAC per cycle
-    compute = [math.ceil(a.invocations / a.total_macs) / mac_rate_hz for a in assignments]
+    compute = [math.ceil(i / m) / mac_rate_hz for i, m in zip(invocations, total_macs)]
     read, write, overhead, bits, own_energy = _INTERCONNECTS[topology.kind](
-        topology, tables, options, model.traffic, assignments, compute)
+        topology, tables, options, model.traffic, chiplet_ids, compute)
     columns = zip(compute, read, write, overhead)
     latency = ([max(c, r, w) + o for c, r, w, o in columns] if options.overlap
                else [c + r + w + o for c, r, w, o in columns])
 
-    costs = [tables.mac_costs[a.total_macs, a.mac_type.vector_len] for a in assignments]
+    costs = [tables.mac_costs[m, t.vector_len] for m, t in zip(total_macs, mac_types)]
     tuning = [w * t for (w, _), t in zip(costs, latency)]
-    mac = [a.invocations * pj * 1e-12 for a, (_, pj) in zip(assignments, costs)]
+    mac = [i * pj * 1e-12 for i, (_, pj) in zip(invocations, costs)]
     laser, conversion, gateway, control, noc = own_energy(latency)
     energy = (laser, tuning, conversion, mac, gateway, control, noc)   # ENERGY_CATEGORIES
     energies = [{"laser": la, "tuning": tu, "conversion": cv, "mac": mc, "gateway_elec": ge,

@@ -3,12 +3,15 @@
 Every layer goes to all chiplets of one MAC type (maximal intra-layer
 parallelism); layers execute strictly in order. Oversized dot products are
 decomposed into ceil(dot_length / vector_len) sequential chunks whose
-partial sums accumulate electronically at the MAC unit.
+partial sums accumulate electronically at the MAC unit. A plan is built a
+column at a time: one placement per (kind, kernel window), then each
+layer's invocations and record from the columns.
 """
 
 from __future__ import annotations
 
-import math
+from itertools import repeat
+from operator import mul
 from typing import NamedTuple
 
 from .platform import MacUnitType, PlatformTopology
@@ -33,9 +36,10 @@ class MappingPlan(NamedTuple):
 
 
 def chunks_per_dot(dot_length: int, vector_len: int) -> int:
+    """ceil(dot_length / vector_len) in integers, exact at any length."""
     if dot_length < 1 or vector_len < 1:
         raise ValueError("dot length and vector length must be >= 1")
-    return math.ceil(dot_length / vector_len)
+    return -(-dot_length // vector_len)
 
 
 def select_mac_type(layer: LayerSpec, available: list[MacUnitType]) -> MacUnitType:
@@ -71,20 +75,25 @@ def map_model(model: DnnModelSpec, topology: PlatformTopology) -> MappingPlan:
         raise MappingError(f"topology {topology.kind!r} has no compute chiplets")
     # a type is its name and its vector length: chiplets of one name may differ in lanes
     available = list(dict.fromkeys(c.mac_type for c in compute))
+    layers = model.layers
+    index, kind, kernel_h, kernel_w, in_channels, out_channels, _, _, out_h, out_w = list(
+        zip(*layers))[:10]
 
-    # the MAC type depends only on the layer's kind and kernel window
-    placements: dict[tuple[str, int], tuple[MacUnitType, tuple[str, ...], int]] = {}
-    assignments = []
-    for layer in model.layers:
-        window = (layer.kind, layer.kernel_h * layer.kernel_w)
-        placement = placements.get(window)
-        if placement is None:
-            mac_type = select_mac_type(layer, available)
-            chiplets = [c for c in compute if c.mac_type == mac_type]
-            placement = placements[window] = (mac_type, tuple(c.id for c in chiplets),
-                                              sum(c.macs for c in chiplets))
-        mac_type, chiplet_ids, total_macs = placement
-        invocations = layer.dot_products * chunks_per_dot(layer.dot_length, mac_type.vector_len)
-        assignments.append(LayerAssignment(layer.index, mac_type, chiplet_ids, total_macs,
-                                           invocations))
-    return MappingPlan(model_name=model.name, assignments=tuple(assignments))
+    # the MAC type depends only on the layer's kind and kernel window: one
+    # placement per window, any of its layers standing for the rest
+    sizes = list(map(mul, kernel_h, kernel_w))
+    windows = list(zip(kind, sizes))
+    placements = {}
+    for window, layer in dict(zip(windows, layers)).items():
+        mac_type = select_mac_type(layer, available)
+        chiplets = [c for c in compute if c.mac_type == mac_type]
+        placements[window] = (mac_type, tuple(c.id for c in chiplets),
+                              sum(c.macs for c in chiplets))
+    mac_types, chiplet_ids, total_macs = zip(*map(placements.__getitem__, windows))
+    # LayerSpec.dot_length and dot_products, a column at a time
+    dot_lengths = map(mul, sizes, in_channels)
+    chunks = map(chunks_per_dot, dot_lengths, [t.vector_len for t in mac_types])
+    invocations = map(mul, map(mul, map(mul, out_h, out_w), out_channels), chunks)
+    # tuple.__new__ makes each record from its row with no Python-level call
+    return MappingPlan(model.name, tuple(map(tuple.__new__, repeat(LayerAssignment), zip(
+        index, mac_types, chiplet_ids, total_macs, invocations))))

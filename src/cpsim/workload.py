@@ -5,16 +5,21 @@ and bit-widths are represented; the simulator never sees tensor data. The
 shipped descriptors (``data/models/*.desc``) are JSON text, which is also
 YAML, and are parsed with ``json.loads``; a user's file is parsed as YAML.
 Both documents go through ``model_from_doc``, which makes every check.
+A model's layers are checked a column at a time, one test per field over
+every layer; only a model that fails one is checked layer by layer, so the
+first bad layer's own check names it.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cached_property
+from itertools import chain, compress
+from operator import gt
 from typing import NamedTuple
 
 from .config import read_keys, safe_load
-from .devices import Bitwidth, Count, NonNegInt, Record, check_fields, choice
+from .devices import Bitwidth, Count, NonNegInt, Record, check_fields, choice, fields_hold
 
 DEFAULT_BITWIDTH = 8
 LayerKind = choice("LayerKind", "conv", "fc")
@@ -81,8 +86,9 @@ class DnnModelSpec(Record):
         check_fields(self, ModelValidationError, f"model {self.name!r}: ")
         if not self.layers:
             raise ModelValidationError(f"model {self.name!r}: no layers")
-        for layer in self.layers:
-            layer.validate()
+        if not _layers_hold(self.layers):   # then the first bad layer raises, naming itself
+            for layer in self.layers:
+                layer.validate()
         computed = param_count(self)
         if computed != self.declared_param_count:
             raise ModelValidationError(
@@ -102,6 +108,18 @@ class DnnModelSpec(Record):
         return sum(t.total_bits for t in self.traffic)
 
 
+def _layers_hold(layers: tuple[LayerSpec, ...]) -> bool:
+    """Whether every layer passes ``LayerSpec.validate``, one test per column.
+    Geometry is compared only once every column holds values in bounds; the
+    conv test runs on every layer, and an fc layer at 1x1 passes it."""
+    columns = list(zip(*layers))
+    _, kind, kernel_h, kernel_w, _, _, in_h, in_w, out_h, out_w = columns[:10]
+    return (fields_hold(LayerSpec, columns)
+            and not any(map(gt, out_h, in_h)) and not any(map(gt, out_w, in_w))
+            and {1}.issuperset(chain.from_iterable(compress(   # fc layers are 1x1
+                zip(kernel_h, kernel_w, in_h, in_w, out_h, out_w), map("fc".__eq__, kind)))))
+
+
 class TrafficVolume(NamedTuple):
     """Per-layer data movement (bits)."""
 
@@ -116,7 +134,7 @@ class TrafficVolume(NamedTuple):
 
 def param_count(model: DnnModelSpec) -> int:
     """Total parameters over all layers (weights + biases)."""
-    return sum(layer.params() for layer in model.layers)
+    return sum(map(LayerSpec.params, model.layers))
 
 
 def layer_traffic(layer: LayerSpec) -> TrafficVolume:
@@ -153,18 +171,21 @@ def _pair(value, key: str, index: int) -> tuple:
 
 def _layer_from_entry(entry, index: int) -> LayerSpec:
     kind = entry.get("kind") if isinstance(entry, dict) else None
-    read_keys(entry, _LAYER_KEYS, _CONV_KEYS if kind == "conv" else _FC_KEYS,
-              DescriptorError, f"layer {index}")
+    required = _CONV_KEYS if kind == "conv" else _FC_KEYS
+    if kind is None or not _LAYER_KEYS >= entry.keys() >= required:   # else read_keys passes
+        read_keys(entry, _LAYER_KEYS, required, DescriptorError, f"layer {index}")
     if kind not in ("conv", "fc"):
         raise DescriptorError(f"layer {index}: kind must be conv or fc, got {kind!r}")
-    # values are taken as written: LayerSpec.validate checks them
-    kh, kw = _pair(entry.get("kernel", 1), "kernel", index)
-    in_h, in_w = _pair(entry.get("in_hw", 1), "in_hw", index)
-    out_h, out_w = _pair(entry.get("out_hw", 1), "out_hw", index)
-    return LayerSpec(index, kind, kh, kw, entry["channels_in"], entry["channels_out"],
-                     in_h, in_w, out_h, out_w, entry.get("stride", 1),
-                     entry.get("weight_bitwidth", DEFAULT_BITWIDTH),
-                     entry.get("activation_bitwidth", DEFAULT_BITWIDTH))
+    # values are taken as written: DnnModelSpec checks them. Every field is
+    # given, so tuple.__new__ builds the record without LayerSpec's own __new__
+    get = entry.get
+    kh, kw = _pair(get("kernel", 1), "kernel", index)
+    in_h, in_w = _pair(get("in_hw", 1), "in_hw", index)
+    out_h, out_w = _pair(get("out_hw", 1), "out_hw", index)
+    return tuple.__new__(LayerSpec, (
+        index, kind, kh, kw, entry["channels_in"], entry["channels_out"], in_h, in_w, out_h,
+        out_w, get("stride", 1), get("weight_bitwidth", DEFAULT_BITWIDTH),
+        get("activation_bitwidth", DEFAULT_BITWIDTH)))
 
 
 def load_model(descriptor_text: str) -> DnnModelSpec:
@@ -187,19 +208,17 @@ def model_from_doc(doc) -> DnnModelSpec:
     entries = doc["layers"]
     if not isinstance(entries, list):
         raise DescriptorError("layers must be an array")
-    layers = tuple(_layer_from_entry(e, i) for i, e in enumerate(entries))
+    layers = tuple(map(_layer_from_entry, entries, range(len(entries))))
     model = DnnModelSpec(doc["name"], layers, doc["declared_param_count"])
     _check_kind_counts(model, doc)
     return model
 
 
 def _check_kind_counts(model: DnnModelSpec, doc: dict) -> None:
-    declared = {"conv": doc.get("declared_conv_layers"), "fc": doc.get("declared_fc_layers")}
-    for kind, expect in declared.items():
-        if expect is None:
-            continue
-        actual = sum(1 for l in model.layers if l.kind == kind)
-        if actual != expect:
+    kinds = [layer.kind for layer in model.layers]
+    for kind in ("conv", "fc"):
+        expect, actual = doc.get(f"declared_{kind}_layers"), kinds.count(kind)
+        if expect is not None and actual != expect:
             raise ModelValidationError(
                 f"model {model.name!r}: {actual} {kind} layers, descriptor declares {expect}")
 

@@ -734,6 +734,33 @@ def test_plan_topology_mismatch_rejected(cfg):
                 replace(cfg.options, **{name: bad})
 
 
+def test_hand_built_bad_plans_raise_their_messages(cfg):
+    """The plan is checked from its columns, read once per run: a plan of
+    another model or length, chiplets the topology lacks (named for the first
+    such chiplet set in layer order, sorted) and a MAC-less layer each raise
+    their own message."""
+    topo = default_platform()
+    layers = (LayerSpec(0, "conv", 3, 3, 8, 16, 8, 8, 8, 8),
+              LayerSpec(1, "fc", 1, 1, 1024, 10, 1, 1, 1, 1))
+    two = DnnModelSpec("two", layers, sum(layer.params() for layer in layers))
+    head, last = map_model(two, topo).assignments
+    cases = [
+        (MappingPlan("other", (head, last)), "plan for 'other' does not match model 'two'"),
+        (MappingPlan("two", (head,)), "plan for 'two' does not match model 'two'"),
+        (MappingPlan("two", ()), "plan for 'two' does not match model 'two'"),
+        (MappingPlan("two", (head, last._replace(chiplet_ids=("zeta", "ghost")))),
+         "plan names chiplets absent from topology: ['ghost', 'zeta']"),
+        (MappingPlan("two", (head._replace(chiplet_ids=("ghost",)),
+                             last._replace(chiplet_ids=("alpha",)))),
+         "plan names chiplets absent from topology: ['ghost']"),
+        (MappingPlan("two", (head._replace(total_macs=0), last)), "assignment has no MACs"),
+    ]
+    for plan, message in cases:
+        with pytest.raises(MappingError) as caught:
+            simulate_model(two, topo, plan, cfg.devices, cfg.options)
+        assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("section, field, value", [("options", "overlap", "no"),
                                                     ("options", "mac_rate_hz", "5e9"),
                                                     ("devices", "laser_efficiency", "0.1")])

@@ -4,7 +4,8 @@ import pytest
 
 from cpsim import replace
 from cpsim.config import default_config, with_kind
-from cpsim.mapper import MappingError, chunks_per_dot, map_model, select_mac_type
+from cpsim.mapper import (LayerAssignment, MappingError, MappingPlan, chunks_per_dot, map_model,
+                          select_mac_type)
 from cpsim.platform import DEFAULT_MAC_TYPES, PlatformTopology, build_topology, default_platform
 from cpsim.workload import DnnModelSpec, LayerSpec, load_shipped_model
 
@@ -74,7 +75,57 @@ def test_chunks_monotone_in_vector_len():
             previous = chunks
 
 
+def test_chunks_per_dot_is_exact_above_float_precision():
+    """The ceiling is taken in integers: a float quotient rounds 9 * 2**50 + 1
+    down to 9 * 2**50 and loses the last chunk."""
+    assert chunks_per_dot(9 * 2**50 + 1, 9) == 2**50 + 1
+    assert chunks_per_dot(9 * 2**50, 9) == 2**50
+    for dot in (2**53 + 1, 3**40, 10**30 + 7):
+        for vlen in (1, 9, 25, 49, 100):
+            quotient, remainder = divmod(dot, vlen)
+            assert chunks_per_dot(dot, vlen) == quotient + (remainder > 0)
+
+
+def test_plan_invocations_are_exact_for_a_dot_length_above_2_53():
+    topology = default_platform()
+    [narrow] = map_model(DnnModelSpec("narrow", (fc_layer(),), 1010), topology).assignments
+    vlen = narrow.mac_type.vector_len
+    layer = fc_layer(fin=vlen * 2**55 + 1, fout=3)   # one element past 2**55 full chunks
+    [wide] = map_model(DnnModelSpec("wide", (layer,), layer.params()), topology).assignments
+    assert wide.mac_type == narrow.mac_type
+    assert wide.invocations == 3 * (2**55 + 1)
+
+
 # -------------------------------------------------------------- map_model
+
+
+def reference_plan(model, topology):
+    """The plan built layer by layer, with no placement shared between layers."""
+    compute = topology.compute_chiplets()
+    available = list(dict.fromkeys(c.mac_type for c in compute))
+    rows = []
+    for layer in model.layers:
+        mac_type = select_mac_type(layer, available)
+        chiplets = [c for c in compute if c.mac_type == mac_type]
+        rows.append(LayerAssignment(layer.index, mac_type, tuple(c.id for c in chiplets),
+                                    sum(c.macs for c in chiplets),
+                                    layer.dot_products
+                                    * chunks_per_dot(layer.dot_length, mac_type.vector_len)))
+    return MappingPlan(model.name, tuple(rows))
+
+
+@pytest.mark.parametrize("kind", ["siph", "elec", "mono"])
+@pytest.mark.parametrize("name", ["lenet5", "resnet50", "densenet121", "vgg16", "mobilenetv2"])
+def test_map_model_equals_a_layer_by_layer_reference(kind, name):
+    """The column-wise plan is the one each layer gets on its own, record for
+    record and of the same record types."""
+    topology = build_topology(with_kind(default_config(), kind))
+    model = load_shipped_model(name)
+    plan = map_model(model, topology)
+    assert plan == reference_plan(model, topology)
+    assert type(plan) is MappingPlan
+    assert {type(a) for a in plan.assignments} == {LayerAssignment}
+
 
 
 def test_map_lenet5_fc_layers():

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from cpsim import engine
-from cpsim.cli import cli_main
+from cpsim.cli import _build_parser, cli_main
 from cpsim.config import MAX_GATEWAYS, ChipletConfig, ConfigError, SimOptions, parse_config
 from cpsim.devices import pcmc_for_split
 from cpsim.engine import RunMetrics
@@ -188,6 +188,33 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_help_is_success(argv, capsys):
     assert cli_main(argv) == 0
     assert "usage: cpsim" in capsys.readouterr().out
+
+
+PARSER_REUSE_CALLS = (["compare", "--epoch-us", "soon"],   # a usage error
+                      ["--help"],
+                      ["compare", "--no-overlap", "--epoch-us", "5"],
+                      ["compare"])
+
+
+def test_reusing_the_parser_leaks_no_state(capsys):
+    """The parser is built once per process: each call's exit code and output
+    are the same whichever calls ran before it, and on a parser built afresh."""
+    def run(argv):
+        code = cli_main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    forward = [run(argv) for argv in PARSER_REUSE_CALLS]
+    backward = [run(argv) for argv in reversed(PARSER_REUSE_CALLS)][::-1]
+    fresh = []
+    for argv in PARSER_REUSE_CALLS:
+        _build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert forward == backward == fresh
+    usage, help_text, no_overlap, plain = forward
+    assert [usage[0], help_text[0], no_overlap[0], plain[0]] == [2, 0, 0, 0]
+    assert "invalid float value: 'soon'" in usage[2] and help_text[1].startswith("usage: cpsim")
+    assert no_overlap[1] != plain[1]   # the flags of one call do not stay for the next
 
 
 def test_python_m_cpsim_runs_the_cli_and_importing_it_does_not():

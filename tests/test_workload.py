@@ -1,3 +1,5 @@
+import copy
+import json
 import math
 import random
 import runpy
@@ -5,8 +7,12 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpsim.cli import cli_main
+from cpsim.devices import check_fields
 from cpsim.workload import (DescriptorError, DnnModelSpec, LayerSpec, ModelValidationError,
                             layer_traffic, load_model, load_shipped_model, param_count,
                             shipped_model_names)
@@ -343,3 +349,92 @@ def test_load_model_bitwidth_defaults_and_range():
     bad = text.replace("channels_out: 10}", "channels_out: 10, weight_bitwidth: 33}")
     with pytest.raises(ModelValidationError, match="bitwidth"):
         load_model(bad)
+
+
+# ------------------------------------------------- the column check's parity
+
+SHIPPED_DOCS = {name: json.loads(resources.files("cpsim.data.models")
+                                 .joinpath(f"{name}.desc").read_text("utf-8"))
+                for name in PUBLISHED_TOTALS}
+COUNT_KEYS = ("kernel", "channels_in", "channels_out", "in_hw", "out_hw", "stride")
+BITWIDTH_KEYS = ("weight_bitwidth", "activation_bitwidth")
+GEOMETRY_KEYS = ("kernel", "in_hw", "out_hw")
+
+
+def layers_of(doc):
+    """The descriptor's layers, built here from its entries with values as written."""
+    def pair(value):
+        return tuple(value) if isinstance(value, list) else (value, value)
+
+    layers = []
+    for i, e in enumerate(doc["layers"]):
+        (kh, kw), (in_h, in_w), (out_h, out_w) = (pair(e.get(k, 1)) for k in GEOMETRY_KEYS)
+        layers.append(LayerSpec(i, e["kind"], kh, kw, e["channels_in"], e["channels_out"],
+                                in_h, in_w, out_h, out_w, e.get("stride", 1),
+                                e.get("weight_bitwidth", 8), e.get("activation_bitwidth", 8)))
+    return tuple(layers)
+
+
+def reference_error(layers):
+    """The error a layer-by-layer check raises first: each layer's fields, by
+    check_fields in field order, then its geometry; None if every layer passes."""
+    for layer in layers:
+        where = f"layer {layer.index}: "
+        try:
+            check_fields(layer, ModelValidationError, where)
+        except ModelValidationError as exc:
+            return exc
+        _, kind, kh, kw, _, _, in_h, in_w, out_h, out_w, *_ = layer
+        if kind == "conv" and (out_h > in_h or out_w > in_w):
+            return ModelValidationError(f"{where}conv output {out_h}x{out_w} "
+                                        f"exceeds input {in_h}x{in_w}")
+        if kind == "fc" and any(v != 1 for v in (kh, kw, in_h, in_w, out_h, out_w)):
+            return ModelValidationError(f"{where}fc layers must use 1x1 convention")
+    return None
+
+
+@st.composite
+def bad_cell(draw, entries):
+    """(layer index, key, value) that no layer may hold; ``entries`` are the
+    descriptor's layers as shipped, so every cell is bad whatever else changed."""
+    how = draw(st.sampled_from(["type", "bool", "bound", "nonfinite", "conv_out", "fc_1x1"]))
+    if how in ("conv_out", "fc_1x1"):
+        kind = "conv" if how == "conv_out" else "fc"
+        index = draw(st.sampled_from([i for i, e in enumerate(entries) if e["kind"] == kind]))
+        if how == "fc_1x1":
+            return index, draw(st.sampled_from(GEOMETRY_KEYS)), draw(st.integers(2, 9))
+        in_hw = entries[index]["in_hw"]
+        out_hw = list(in_hw) if isinstance(in_hw, list) else [in_hw, in_hw]
+        out_hw[draw(st.integers(0, 1))] += draw(st.integers(1, 4))   # one dim outgrows its input
+        return index, "out_hw", out_hw
+    index = draw(st.integers(0, len(entries) - 1))
+    key = draw(st.sampled_from(COUNT_KEYS + BITWIDTH_KEYS))
+    value = {"type": st.sampled_from(["8", "x", None, 2.5, 8.0, {"h": 1}]),
+             "bool": st.booleans(),
+             "bound": st.sampled_from([0, -1, -2**40] + ([33, 64] if key in BITWIDTH_KEYS
+                                                         else [])),
+             "nonfinite": st.sampled_from([math.nan, math.inf, -math.inf])}[how]
+    return index, key, draw(value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_column_check_raises_what_a_layer_by_layer_check_raises(data):
+    """One to three bad cells put into a shipped descriptor, written as YAML
+    (so NaN and infinity go through it): loading it, and building its layers
+    in code, raise the class and message of the first bad layer's first check."""
+    shipped = SHIPPED_DOCS[data.draw(st.sampled_from(sorted(SHIPPED_DOCS)))]
+    doc = copy.deepcopy(shipped)
+    for _ in range(data.draw(st.integers(1, 3), label="cells")):
+        index, key, value = data.draw(bad_cell(shipped["layers"]), label="cell")
+        doc["layers"][index][key] = value
+    text = yaml.dump(doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper))
+    layers = layers_of(yaml.safe_load(text))
+    expected = reference_error(layers)
+    assert expected is not None
+    for build in (lambda: load_model(text),
+                  lambda: DnnModelSpec(doc["name"], layers, doc["declared_param_count"])):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert type(caught.value) is type(expected)
+        assert str(caught.value) == str(expected)
