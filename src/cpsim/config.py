@@ -10,8 +10,10 @@ The bundled default is JSON text, which is also YAML, parsed with
 ``json.loads``. Both documents go through ``config_from_doc``, and every
 mapping in them, as in a model descriptor, goes through ``read_keys``. Every
 record checks its own fields when built, so a config that exists is a valid
-one. PyYAML is imported on the first user file, so importing cpsim and
-running on the bundled files alone never imports it.
+one. PyYAML is imported on the first user file that needs it, so importing
+cpsim and running on the bundled files alone never imports it. A model
+descriptor in the documented form does not need it: ``workload`` reads that
+form itself, into the document ``safe_load`` would return.
 """
 
 from __future__ import annotations

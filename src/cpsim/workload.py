@@ -3,8 +3,11 @@
 A model descriptor is a YAML document with a ``layers`` array. Only shapes
 and bit-widths are represented; the simulator never sees tensor data. The
 shipped descriptors (``data/models/*.desc``) are JSON text, which is also
-YAML, and are parsed with ``json.loads``; a user's file is parsed as YAML.
-Both documents go through ``model_from_doc``, which makes every check.
+YAML, and are parsed with ``json.loads``. A user's file in the documented
+form (``key: value`` lines, one flow mapping per layer) is read by
+``read_documented_form`` without PyYAML, into the document PyYAML would
+load; any other user file is parsed as YAML. Every document goes through
+``model_from_doc``, which makes every check.
 A model's layers are checked a column at a time, one test per field over
 every layer; only a model that fails one is checked layer by layer, so the
 first bad layer's own check names it.
@@ -13,7 +16,7 @@ first bad layer's own check names it.
 from __future__ import annotations
 
 import json
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, compress
 from operator import gt
 from typing import NamedTuple
@@ -188,9 +191,63 @@ def _layer_from_entry(entry, index: int) -> LayerSpec:
         get("activation_bitwidth", DEFAULT_BITWIDTH)))
 
 
+@cache
+def _form_patterns():
+    """The documented form's line and entry patterns, compiled on first use.
+    A word that YAML 1.1 reads as a bool or null, in any case, is no word."""
+    import re
+
+    word = r"(?!(?i:yes|no|true|false|on|off|null)(?![A-Za-z0-9_]))[A-Za-z_][A-Za-z0-9_]*"
+    scalar = rf"(?:0|[1-9][0-9]*|{word})"
+    value = rf"(?:{scalar}|\[{scalar}, {scalar}\])"
+    entry = rf"{word}: {value}"
+    comment = r"(?: +#[\t -~]*)?"   # printable ASCII: no YAML line break inside
+    return (re.compile(rf"#[\t -~]*|({word}):(?: ({value}))?{comment}").fullmatch,
+            re.compile(rf"- \{{((?:{entry}(?:, {entry})*)?)\}}{comment}").fullmatch,
+            re.compile(rf"({word}): ({value})").findall)
+
+
+def _form_value(text: str):
+    """A value the patterns matched: an int, a word or a list of two of these."""
+    if text[0] == "[":
+        return list(map(_form_value, text[1:-1].split(", ")))
+    return int(text) if text[0] <= "9" else text
+
+
+def read_documented_form(text: str) -> dict | None:
+    """The document PyYAML loads from ``text`` when ``text`` is in the form
+    the README documents: ``key: value`` lines at column 0, one ``- {key:
+    value, ...}`` flow mapping per layer, ``#`` comments and values that are
+    a decimal int, a word or an ``[a, b]`` pair of these. ``None`` for any
+    other text, which PyYAML then reads."""
+    top, item, entries = _form_patterns()
+    doc, key, items = {}, None, None   # items: the open key's list, None once it has a value
+    for line in text.split("\n"):   # str.splitlines also splits where YAML does not
+        if line[:1] == "-":
+            match = None if items is None else item(line)
+            if match is None:
+                return None
+            if not items:
+                doc[key] = items
+            items.append({k: _form_value(v) for k, v in entries(match[1])})
+        elif line:
+            match = top(line)
+            if match is None:
+                return None
+            if match[1] is not None:
+                key, value = match.group(1, 2)
+                doc[key], items = (None, []) if value is None else (_form_value(value), None)
+    return doc or None   # PyYAML loads an empty or comment-only text as None
+
+
 def load_model(descriptor_text: str) -> DnnModelSpec:
-    """Parse a YAML model descriptor and build it (see ``model_from_doc``)."""
-    return model_from_doc(safe_load(descriptor_text, DescriptorError, "descriptor"))
+    """Parse a model descriptor and build it (see ``model_from_doc``). A text
+    in the documented form is read by ``read_documented_form``, any other by
+    PyYAML; both give the same document, so the same model or error."""
+    doc = read_documented_form(descriptor_text)
+    if doc is None:
+        doc = safe_load(descriptor_text, DescriptorError, "descriptor")
+    return model_from_doc(doc)
 
 
 def model_from_doc(doc) -> DnnModelSpec:

@@ -7,7 +7,10 @@ of another type, NaN, infinite or out of any physical scale. ``cli_main``
 must return 0 or 1 and never raise; a value outside its domain exits 1 and
 names its field; a run that exits 0 reports finite metrics that satisfy the
 energy identities. Integers reach 2**40, far above any count the builder
-accepts (``config.MAX_GATEWAYS`` caps the gateways of a chiplet).
+accepts (``config.MAX_GATEWAYS`` caps the gateways of a chiplet). Each drawn
+descriptor is written twice, in block style and in the documented form that
+cpsim reads without PyYAML, and both files must give the same exit code and
+the same stderr.
 
 The relations (Chen et al., "Metamorphic Testing: A Review of Challenges and
 Opportunities", ACM CSUR 2018) compare two runs where no exact oracle
@@ -131,6 +134,18 @@ def simulate(workdir, platform, config=None, model="lenet5"):
     return code, err
 
 
+def documented_form(descriptor):
+    """``descriptor`` as ``key: value`` lines and one flow mapping per layer,
+    each value written as YAML dumps it. With every value a decimal int, a
+    word or a pair, that is the documented form, which cpsim reads without
+    PyYAML; a float, NaN, string or other value leaves the text to PyYAML."""
+    def flow(value):
+        return yaml.dump([value], Dumper=DUMPER, default_flow_style=True, sort_keys=False,
+                         width=10 ** 9)[1:-2]   # "[...]\n" less the brackets and break
+    lines = [f"{key}: {flow(value)}" for key, value in descriptor.items() if key != "layers"]
+    return "\n".join([*lines, "layers:", *(f"- {flow(e)}" for e in descriptor["layers"])]) + "\n"
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_one_config_field_keeps_the_exit_code_contract(workdir, data):
@@ -162,9 +177,12 @@ def test_one_layer_field_keeps_the_exit_code_contract(workdir, data):
         descriptor["declared_param_count"] = sum(
             e.get("kernel", 1) ** 2 * e["channels_in"] * e["channels_out"] + e["channels_out"]
             for e in descriptor["layers"])
-    path = workdir / "model.desc"
+    path, flow_path = workdir / "model.desc", workdir / "model_flow.desc"
     path.write_text(yaml.dump(descriptor, Dumper=DUMPER))
-    code, err = simulate(workdir, data.draw(st.sampled_from(PLATFORMS)), model=str(path))
+    flow_path.write_text(documented_form(descriptor))
+    platform = data.draw(st.sampled_from(PLATFORMS))
+    code, err = simulate(workdir, platform, model=str(path))
+    assert simulate(workdir, platform, model=str(flow_path)) == (code, err)
     if not in_domain(domain, value):
         assert code == 1 and f"layer {index}" in err, err
         assert key in err or LAYER_KEYS[key] in err, err
