@@ -90,11 +90,14 @@ class PricingTables:
     """What runs price from a topology and a DeviceParams alone: each lazy
     table is a ``Memo`` declared here with its one rule, and no entry changes
     once written. No rule holds the topology or the tables, so both go with
-    their last reference, and no entry holds a run's controller."""
+    their last reference, and no entry holds a run's controller. Either
+    interposer without a memory chiplet raises ``MappingError`` naming its kind."""
 
     def __init__(self, topology: PlatformTopology, params: DeviceParams) -> None:
         self.params = params
         self.memory_ids = memory_ids = [c.id for c in topology.memory_chiplets()]
+        if not memory_ids and topology.kind != MONO:
+            raise MappingError(f"topology {topology.kind!r} has no memory chiplet")
         # interposer rings stay locked to the WDM grid whether or not their
         # gateway is lit; deactivation saves laser power, not trim power.
         # Other kinds have no interposer rings: 0.0 W
@@ -264,8 +267,6 @@ def _mesh(topology: PlatformTopology, tables: PricingTables, options: SimOptions
     static power for the whole layer. A transfer is the header's per-hop
     router latency plus link serialization, scaled by a congestion factor
     when several chiplets contend for the memory node."""
-    if not tables.memory_ids:
-        raise MappingError("electrical topology has no memory chiplet")
     p = topology.platform
     static_w = p.noc_router_static_w * (topology.mesh_dims[0] * topology.mesh_dims[1])
     pj_per_bit_hop, noc_freq_hz = p.noc_energy_pj_per_bit_hop, p.noc_freq_hz
@@ -341,8 +342,8 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
     options = options or SimOptions()
     _, mac_types, chiplet_ids, total_macs, invocations = _plan_columns(model, topology, plan)
     tables, mac_rate_hz = pricing_tables(topology, params), options.mac_rate_hz
-    # the assigned MAC pool retires one vector dot per MAC per cycle
-    compute = [math.ceil(i / m) / mac_rate_hz for i, m in zip(invocations, total_macs)]
+    # the assigned pool retires one vector dot per MAC per cycle: cycles in integers, exact
+    compute = [-(-i // m) / mac_rate_hz for i, m in zip(invocations, total_macs)]
     read, write, overhead, bits, own_energy = _INTERCONNECTS[topology.kind](
         topology, tables, options, model.traffic, chiplet_ids, compute)
     columns = zip(compute, read, write, overhead)

@@ -46,26 +46,20 @@ def select_mac_type(layer: LayerSpec, available: list[MacUnitType]) -> MacUnitTy
     """Pick the MAC type for a layer.
 
     fc: the largest dense type, falling back to the largest type overall.
-    conv: an exact kernel-size fit among conv types, else the smallest conv
-    type that still fits the kernel window, else the largest type overall
-    (chunking absorbs the mismatch). Ties break toward the smaller vector.
+    conv: the first conv type, in (vector_len, name) order, that fits the
+    kernel window, which is an exact fit whenever one exists; else the
+    largest type overall (chunking absorbs the mismatch). Ties break toward
+    the smaller vector.
     """
     if not available:
         raise MappingError("no MAC types available")
     by_len = sorted(available, key=lambda t: (t.vector_len, t.name))
     if layer.kind == "fc":
         dense = [t for t in by_len if t.family == "dense"]
-        pool = dense or by_len
-        return max(pool, key=lambda t: t.vector_len)
+        return max(dense or by_len, key=lambda t: t.vector_len)
     window = layer.kernel_h * layer.kernel_w
-    conv = [t for t in by_len if t.family == "conv"]
-    exact = [t for t in conv if t.vector_len == window]
-    if exact:
-        return exact[0]
-    fitting = [t for t in conv if t.vector_len >= window]
-    if fitting:
-        return fitting[0]
-    return max(by_len, key=lambda t: t.vector_len)
+    fitting = [t for t in by_len if t.family == "conv" and t.vector_len >= window]
+    return fitting[0] if fitting else max(by_len, key=lambda t: t.vector_len)
 
 
 def map_model(model: DnnModelSpec, topology: PlatformTopology) -> MappingPlan:

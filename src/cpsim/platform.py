@@ -145,19 +145,16 @@ def _cell_position(cell: tuple[int, int], rows: int, cols: int, side_mm: float) 
     return ((cell[1] + 0.5) * side_mm / cols, (cell[0] + 0.5) * side_mm / rows)
 
 
-def _place_chiplets(cfg: SimConfig) -> list[ChipletSpec]:
+def _place_chiplets(cfg: SimConfig) -> tuple[list[ChipletSpec], list[ChipletSpec]]:
+    """The placed memory and compute chiplets, memory taking the first cells."""
     p = cfg.platform
     capacity = p.grid_rows * p.grid_cols
     if len(cfg.chiplets) > capacity:
         raise ConfigError(f"{len(cfg.chiplets)} chiplets exceed the "
                           f"{p.grid_rows}x{p.grid_cols} interposer grid")
-    cells = _grid_cells(p.grid_rows, p.grid_cols, len(cfg.chiplets))
-    ordered = ([c for c in cfg.chiplets if c.role == "memory"]
-               + [c for c in cfg.chiplets if c.role == "compute"])
-    placed = []
-    for entry, cell in zip(ordered, cells):
-        placed.append(_chiplet_spec(entry, cell, p))
-    return placed
+    cells = iter(_grid_cells(p.grid_rows, p.grid_cols, len(cfg.chiplets)))
+    return ([_chiplet_spec(c, next(cells), p) for c in cfg.chiplets if c.role == "memory"],
+            [_chiplet_spec(c, next(cells), p) for c in cfg.chiplets if c.role == "compute"])
 
 
 def _chiplet_spec(entry: ChipletConfig, cell: tuple[int, int], p) -> ChipletSpec:
@@ -175,9 +172,8 @@ def _chiplet_spec(entry: ChipletConfig, cell: tuple[int, int], p) -> ChipletSpec
                        entry.macs // entry.macs_per_gateway, position, cell)
 
 
-def _wire_photonic(chiplets: list[ChipletSpec], p) -> tuple[list[WaveguideRoute], list[Mrg]]:
-    compute = [c for c in chiplets if c.role == "compute"]
-    memory = [c for c in chiplets if c.role == "memory"]
+def _wire_photonic(memory: list[ChipletSpec], compute: list[ChipletSpec],
+                   p) -> tuple[list[WaveguideRoute], list[Mrg]]:
     # (gateway id, chiplet, index on the chiplet's trunk)
     compute_gws = [(gw, c, k) for c in compute for k, gw in enumerate(c.gateway_ids())]
     memory_gws = [(gw, c, k) for c in memory for k, gw in enumerate(c.gateway_ids())]
@@ -220,14 +216,14 @@ def build_topology(cfg: SimConfig) -> PlatformTopology:
                            p.monolithic_macs, 1,
                            (p.interposer_side_mm / 2, p.interposer_side_mm / 2), (0, 0))
         return PlatformTopology(p, chiplets=(chip,), routes=(), mrgs=(), mesh_dims=(1, 1))
-    chiplets = _place_chiplets(cfg)
-    if not any(c.role == "compute" for c in chiplets):
+    memory, compute = _place_chiplets(cfg)
+    if not compute:
         raise ConfigError("no compute chiplets configured")
-    if not any(c.role == "memory" for c in chiplets):   # both interposers route to memory
+    if not memory:   # both interposers route to memory
         raise ConfigError(f"{p.kind} needs at least one memory chiplet")
-    routes, mrgs = _wire_photonic(chiplets, p) if p.kind == SIPH else ((), ())
-    return PlatformTopology(p, chiplets=tuple(chiplets), routes=tuple(routes), mrgs=tuple(mrgs),
-                            mesh_dims=(p.grid_rows, p.grid_cols))
+    routes, mrgs = _wire_photonic(memory, compute, p) if p.kind == SIPH else ((), ())
+    return PlatformTopology(p, chiplets=(*memory, *compute), routes=tuple(routes),
+                            mrgs=tuple(mrgs), mesh_dims=(p.grid_rows, p.grid_cols))
 
 
 def default_platform() -> PlatformTopology:

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from functools import reduce
-from operator import add
+from operator import add, truediv
 from typing import NamedTuple
 
 from .engine import ENERGY_CATEGORIES, RunMetrics
@@ -43,6 +43,8 @@ class ComparisonRow(NamedTuple):
 
 
 COLUMNS = ComparisonRow._fields[:-1]   # every field but ``summary``
+# the RunMetrics fields of power_w, latency_s and epb_j_per_bit, each normalized
+_NORMALIZED = ("avg_power_w", "total_latency_s", "epb_j_per_bit")
 
 
 class ReferenceBaseline(NamedTuple):
@@ -94,11 +96,12 @@ def comparison_table(runs: list[LabeledRun], baseline: str) -> list[ComparisonRo
         base = base_by_model.get(run.model)
         if base is None:
             raise ValueError(f"baseline {baseline!r} has no run for model {run.model!r}")
-        m = run.metrics
-        rows.append(ComparisonRow(run.platform, run.model, m.avg_power_w, m.total_latency_s,
-                                  m.epb_j_per_bit, m.avg_power_w / base.avg_power_w,
-                                  m.total_latency_s / base.total_latency_s,
-                                  m.epb_j_per_bit / base.epb_j_per_bit))
+        values = [getattr(run.metrics, k) for k in _NORMALIZED]
+        bases = [getattr(base, k) for k in _NORMALIZED]
+        if 0 in bases:
+            raise ValueError(f"baseline {baseline!r} has {_NORMALIZED[bases.index(0)]} 0 "
+                             f"for model {run.model!r}: nothing to normalize by")
+        rows.append(ComparisonRow(run.platform, run.model, *values, *map(truediv, values, bases)))
     summaries = []
     for platform in platforms:
         own = [row for row in rows if row.platform == platform]

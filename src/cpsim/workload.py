@@ -8,9 +8,9 @@ form (``key: value`` lines, one flow mapping per layer) is read by
 ``read_documented_form`` without PyYAML, into the document PyYAML would
 load; any other user file is parsed as YAML. Every document goes through
 ``model_from_doc``, which makes every check.
-A model's layers are checked a column at a time, one test per field over
-every layer; only a model that fails one is checked layer by layer, so the
-first bad layer's own check names it.
+``_layers_hold`` checks a model's layers a column at a time; only a model
+that fails is checked layer by layer, by ``check_fields`` and ``_layers_hold``
+on each layer alone, so the first bad layer's own check names it.
 """
 
 from __future__ import annotations
@@ -54,17 +54,6 @@ class LayerSpec(NamedTuple):
     weight_bitwidth: Bitwidth = DEFAULT_BITWIDTH
     activation_bitwidth: Bitwidth = DEFAULT_BITWIDTH
 
-    def validate(self) -> None:
-        check_fields(self, ModelValidationError, f"layer {self.index}: ")
-        if self.kind == "conv" and (self.out_h > self.in_h or self.out_w > self.in_w):
-            raise ModelValidationError(
-                f"layer {self.index}: conv output {self.out_h}x{self.out_w} "
-                f"exceeds input {self.in_h}x{self.in_w}")
-        if self.kind == "fc":
-            ones = (self.kernel_h, self.kernel_w, self.in_h, self.in_w, self.out_h, self.out_w)
-            if any(v != 1 for v in ones):
-                raise ModelValidationError(f"layer {self.index}: fc layers must use 1x1 convention")
-
     @property
     def dot_length(self) -> int:
         """Elements per dot product: the kernel window (conv) or in_features (fc)."""
@@ -91,7 +80,13 @@ class DnnModelSpec(Record):
             raise ModelValidationError(f"model {self.name!r}: no layers")
         if not _layers_hold(self.layers):   # then the first bad layer raises, naming itself
             for layer in self.layers:
-                layer.validate()
+                where = f"layer {layer.index}: "
+                check_fields(layer, ModelValidationError, where)
+                if not _layers_hold((layer,)):   # its fields hold, so its geometry does not
+                    raise ModelValidationError(where + (
+                        f"conv output {layer.out_h}x{layer.out_w} exceeds input "
+                        f"{layer.in_h}x{layer.in_w}" if layer.kind == "conv"
+                        else "fc layers must use 1x1 convention"))
         computed = param_count(self)
         if computed != self.declared_param_count:
             raise ModelValidationError(
@@ -112,9 +107,9 @@ class DnnModelSpec(Record):
 
 
 def _layers_hold(layers: tuple[LayerSpec, ...]) -> bool:
-    """Whether every layer passes ``LayerSpec.validate``, one test per column.
-    Geometry is compared only once every column holds values in bounds; the
-    conv test runs on every layer, and an fc layer at 1x1 passes it."""
+    """Whether every layer's fields hold, no output dim exceeds its input and
+    every fc dim is 1, one test per column. Geometry is compared only once the
+    fields hold; the conv test runs on every layer, and fc at 1x1 passes it."""
     columns = list(zip(*layers))
     _, kind, kernel_h, kernel_w, _, _, in_h, in_w, out_h, out_w = columns[:10]
     return (fields_hold(LayerSpec, columns)

@@ -57,6 +57,21 @@ def test_compute_time_examples(cfg):
     assert compute_s(132, 132, vlen=9) == pytest.approx(0.5e-9, rel=1e-12)
 
 
+def test_compute_cycles_are_exact_above_float_precision(cfg):
+    """The cycle count is an exact integer ceiling: 3 * 2**53 + 1 dot products
+    on the 128 monolithic MACs take 3 * 2**46 + 1 cycles, and a float quotient
+    rounds the last, partial cycle away."""
+    layer = LayerSpec(0, "fc", 1, 1, 1, 3 * 2**53 + 1, 1, 1, 1, 1)
+    model = DnnModelSpec("wide", (layer,), layer.params())
+    mono = build_topology(with_kind(cfg, "mono"))
+    [result] = simulate_model(model, mono, map_model(model, mono), cfg.devices,
+                              cfg.options).per_layer
+    rate = cfg.options.mac_rate_hz
+    assert cfg.platform.monolithic_macs == 128
+    assert result.compute_s == (3 * 2**46 + 1) / rate == 211106232532993 / rate
+    assert math.ceil((3 * 2**53 + 1) / 128) == 3 * 2**46   # what a float quotient gives
+
+
 # ---------------------------------------------------------- transfer times
 # fc 100->950 at 8-bit weights and 4-bit activations reads 767,600 + 400 bits
 
@@ -732,6 +747,20 @@ def test_plan_topology_mismatch_rejected(cfg):
         for bad in (0.5, float("nan"), float("inf")):
             with pytest.raises(ValueError, match=name):
                 replace(cfg.options, **{name: bad})
+
+
+@pytest.mark.parametrize("kind", ["siph", "elec"])
+def test_interposer_topology_without_memory_raises_naming_its_kind(cfg, kind):
+    """build_topology rejects an interposer config with no memory chiplet; a
+    topology built by hand without one fails in the engine with a
+    MappingError naming its kind, on either interposer."""
+    built = build_topology(with_kind(cfg, kind))
+    bare = replace(built, chiplets=tuple(built.compute_chiplets()), routes=(), mrgs=())
+    model = fc_model()
+    plan = map_model(model, bare)
+    with pytest.raises(MappingError) as caught:
+        simulate_model(model, bare, plan, cfg.devices, cfg.options)
+    assert str(caught.value) == f"topology {built.kind!r} has no memory chiplet"
 
 
 def test_hand_built_bad_plans_raise_their_messages(cfg):

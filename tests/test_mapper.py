@@ -1,12 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpsim import replace
 from cpsim.config import default_config, with_kind
 from cpsim.mapper import (LayerAssignment, MappingError, MappingPlan, chunks_per_dot, map_model,
                           select_mac_type)
-from cpsim.platform import DEFAULT_MAC_TYPES, PlatformTopology, build_topology, default_platform
+from cpsim.platform import (DEFAULT_MAC_TYPES, MacUnitType, PlatformTopology, build_topology,
+                            default_platform)
 from cpsim.workload import DnnModelSpec, LayerSpec, load_shipped_model
 
 TYPES = list(DEFAULT_MAC_TYPES.values())
@@ -55,6 +58,46 @@ def test_select_is_total_and_deterministic():
         first = select_mac_type(layer, TYPES)
         assert select_mac_type(layer, list(reversed(TYPES))) is not None
         assert select_mac_type(layer, TYPES).name == first.name
+
+
+def three_clause_select(layer, available):
+    """The rule as first stated: fc to the largest dense type, else the
+    largest overall; conv to an exact window fit among conv types, else the
+    smallest conv type that fits, else the largest type overall."""
+    by_len = sorted(available, key=lambda t: (t.vector_len, t.name))
+    if layer.kind == "fc":
+        dense = [t for t in by_len if t.family == "dense"]
+        return max(dense or by_len, key=lambda t: t.vector_len)
+    window = layer.kernel_h * layer.kernel_w
+    conv = [t for t in by_len if t.family == "conv"]
+    exact = [t for t in conv if t.vector_len == window]
+    if exact:
+        return exact[0]
+    fitting = [t for t in conv if t.vector_len >= window]
+    if fitting:
+        return fitting[0]
+    return max(by_len, key=lambda t: t.vector_len)
+
+
+# few names and lengths, so ties, equal types and exact fits are common
+MAC_TYPES = st.builds(MacUnitType, st.sampled_from(["a", "b", "conv3x3", "dense100"]),
+                      st.sampled_from([1, 2, 4, 6, 9, 12, 16, 25, 49, 100]),
+                      st.sampled_from(["conv", "dense"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_select_picks_what_the_three_clause_rule_picks(data):
+    """One fitting list picks the very type the exact-fit, next-fit and
+    largest-overall clauses picked, duplicates in the list included."""
+    available = data.draw(st.lists(MAC_TYPES, min_size=1, max_size=8), label="types")
+    available += data.draw(st.lists(st.sampled_from(available), max_size=3), label="repeats")
+    available = data.draw(st.permutations(available), label="order")
+    if data.draw(st.booleans(), label="conv"):
+        layer = conv_layer(data.draw(st.integers(1, 11)), data.draw(st.integers(1, 11)))
+    else:
+        layer = fc_layer(data.draw(st.integers(1, 5000)))
+    assert select_mac_type(layer, available) is three_clause_select(layer, available)
 
 
 # --------------------------------------------------------------- chunking

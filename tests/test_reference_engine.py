@@ -66,7 +66,7 @@ def reference(model, topology, plan, params, options) -> RunMetrics:
     for layer, a in zip(model.layers, plan.assignments):
         weights, inputs, outputs = traffic(layer)
         ids = a.chiplet_ids
-        compute_s = math.ceil(a.invocations / a.total_macs) / options.mac_rate_hz
+        compute_s = -(-a.invocations // a.total_macs) / options.mac_rate_hz
         weight_bits = weights * options.weight_refetch_factor
         write_bits = float(outputs)
         overhead_s, joules, watts = 0.0, {}, {}

@@ -94,6 +94,33 @@ def test_ratios_invariant_under_energy_rescale():
         assert a.normalized_epb == pytest.approx(b.normalized_epb, rel=1e-12)
 
 
+def test_zero_baseline_metric_is_rejected_naming_baseline_model_and_metric():
+    """A ratio against a baseline metric of 0 has no value: the table names
+    the baseline, the model and the first such metric."""
+    for metric in ("avg_power_w", "total_latency_s", "epb_j_per_bit"):
+        runs = runs_for("a") + runs_for("b")
+        base = runs[5].metrics
+        runs[5] = runs[5]._replace(metrics=base._replace(**{metric: 0.0}))
+        with pytest.raises(ValueError) as caught:
+            comparison_table(runs, baseline="mono")
+        assert str(caught.value) == (f"baseline 'mono' has {metric} 0 for model 'b': "
+                                     "nothing to normalize by")
+
+
+def test_compare_against_a_zero_energy_baseline_exits_1(tmp_path, capsys):
+    """With every mono energy term set to 0.0, each in its domain, the mono
+    baseline draws no power: compare exits 1 naming it, with no traceback."""
+    doc = default_config_doc()
+    doc["devices"].update(mr_tuning_mw=0.0, dac_energy_pj=0.0, adc_energy_pj=0.0)
+    doc["platform"]["offchip_energy_pj_per_bit"] = 0.0
+    config = write_yaml(tmp_path / "zero.yaml", doc)
+    assert cli_main(["compare", "--models", "lenet5", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: baseline 'monolithic' has avg_power_w 0 for model "
+                            "'lenet5': nothing to normalize by\n")
+
+
 def test_baseline_missing_model_rejected():
     runs = runs_for("a") + [LabeledRun("elec", "b", metrics_of(45.3, 60e-3, 22e-9))]
     with pytest.raises(ValueError, match="no run for model"):
