@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections import Counter
 from functools import reduce
 from itertools import repeat
 from operator import add, attrgetter
@@ -87,11 +88,11 @@ class Memo(dict):
 
 
 class PricingTables:
-    """What runs price from a topology and a DeviceParams alone: each lazy
-    table is a ``Memo`` declared here with its one rule, and no entry changes
-    once written. No rule holds the topology or the tables, so both go with
-    their last reference, and no entry holds a run's controller. Either
-    interposer without a memory chiplet raises ``MappingError`` naming its kind."""
+    """What runs price from a topology and a DeviceParams alone: each lazy table
+    is a ``Memo`` declared here with its one rule, no entry changing once written. No rule
+    holds the topology or tables, so both go with their last reference, nor does an entry
+    hold a run's controller. ``MappingError`` names an interposer with no memory chiplet,
+    or siph chiplets whose gateways do not each write one route as ``build_topology`` does."""
 
     def __init__(self, topology: PlatformTopology, params: DeviceParams) -> None:
         self.params = params
@@ -114,6 +115,11 @@ class PricingTables:
                 for i, cid in enumerate(ids)), max(each)))
         if topology.kind != SIPH:
             return
+        wired = Counter((r.writer_chiplet, r.writer_index, r.protocol) for r in topology.routes)
+        wired.subtract((c.id, k, SWMR if c.role == "memory" else SWSR)
+                       for c in topology.chiplets for k in range(c.gateways))
+        if unwired := sorted({cid for (cid, _, _), n in wired.items() if n}):
+            raise MappingError(f"topology {SIPH!r}: routes do not match the gateways of {unwired}")
         n_wavelengths = topology.platform.n_wavelengths
         self.gw_bw = gw_bw = gateway_peak_bandwidth(topology)
         self.gateways = gateways = {c.id: c.gateways for c in topology.chiplets}

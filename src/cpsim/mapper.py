@@ -3,9 +3,9 @@
 Every layer goes to all chiplets of one MAC type (maximal intra-layer
 parallelism); layers execute strictly in order. Oversized dot products are
 decomposed into ceil(dot_length / vector_len) sequential chunks whose
-partial sums accumulate electronically at the MAC unit. A plan is built a
-column at a time: one placement per (kind, kernel window), then each
-layer's invocations and record from the columns.
+partial sums accumulate electronically at the MAC unit. One walk over the
+compute chiplets pools each MAC type's ids and MACs; each (kind, kernel
+window) takes its type's pool, and the records come from named columns.
 """
 
 from __future__ import annotations
@@ -64,30 +64,24 @@ def select_mac_type(layer: LayerSpec, available: list[MacUnitType]) -> MacUnitTy
 
 def map_model(model: DnnModelSpec, topology: PlatformTopology) -> MappingPlan:
     """Assign every layer to all chiplets of its selected MAC type."""
-    compute = topology.compute_chiplets()
-    if not compute:
+    pools = {}   # MAC type (name and lanes) -> its chiplets' ids and MACs, in first-seen order
+    for chiplet in topology.compute_chiplets():
+        ids, macs = pools.get(chiplet.mac_type, ((), 0))
+        pools[chiplet.mac_type] = ((*ids, chiplet.id), macs + chiplet.macs)
+    if not pools:
         raise MappingError(f"topology {topology.kind!r} has no compute chiplets")
-    # a type is its name and its vector length: chiplets of one name may differ in lanes
-    available = list(dict.fromkeys(c.mac_type for c in compute))
-    layers = model.layers
-    index, kind, kernel_h, kernel_w, in_channels, out_channels, _, _, out_h, out_w = list(
-        zip(*layers))[:10]
+    c = LayerSpec._make(zip(*model.layers))   # each field holds its column
 
-    # the MAC type depends only on the layer's kind and kernel window: one
-    # placement per window, any of its layers standing for the rest
-    sizes = list(map(mul, kernel_h, kernel_w))
-    windows = list(zip(kind, sizes))
-    placements = {}
-    for window, layer in dict(zip(windows, layers)).items():
-        mac_type = select_mac_type(layer, available)
-        chiplets = [c for c in compute if c.mac_type == mac_type]
-        placements[window] = (mac_type, tuple(c.id for c in chiplets),
-                              sum(c.macs for c in chiplets))
+    # a type depends only on kind and window: one placement per window, by any of its layers
+    sizes = list(map(mul, c.kernel_h, c.kernel_w))
+    windows = list(zip(c.kind, sizes))
+    placements = {window: (mac_type := select_mac_type(layer, list(pools)), *pools[mac_type])
+                  for window, layer in dict(zip(windows, model.layers)).items()}
     mac_types, chiplet_ids, total_macs = zip(*map(placements.__getitem__, windows))
     # LayerSpec.dot_length and dot_products, a column at a time
-    dot_lengths = map(mul, sizes, in_channels)
+    dot_lengths = map(mul, sizes, c.in_channels)
     chunks = map(chunks_per_dot, dot_lengths, [t.vector_len for t in mac_types])
-    invocations = map(mul, map(mul, map(mul, out_h, out_w), out_channels), chunks)
+    invocations = map(mul, map(mul, map(mul, c.out_h, c.out_w), c.out_channels), chunks)
     # tuple.__new__ makes each record from its row with no Python-level call
     return MappingPlan(model.name, tuple(map(tuple.__new__, repeat(LayerAssignment), zip(
-        index, mac_types, chiplet_ids, total_macs, invocations))))
+        c.index, mac_types, chiplet_ids, total_macs, invocations))))

@@ -108,14 +108,14 @@ class DnnModelSpec(Record):
 
 def _layers_hold(layers: tuple[LayerSpec, ...]) -> bool:
     """Whether every layer's fields hold, no output dim exceeds its input and
-    every fc dim is 1, one test per column. Geometry is compared only once the
-    fields hold; the conv test runs on every layer, and fc at 1x1 passes it."""
-    columns = list(zip(*layers))
-    _, kind, kernel_h, kernel_w, _, _, in_h, in_w, out_h, out_w = columns[:10]
-    return (fields_hold(LayerSpec, columns)
-            and not any(map(gt, out_h, in_h)) and not any(map(gt, out_w, in_w))
+    every fc dim is 1: one test per column, read by name off the transposed
+    layers. Geometry is compared once the fields hold, the conv test on every layer."""
+    c = LayerSpec._make(zip(*layers))   # each field holds its column
+    return (fields_hold(LayerSpec, c)
+            and not any(map(gt, c.out_h, c.in_h)) and not any(map(gt, c.out_w, c.in_w))
             and {1}.issuperset(chain.from_iterable(compress(   # fc layers are 1x1
-                zip(kernel_h, kernel_w, in_h, in_w, out_h, out_w), map("fc".__eq__, kind)))))
+                zip(c.kernel_h, c.kernel_w, c.in_h, c.in_w, c.out_h, c.out_w),
+                map("fc".__eq__, c.kind)))))
 
 
 class TrafficVolume(NamedTuple):

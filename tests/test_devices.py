@@ -150,6 +150,17 @@ def test_laser_power_rejects_empty():
         required_laser_power([], 64, PARAMS)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: required_laser_power([1.0], 0, PARAMS), "need at least one wavelength"),
+    (lambda: serialization_time(1, 0, 1e9), "need at least one wavelength"),
+    (lambda: serialization_time(1, 1, 0.0), "rate must be > 0"),
+], ids=["laser-no-wavelength", "serialization-no-wavelength", "serialization-zero-rate"])
+def test_lane_and_rate_guards_raise_their_messages(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert caught.type is ValueError and str(caught.value) == message
+
+
 # ------------------------------------------------------------ timing/energy
 
 

@@ -763,6 +763,35 @@ def test_interposer_topology_without_memory_raises_naming_its_kind(cfg, kind):
     assert str(caught.value) == f"topology {built.kind!r} has no memory chiplet"
 
 
+def test_siph_topology_whose_routes_do_not_match_its_gateways_raises_naming_the_chiplets(cfg):
+    """Every gateway of a siph chiplet writes one route, SWMR from a memory
+    chiplet and SWSR from a compute chiplet, as build_topology wires them. A
+    hand-built topology that differs fails in the engine and in the epoch
+    controller with a MappingError naming its chiplets, sorted: with no routes
+    at all, and with dense0's routes dropped, which would otherwise leave its
+    lit gateways out of the laser sum without a word."""
+    built = build_topology(with_kind(cfg, "siph"))
+    routes = built.routes
+    swapped = tuple(r._replace(protocol="SWMR") if r.writer_chiplet == "conv5b" else r
+                    for r in routes)
+    cases = [
+        (replace(built, routes=(), mrgs=()), sorted(c.id for c in built.chiplets)),
+        (replace(built, routes=tuple(r for r in routes if r.writer_chiplet != "dense0")),
+         ["dense0"]),
+        (replace(built, routes=routes + routes[-1:]), [routes[-1].writer_chiplet]),
+        (replace(built, routes=swapped), ["conv5b"]),
+    ]
+    model = load_shipped_model("lenet5")
+    for topology, named in cases:
+        message = f"topology 'siph_interposer': routes do not match the gateways of {named}"
+        with pytest.raises(MappingError) as caught:
+            simulate_model(model, topology, map_model(model, topology), cfg.devices, cfg.options)
+        assert str(caught.value) == message
+        with pytest.raises(MappingError) as caught:
+            EpochController(topology, cfg.devices)
+        assert str(caught.value) == message
+
+
 def test_hand_built_bad_plans_raise_their_messages(cfg):
     """The plan is checked from its columns, read once per run: a plan of
     another model or length, chiplets the topology lacks (named for the first

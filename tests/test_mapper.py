@@ -108,6 +108,16 @@ def test_chunks_per_dot_examples(dot, vlen, expected):
     assert chunks_per_dot(dot, vlen) == expected
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: chunks_per_dot(0, 9), ValueError, "dot length and vector length must be >= 1"),
+    (lambda: select_mac_type(conv_layer(3), []), MappingError, "no MAC types available"),
+], ids=["zero-dot-length", "no-mac-types"])
+def test_bad_arguments_raise_their_messages(call, error, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert caught.type is error and str(caught.value) == message
+
+
 def test_chunks_monotone_in_vector_len():
     for dot in (1, 9, 27, 121, 4096):
         previous = None
@@ -168,6 +178,29 @@ def test_map_model_equals_a_layer_by_layer_reference(kind, name):
     assert plan == reference_plan(model, topology)
     assert type(plan) is MappingPlan
     assert {type(a) for a in plan.assignments} == {LayerAssignment}
+
+
+@pytest.mark.parametrize("kind", ["siph", "elec"])
+def test_map_model_keeps_topology_order_with_mac_types_interleaved(kind):
+    """Chiplets of one MAC type that are not next to each other, and a chiplet
+    whose vector_len makes it a type of its own between them: every pool keeps
+    its chiplets in topology order, and the plan is the layer-by-layer one."""
+    cfg = with_kind(default_config(), kind)
+    by_id = {c.id: c for c in cfg.chiplets}
+    order = ["mem0", "conv3a", "dense0", "conv5a", "conv3b", "dense1", "conv7a", "conv3c",
+             "conv5b"]
+    cfg = replace(cfg, chiplets=tuple(replace(by_id[cid], vector_len=64) if cid == "dense1"
+                                      else by_id[cid] for cid in order))
+    topology = build_topology(cfg)
+    assert [c.id for c in topology.compute_chiplets()] == order[1:]
+    pools = {}
+    for name in ("lenet5", "resnet50", "densenet121", "vgg16", "mobilenetv2"):
+        model = load_shipped_model(name)
+        plan = map_model(model, topology)
+        assert plan == reference_plan(model, topology)
+        pools.update((a.mac_type, a.chiplet_ids) for a in plan.assignments)
+    assert pools[DEFAULT_MAC_TYPES["conv3x3"]] == ("conv3a", "conv3b", "conv3c")
+    assert pools[DEFAULT_MAC_TYPES["dense100"]] == ("dense0",)
 
 
 

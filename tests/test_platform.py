@@ -269,6 +269,10 @@ def test_electrical_hops(cfg):
     assert electrical_hops(origin, near, topo) == 2
     with pytest.raises(KeyError):
         electrical_hops("nope", origin, topo)
+    with pytest.raises(ValueError) as caught:
+        electrical_hops("mem0", "dense0", build_topology(with_kind(cfg, "siph")))
+    assert caught.type is ValueError
+    assert str(caught.value) == "hop count undefined for siph_interposer topology"
 
 
 def test_monolithic_topology(cfg):

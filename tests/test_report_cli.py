@@ -11,9 +11,11 @@ import yaml
 
 from cpsim import engine
 from cpsim.cli import _build_parser, cli_main
-from cpsim.config import MAX_GATEWAYS, ChipletConfig, ConfigError, SimOptions, parse_config
+from cpsim.config import (MAX_GATEWAYS, ChipletConfig, ConfigError, SimOptions, parse_config,
+                          with_kind)
 from cpsim.devices import pcmc_for_split
 from cpsim.engine import RunMetrics
+from cpsim.platform import build_topology
 from cpsim.report import (LabeledRun, comparison_table, emit_report, reference_rows,
                           render_report)
 
@@ -61,6 +63,9 @@ def test_single_run_self_baseline():
 def test_unknown_baseline_rejected():
     with pytest.raises(ValueError, match="baseline"):
         comparison_table(runs_for(), baseline="tpu")
+    with pytest.raises(ValueError) as caught:
+        comparison_table([], "mono")
+    assert caught.type is ValueError and str(caught.value) == "no runs to compare"
 
 
 def test_geomean_matches_direct_computation():
@@ -286,6 +291,13 @@ def test_compare_baseline_must_be_swept(capsys):
 
 def test_compare_unknown_platform(capsys):
     assert cli_main(["compare", "--models", "lenet5", "--platforms", "siph,quantum"]) == 2
+
+
+def test_compare_with_no_model_named_is_usage_error(capsys):
+    assert cli_main(["compare", "--models", ","]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("cpsim: error: nothing to sweep: need at least one model and one "
+                        "platform\n"), err
 
 
 def test_compare_emits_geomeans_and_references(tmp_path):
@@ -531,3 +543,31 @@ def test_interposer_without_a_memory_chiplet_fails_when_built(tmp_path, capsys, 
         assert "needs at least one memory chiplet" in err and "Traceback" not in err
     assert cli_main(["simulate", "--model", "lenet5", "--platform", "mono", "--config",
                      str(config), "--out", str(tmp_path / "mono.json")]) == 0
+
+
+MEMORY = "{id: mem0, role: memory, gateways: 4}"
+
+
+@pytest.mark.parametrize("kind, chiplets, message", [
+    ("siph", f"{MEMORY}, {{id: dense0, role: compute, mac_type: dense100, macs: 4}}",
+     "chiplet 'dense0': compute chiplets need macs_per_gateway"),
+    ("siph", f"{MEMORY}, {{id: dense0, role: compute, mac_type: conv9x9, macs: 4, "
+             "macs_per_gateway: 1}",
+     "chiplet 'dense0': unknown mac_type 'conv9x9' (register a vector_len to define a custom "
+     "type)"),
+    ("siph", MEMORY, "no compute chiplets configured"),
+    ("elec", MEMORY, "no compute chiplets configured"),
+], ids=["no-macs-per-gateway", "unregistered-mac-type", "siph-memory-only", "elec-memory-only"])
+def test_chiplets_the_builder_cannot_wire_are_failure(tmp_path, capsys, kind, chiplets, message):
+    """A compute chiplet with no MACs per gateway or an unregistered MAC type
+    without a vector_len, and an interposer with no compute chiplet, raise a
+    ConfigError with their message; the CLI exits 1 printing it."""
+    text = f"chiplets: [{chiplets}]\n"
+    with pytest.raises(ConfigError) as caught:
+        build_topology(with_kind(parse_config(text), kind))
+    assert caught.type is ConfigError and str(caught.value) == message
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    assert cli_main(["simulate", "--model", "lenet5", "--platform", kind, "--config", str(bad),
+                     "--out", str(tmp_path / "run.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

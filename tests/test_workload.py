@@ -294,12 +294,17 @@ FC = "kind: fc, channels_in: 100, channels_out: 10"
     (f"{HEADER}layers:\n- {{kind: fc, channels_in: 100}}",
      "layer 0: missing keys ['channels_out']"),
     (f"declared_param_count: 1010\nlayers:\n- {{{FC}}}", "model: missing keys ['name']"),
+    (f"{HEADER}layers: 5", "layers must be an array"),
+    (f"{HEADER}layers:\n- {{{FC}, in_hw: [1, 1, 1]}}",
+     "layer 0: in_hw must be a value or an [h, w] pair, got [1, 1, 1]"),
 ], ids=["layer-unknown-keys", "model-unknown-keys", "layer-not-a-mapping", "model-not-a-mapping",
-        "conv-layer-missing-keys", "fc-layer-missing-keys", "model-missing-keys"])
+        "conv-layer-missing-keys", "fc-layer-missing-keys", "model-missing-keys",
+        "layers-not-an-array", "in-hw-of-three"])
 def test_unknown_keys_that_are_not_strings_exit_1(tmp_path, capsys, text, where):
     """The model and each layer are read by one reader: a value that is not a
     mapping, unknown keys of mixed types and missing keys are named, and
-    unknown keys are not compared with each other."""
+    unknown keys are not compared with each other. Layers that are not an
+    array and a dim that is neither a value nor a pair are named too."""
     path = tmp_path / "keys.desc"
     path.write_text(text + "\n")
     assert cli_main(["validate", str(path)]) == 1
@@ -321,6 +326,12 @@ def test_load_model_rejects_garbage():
                          "declared_conv_layers")):
         with pytest.raises(DescriptorError, match=key):
             load_model("name: bad\n" + header + fc)
+    for layers, message in (("layers: 5\n", "layers must be an array"),
+                            (fc.replace("}", ", in_hw: [1, 1, 1]}"),
+                             "layer 0: in_hw must be a value or an [h, w] pair, got [1, 1, 1]")):
+        with pytest.raises(DescriptorError) as caught:
+            load_model("name: bad\ndeclared_param_count: 1010\n" + layers)
+        assert str(caught.value) == message
 
 
 def test_load_model_checks_declared_kind_counts():
