@@ -6,6 +6,9 @@ The bundled default config mirrors the reference platform sizing.
 
 A user's config file is YAML, parsed with ``YAML_LOADER``: a module global,
 ``None`` until ``safe_load``'s first call sets it, which tests may replace.
+``safe_load`` narrows its int resolver to decimal integers, so a YAML 1.1
+octal, base-60, underscored or hex spelling stays a string, which the field
+check rejects by name.
 The bundled default is JSON text, which is also YAML, parsed with
 ``json.loads``. Both documents go through ``config_from_doc``, and every
 mapping in them, as in a model descriptor, goes through ``read_keys``. Every
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 from .devices import (AtLeastOne, Count, DeviceParams, NonNeg, NonNegInt, Positive, Record,
                       check_fields, choice, replace)
@@ -40,16 +44,31 @@ KIND_ALIASES = {"siph": SIPH, "elec": ELEC, "mono": MONO}
 YAML_LOADER = None
 
 
+@cache
+def _decimal_ints(loader: type) -> type:
+    """``loader`` whose int resolver takes decimal integers alone. YAML 1.1
+    also reads ``010`` as 8, ``1:40`` as 100, ``1_000`` as 1000 and ``0x1F``
+    as 31; here they stay strings, which every integer field rejects by name."""
+    import re
+
+    decimal = re.compile(r"^[-+]?(?:0|[1-9][0-9]*)$")
+    resolvers = {first: [(tag, decimal if tag == "tag:yaml.org,2002:int" else regexp)
+                         for tag, regexp in pairs]
+                 for first, pairs in loader.yaml_implicit_resolvers.items()}
+    return type(f"Decimal{loader.__name__}", (loader,), {"yaml_implicit_resolvers": resolvers})
+
+
 def safe_load(text: str, error: type[ValueError], what: str):
-    """Parse one YAML document with ``YAML_LOADER``, set on the first call;
-    malformed YAML raises ``error``, saying which ``what`` was unparseable and where."""
+    """Parse one YAML document with ``YAML_LOADER``, set on the first call,
+    reading only decimal integers as ints; malformed YAML raises ``error``,
+    saying which ``what`` was unparseable and where."""
     global YAML_LOADER
     import yaml
 
     if YAML_LOADER is None:
         YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        return yaml.load(text, Loader=YAML_LOADER)
+        return yaml.load(text, Loader=_decimal_ints(YAML_LOADER))
     except yaml.YAMLError as exc:
         raise error(f"unparseable {what}: {exc}") from exc
 

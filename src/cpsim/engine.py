@@ -24,6 +24,17 @@ one rule; the interconnect builders and the controller only look entries up.
 Every entry is a pure function of its key and the two objects, so no run's
 output depends on which runs came before it.
 
+Per layer the engine does arithmetic and few calls. No ``max`` or ``min`` is
+called per layer: the latency, the demand window and the slower endpoint's
+bandwidth are conditional expressions making the builtin's own comparisons
+in its order, so a tie keeps the first value as the builtin does. A chiplet
+set's constants (its write flight, its chiplet count, its mesh hops) are
+worked out once per run in a dict over the run's distinct sets. Every float
+total is a ``reduce(add, ..., 0.0)`` left fold, never ``sum()``, whose
+compensated addition in Python 3.12+ would move the last bits; a category
+with no nonzero entry, as one the kind has no hardware for, totals 0.0
+without a fold, which is what the fold would give.
+
 A single run is sequential and deterministic; identical inputs produce
 bit-identical metrics.
 """
@@ -92,7 +103,8 @@ class PricingTables:
     is a ``Memo`` declared here with its one rule, no entry changing once written. No rule
     holds the topology or tables, so both go with their last reference, nor does an entry
     hold a run's controller. ``MappingError`` names an interposer with no memory chiplet,
-    or siph chiplets whose gateways do not each write one route as ``build_topology`` does."""
+    or siph chiplets with no gateway, or whose gateways do not each write one route and
+    own one microring group, as ``build_topology`` wires them."""
 
     def __init__(self, topology: PlatformTopology, params: DeviceParams) -> None:
         self.params = params
@@ -115,11 +127,19 @@ class PricingTables:
                 for i, cid in enumerate(ids)), max(each)))
         if topology.kind != SIPH:
             return
+        if dark := sorted(c.id for c in topology.chiplets if c.gateways < 1):
+            raise MappingError(f"topology {SIPH!r}: no gateway on {dark}")
         wired = Counter((r.writer_chiplet, r.writer_index, r.protocol) for r in topology.routes)
         wired.subtract((c.id, k, SWMR if c.role == "memory" else SWSR)
                        for c in topology.chiplets for k in range(c.gateways))
         if unwired := sorted({cid for (cid, _, _), n in wired.items() if n}):
             raise MappingError(f"topology {SIPH!r}: routes do not match the gateways of {unwired}")
+        # each gateway, now known by its one route, owns one microring group
+        owners = Counter(m.owner_gateway for m in topology.mrgs)
+        if ringless := sorted({r.writer_chiplet for r in topology.routes
+                               if owners[r.writer_gateway] != 1}):
+            raise MappingError(f"topology {SIPH!r}: microring groups do not match "
+                               f"the gateways of {ringless}")
         n_wavelengths = topology.platform.n_wavelengths
         self.gw_bw = gw_bw = gateway_peak_bandwidth(topology)
         self.gateways = gateways = {c.id: c.gateways for c in topology.chiplets}
@@ -223,37 +243,39 @@ def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOpt
     propagation and fixed store-and-forward gateway buffering."""
     params = tables.params
     controller = EpochController(topology, params)
-    layer_counts, write_routes = tables.layer_counts, tables.write_routes
+    layer_counts = tables.layer_counts
     n_memory, gw_bw = len(tables.memory_ids), tables.gw_bw
     velocity = params.group_velocity_mm_per_s
     read_flight = tables.read_route.path.length_mm / velocity
+    # chiplet set -> (its chiplets, its write flight), once per set of the run
+    sets = {ids: (len(ids), tables.write_routes[ids].path.length_mm / velocity)
+            for ids in dict.fromkeys(chiplet_ids)}
     hold = options.gateway_overhead_cycles / topology.platform.gateway_freq_hz
     refetch, epoch_s = options.weight_refetch_factor, options.epoch_s
     resipi, trailing = options.resipi_enabled, options.demand_mode == "trailing"
     previous = ((), 0, 0)   # no history: the state with only gateway 0 of each chiplet lit
     rows = []
 
-    for t, ids, compute_s in zip(traffic, chiplet_ids, compute):
-        weight_bits = t.weight_bits * refetch
-        read_bits = weight_bits + t.input_bits
-        write_bits = float(t.output_bits)
+    for (weight, inputs, outputs), ids, compute_s in zip(traffic, chiplet_ids, compute):
+        n_ids, write_flight = sets[ids]
+        weight_bits = weight * refetch
+        read_bits = weight_bits + inputs
+        write_bits = float(outputs)
         switched = 0
         if resipi:
             # every assigned chiplet gets one demand share, every memory chiplet another
-            window = max(compute_s, epoch_s)
-            target = (ids, math.ceil((t.input_bits + (weight_bits + t.output_bits) / len(ids))
-                                     / window / gw_bw),
+            window = epoch_s if epoch_s > compute_s else compute_s   # max(compute_s, epoch_s)
+            target = (ids, math.ceil((inputs + (weight_bits + outputs) / n_ids) / window / gw_bw),
                       math.ceil((read_bits + write_bits) / window / n_memory / gw_bw))
             target, previous = (previous, target) if trailing else (target, target)
             # a changed count always retunes a coupler, so switched > 0 is a resize
             switched = controller.resize(layer_counts[target])
         memory_bw, assigned_bw = controller.bandwidths(ids)
-        rows.append((
-            (read_bits / min(memory_bw, assigned_bw) + read_flight) + hold,
-            (write_bits / min(assigned_bw, memory_bw)
-             + write_routes[ids].path.length_mm / velocity) + hold,
-            params.pcm_transition_s if switched else 0.0,
-            read_bits + write_bits, controller.laser_w, switched))
+        # min(memory_bw, assigned_bw); both are positive, so it is min(assigned_bw, memory_bw) too
+        bw = assigned_bw if assigned_bw < memory_bw else memory_bw
+        rows.append(((read_bits / bw + read_flight) + hold, (write_bits / bw + write_flight) + hold,
+                     params.pcm_transition_s if switched else 0.0,
+                     read_bits + write_bits, controller.laser_w, switched))
 
     read, write, overhead, bits, laser_w, switches = zip(*rows)
     conversion_pj = params.modulator_energy_pj_per_bit + params.filter_pd_energy_pj_per_bit
@@ -283,16 +305,17 @@ def _mesh(topology: PlatformTopology, tables: PricingTables, options: SimOptions
         hops, worst_hops = tables.hops[ids]
         return (hops, len(ids), crowded if len(ids) > 1 else 1.0,
                 worst_hops * router_cycles / noc_freq_hz)
-    links, rows = Memo(link), []
+    links = {ids: link(ids) for ids in dict.fromkeys(chiplet_ids)}   # once per set of the run
+    rows = []
 
-    for t, ids in zip(traffic, chiplet_ids):
+    for (weight, inputs, outputs), ids in zip(traffic, chiplet_ids):
         hops, n_ids, congestion, header_s = links[ids]
-        weight_bits = t.weight_bits * refetch
+        weight_bits = weight * refetch
         # broadcast is replicated on the mesh: every assigned chiplet
         # receives its own copy of the input tensor
-        read_bits = weight_bits + t.input_bits * n_ids
-        write_bits = float(t.output_bits)
-        per_chiplet_bits = (weight_bits + t.output_bits) / n_ids + t.input_bits
+        read_bits = weight_bits + inputs * n_ids
+        write_bits = float(outputs)
+        per_chiplet_bits = (weight_bits + outputs) / n_ids + inputs
         rows.append((header_s + read_bits * congestion / link_bw,
                      header_s + write_bits * congestion / link_bw, read_bits + write_bits,
                      reduce(add, map(per_chiplet_bits.__mul__, hops), 0.0)
@@ -353,7 +376,9 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
     read, write, overhead, bits, own_energy = _INTERCONNECTS[topology.kind](
         topology, tables, options, model.traffic, chiplet_ids, compute)
     columns = zip(compute, read, write, overhead)
-    latency = ([max(c, r, w) + o for c, r, w, o in columns] if options.overlap
+    # max(c, r, w) as the builtin makes it: r > c, then w > the larger, so a tie keeps the first
+    latency = ([((w if w > r else r) if r > c else (w if w > c else c)) + o
+                for c, r, w, o in columns] if options.overlap
                else [c + r + w + o for c, r, w, o in columns])
 
     costs = [tables.mac_costs[m, t.vector_len] for m, t in zip(total_macs, mac_types)]
@@ -370,8 +395,10 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
         energies, bits)))
 
     # every float sum is a left fold from 0.0 in layer or category order,
-    # so no Python version's sum() moves it
-    breakdown = {k: reduce(add, column, 0.0) for k, column in zip(ENERGY_CATEGORIES, energy)}
+    # so no Python version's sum() moves it; a column of zeros (a category
+    # the kind has no hardware for) folds to 0.0, so it is not folded
+    breakdown = {k: reduce(add, column, 0.0) if any(column) else 0.0
+                 for k, column in zip(ENERGY_CATEGORIES, energy)}
     total_latency = reduce(add, latency, 0.0)
     total_energy = reduce(add, breakdown.values(), 0.0)
     avg_power = total_energy / total_latency if total_latency else 0.0

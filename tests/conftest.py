@@ -1,9 +1,18 @@
 import pytest
+from hypothesis import settings
 
 from cpsim import build_topology, default_config, load_shipped_model, map_model, simulate_model, with_kind
 
 SHIPPED = ("lenet5", "resnet50", "densenet121", "vgg16", "mobilenetv2")
 KINDS = ("siph_interposer", "elec_interposer", "monolithic")
+
+# 20 examples for a property test that sets no max_examples of its own (the
+# from-scratch reference engine's), in a local run and under the "ci" profile
+# Hypothesis loads where the CI variable is set; pytest
+# --hypothesis-profile=deep draws 300
+settings.register_profile("default", max_examples=20)
+settings.register_profile("ci", max_examples=20)
+settings.register_profile("deep", max_examples=300)
 
 
 @pytest.fixture(scope="session")

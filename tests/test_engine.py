@@ -560,6 +560,27 @@ def test_totals_are_left_folds_of_layers(sweep):
             assert tuple(r.energy_j) == engine.ENERGY_CATEGORIES
 
 
+# per kind, the energy categories it has no hardware for
+ABSENT = {"siph_interposer": ("electrical_noc",),
+          "elec_interposer": ("laser", "conversion", "gateway_elec", "controller"),
+          "monolithic": ("laser", "conversion", "gateway_elec", "controller")}
+
+
+def test_categories_a_kind_has_no_hardware_for_are_positive_zero(sweep):
+    """A category the kind has no hardware for is exactly +0.0 in the breakdown
+    (its total is 0.0, not a fold) and in every layer's energies; every other
+    category has some energy on every shipped model."""
+    for (name, kind), metrics in sweep.items():
+        for category, joules in metrics.energy_breakdown.items():
+            absent = category in ABSENT[kind]
+            assert (joules == 0.0 and math.copysign(1.0, joules) == 1.0) == absent, (
+                name, kind, category)
+            if absent:
+                assert all(r.energy_j[category] == 0.0 and
+                           math.copysign(1.0, r.energy_j[category]) == 1.0
+                           for r in metrics.per_layer), (name, kind, category)
+
+
 def test_total_bits_is_every_tensor_moved_once(sweep):
     for (name, _), metrics in sweep.items():
         layers = load_shipped_model(name).layers
@@ -784,6 +805,40 @@ def test_siph_topology_whose_routes_do_not_match_its_gateways_raises_naming_the_
     model = load_shipped_model("lenet5")
     for topology, named in cases:
         message = f"topology 'siph_interposer': routes do not match the gateways of {named}"
+        with pytest.raises(MappingError) as caught:
+            simulate_model(model, topology, map_model(model, topology), cfg.devices, cfg.options)
+        assert str(caught.value) == message
+        with pytest.raises(MappingError) as caught:
+            EpochController(topology, cfg.devices)
+        assert str(caught.value) == message
+
+
+def test_siph_topology_without_a_gateway_or_its_microring_group_raises_naming_the_chiplets(cfg):
+    """A siph chiplet has at least one gateway, and each gateway owns one
+    microring group. A hand-built topology whose compute chiplets have no
+    gateway (routes and rings dropped with them), or whose gateways own no
+    group or two, would otherwise be priced without a word: the lit-count
+    clamp would light a gateway that is not there, and the interposer ring
+    trim would drop or double. The engine and the epoch controller raise a
+    MappingError naming the chiplets, sorted."""
+    built = build_topology(with_kind(cfg, "siph"))
+    gone = {"conv3c", "conv5b"}
+    gone_gateways = {gw for c in built.chiplets if c.id in gone for gw in c.gateway_ids()}
+    no_gateway = replace(
+        built, chiplets=tuple(c._replace(gateways=0) if c.id in gone else c for c in built.chiplets),
+        routes=tuple(r for r in built.routes if r.writer_chiplet not in gone),
+        mrgs=tuple(m for m in built.mrgs if m.owner_gateway not in gone_gateways))
+    first, last = built.routes[0], built.routes[-1]
+    rings = "topology 'siph_interposer': microring groups do not match the gateways of "
+    cases = [
+        (no_gateway, "topology 'siph_interposer': no gateway on ['conv3c', 'conv5b']"),
+        (replace(built, mrgs=()), rings + str(sorted(c.id for c in built.chiplets))),
+        (replace(built, mrgs=built.mrgs + built.mrgs[:1]), rings + f"[{first.writer_chiplet!r}]"),
+        (replace(built, mrgs=tuple(m for m in built.mrgs if m.owner_gateway != last.writer_gateway)),
+         rings + f"[{last.writer_chiplet!r}]"),
+    ]
+    model = load_shipped_model("lenet5")
+    for topology, message in cases:
         with pytest.raises(MappingError) as caught:
             simulate_model(model, topology, map_model(model, topology), cfg.devices, cfg.options)
         assert str(caught.value) == message

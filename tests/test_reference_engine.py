@@ -223,8 +223,10 @@ MODELS = st.lists(st.tuples(st.integers(0, 50), st.integers(3, 40)), min_size=1,
     lambda drawn: [shipped(name) for name in SHIPPED] + [generated(*d) for d in drawn])
 
 
-# not shrunk: an example runs hundreds of layers, and shrinking one mismatch took minutes
-@settings(max_examples=20, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+# not shrunk: an example runs hundreds of layers, and shrinking one mismatch took minutes;
+# as many examples as the profile draws (tests/conftest.py): 20, or 300 with
+# --hypothesis-profile=deep
+@settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(platforms(), st.lists(DEVICES, min_size=1, max_size=2),
        st.lists(OPTIONS, min_size=1, max_size=2), MODELS.flatmap(st.permutations))
 def test_engine_matches_from_scratch_reference(cfg, devices, options, models):

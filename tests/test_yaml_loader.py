@@ -225,6 +225,28 @@ def test_bad_yaml_is_rejected(loader, tmp_path, capsys):
     assert "unparseable config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spelling", ["010", "1:40", "1_000", "0x1F", "0b11", "-010"])
+def test_only_decimal_integers_load_as_ints(loader, tmp_path, capsys, spelling):
+    """YAML 1.1 would read these as 8, 100, 1000, 31, 3 and -8 with no word. cpsim
+    reads them as strings, so the field check rejects them by name, exit 1:
+    in a descriptor PyYAML reads (the documented-form reader declines them)
+    and in a config. Decimal integers, signed or not, still load as ints."""
+    assert config.safe_load(f"[{spelling}, 10, +10, -0, 0]", ConfigError, "test") == [
+        spelling, 10, 10, 0, 0]
+    desc = tmp_path / "spelled.desc"
+    desc.write_text("name: spelled\ndeclared_param_count: 90\nlayers:\n"
+                    f"- {{kind: fc, channels_in: {spelling}, channels_out: 10}}\n", "utf-8")
+    assert read_documented_form(desc.read_text("utf-8")) is None
+    assert cli_main(["validate", str(desc)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: layer 0: in_channels must be an integer, got {spelling!r}\n")
+    cfg = tmp_path / "spelled.yaml"
+    cfg.write_text(f"options: {{router_latency_cycles: {spelling}}}\n", "utf-8")
+    assert cli_main(["simulate", "--model", "lenet5", "--platform", "elec",
+                     "--config", str(cfg)]) == 1
+    assert f"router_latency_cycles must be an integer, got {spelling!r}" in capsys.readouterr().err
+
+
 # Parity of read_documented_form with both YAML loaders. A text is a few
 # lines of the documented form with near misses put in: a token replaced, or
 # a line or a character inserted, each leaving the form or staying just
