@@ -28,12 +28,16 @@ Per layer the engine does arithmetic and few calls. No ``max`` or ``min`` is
 called per layer: the latency, the demand window and the slower endpoint's
 bandwidth are conditional expressions making the builtin's own comparisons
 in its order, so a tie keeps the first value as the builtin does. A chiplet
-set's constants (its write flight, its chiplet count, its mesh hops) are
-worked out once per run in a dict over the run's distinct sets. Every float
-total is a ``reduce(add, ..., 0.0)`` left fold, never ``sum()``, whose
-compensated addition in Python 3.12+ would move the last bits; a category
-with no nonzero entry, as one the kind has no hardware for, totals 0.0
-without a fold, which is what the fold would give.
+set's constants (its chiplet count, its write flight, its bandwidth in the
+power-on state, its mesh hops) are worked out once per run, in a dict over
+the distinct sets the plan check finds. The controller is consulted only on
+a change: a layer looks its target's lit counts up and calls ``resize`` only
+when they differ from the controller's. Every float total of a column is a
+``reduce(add, ..., 0.0)`` left fold, never ``sum()``, whose compensated
+addition in Python 3.12+ would move the last bits; one layer's few mesh hops
+are folded with ``+=`` from 0.0 in hop order, the same left fold without
+reduce's calls. A category with no nonzero entry, as one the kind has no
+hardware for, totals 0.0 without a fold, which is what the fold would give.
 
 A single run is sequential and deterministic; identical inputs produce
 bit-identical metrics.
@@ -192,7 +196,10 @@ class EpochController:
     each assigned and on each memory chiplet. Each state's ``active`` dict,
     laser watts and lit bandwidths, and the retunes of each (old, new) pair,
     are looked up in the ``Memo`` tables of its (topology, params) objects,
-    keyed by lit counts; a controller holds only its state."""
+    keyed by lit counts; a controller holds only its state. ``resize`` is the
+    one place the state changes; the engine calls it at power-on and then
+    only for a layer whose lit counts differ from ``counts``, and reads
+    ``laser_w`` and the state's bandwidths after each call."""
 
     def __init__(self, topology: PlatformTopology, params: DeviceParams) -> None:
         self._tables = pricing_tables(topology, params)
@@ -227,8 +234,9 @@ class EpochController:
 
 # ---------------------------------------------------------- interconnects
 # One builder per platform kind prices a whole run's data movement from the
-# model's traffic, the plan's chiplet-set column and the compute-time column. It
-# returns the per-layer columns read_s, write_s, overhead_s and bits_moved,
+# model's traffic, the plan's chiplet-set column, its distinct chiplet sets
+# and the compute-time column. It returns the per-layer columns read_s,
+# write_s, overhead_s and bits_moved,
 # and a function of the latency column giving the columns of the kind's own
 # energy categories: laser, conversion, gateway_elec, controller and
 # electrical_noc, a literal 0.0 per layer where the kind has no hardware.
@@ -236,20 +244,21 @@ class EpochController:
 
 def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOptions,
               traffic: tuple[TrafficVolume, ...], chiplet_ids: tuple[tuple[str, ...], ...],
-              compute: list[float]):
+              distinct: dict, compute: list[float]):
     """Photonic interposer: the epoch controller resizes the lit gateways
     before every layer; a resize stalls for one phase-change transition.
     A transfer is serialization at the slower endpoint, plus waveguide
     propagation and fixed store-and-forward gateway buffering."""
     params = tables.params
     controller = EpochController(topology, params)
-    layer_counts = tables.layer_counts
+    layer_counts, ceil, pcm_s = tables.layer_counts, math.ceil, params.pcm_transition_s
     n_memory, gw_bw = len(tables.memory_ids), tables.gw_bw
     velocity = params.group_velocity_mm_per_s
     read_flight = tables.read_route.path.length_mm / velocity
-    # chiplet set -> (its chiplets, its write flight), once per set of the run
-    sets = {ids: (len(ids), tables.write_routes[ids].path.length_mm / velocity)
-            for ids in dict.fromkeys(chiplet_ids)}
+    laser_w, bandwidths_of = controller.laser_w, controller._bandwidths_of   # power-on
+    # chiplet set -> (its chiplets, its write flight, its power-on bandwidth), once per set
+    sets = {ids: (len(ids), tables.write_routes[ids].path.length_mm / velocity,
+                  min(bandwidths_of[ids])) for ids in distinct}
     hold = options.gateway_overhead_cycles / topology.platform.gateway_freq_hz
     refetch, epoch_s = options.weight_refetch_factor, options.epoch_s
     resipi, trailing = options.resipi_enabled, options.demand_mode == "trailing"
@@ -257,7 +266,7 @@ def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOpt
     rows = []
 
     for (weight, inputs, outputs), ids, compute_s in zip(traffic, chiplet_ids, compute):
-        n_ids, write_flight = sets[ids]
+        n_ids, write_flight, bw = sets[ids]
         weight_bits = weight * refetch
         read_bits = weight_bits + inputs
         write_bits = float(outputs)
@@ -265,17 +274,20 @@ def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOpt
         if resipi:
             # every assigned chiplet gets one demand share, every memory chiplet another
             window = epoch_s if epoch_s > compute_s else compute_s   # max(compute_s, epoch_s)
-            target = (ids, math.ceil((inputs + (weight_bits + outputs) / n_ids) / window / gw_bw),
-                      math.ceil((read_bits + write_bits) / window / n_memory / gw_bw))
-            target, previous = (previous, target) if trailing else (target, target)
-            # a changed count always retunes a coupler, so switched > 0 is a resize
-            switched = controller.resize(layer_counts[target])
-        memory_bw, assigned_bw = controller.bandwidths(ids)
-        # min(memory_bw, assigned_bw); both are positive, so it is min(assigned_bw, memory_bw) too
-        bw = assigned_bw if assigned_bw < memory_bw else memory_bw
+            target = (ids, ceil((inputs + (weight_bits + outputs) / n_ids) / window / gw_bw),
+                      ceil((read_bits + write_bits) / window / n_memory / gw_bw))
+            if trailing:
+                target, previous = previous, target
+            counts = layer_counts[target]
+            if counts != controller.counts:
+                # a changed count always retunes a coupler, so switched > 0 is a resize
+                switched = controller.resize(counts)
+                laser_w, bandwidths_of = controller.laser_w, controller._bandwidths_of
+            memory_bw, assigned_bw = bandwidths_of[ids]
+            # min(memory_bw, assigned_bw); both are positive, so it is min(assigned_bw, memory_bw) too
+            bw = assigned_bw if assigned_bw < memory_bw else memory_bw
         rows.append(((read_bits / bw + read_flight) + hold, (write_bits / bw + write_flight) + hold,
-                     params.pcm_transition_s if switched else 0.0,
-                     read_bits + write_bits, controller.laser_w, switched))
+                     pcm_s if switched else 0.0, read_bits + write_bits, laser_w, switched))
 
     read, write, overhead, bits, laser_w, switches = zip(*rows)
     conversion_pj = params.modulator_energy_pj_per_bit + params.filter_pd_energy_pj_per_bit
@@ -290,7 +302,7 @@ def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOpt
 
 def _mesh(topology: PlatformTopology, tables: PricingTables, options: SimOptions,
           traffic: tuple[TrafficVolume, ...], chiplet_ids: tuple[tuple[str, ...], ...],
-          compute: list[float]):
+          distinct: dict, compute: list[float]):
     """Electrical mesh interposer: one router per chiplet, each drawing
     static power for the whole layer. A transfer is the header's per-hop
     router latency plus link serialization, scaled by a congestion factor
@@ -305,7 +317,7 @@ def _mesh(topology: PlatformTopology, tables: PricingTables, options: SimOptions
         hops, worst_hops = tables.hops[ids]
         return (hops, len(ids), crowded if len(ids) > 1 else 1.0,
                 worst_hops * router_cycles / noc_freq_hz)
-    links = {ids: link(ids) for ids in dict.fromkeys(chiplet_ids)}   # once per set of the run
+    links = {ids: link(ids) for ids in distinct}   # once per set of the run
     rows = []
 
     for (weight, inputs, outputs), ids in zip(traffic, chiplet_ids):
@@ -316,10 +328,12 @@ def _mesh(topology: PlatformTopology, tables: PricingTables, options: SimOptions
         read_bits = weight_bits + inputs * n_ids
         write_bits = float(outputs)
         per_chiplet_bits = (weight_bits + outputs) / n_ids + inputs
+        bit_hops = 0.0   # the left fold from 0.0 in hop order that reduce(add, ...) makes
+        for h in hops:
+            bit_hops += per_chiplet_bits * h
         rows.append((header_s + read_bits * congestion / link_bw,
                      header_s + write_bits * congestion / link_bw, read_bits + write_bits,
-                     reduce(add, map(per_chiplet_bits.__mul__, hops), 0.0)
-                     * pj_per_bit_hop * 1e-12))
+                     bit_hops * pj_per_bit_hop * 1e-12))
 
     read, write, bits, dynamic = zip(*rows)
     zeros = [0.0] * len(rows)
@@ -329,7 +343,7 @@ def _mesh(topology: PlatformTopology, tables: PricingTables, options: SimOptions
 
 def _offchip(topology: PlatformTopology, tables: PricingTables, options: SimOptions,
              traffic: tuple[TrafficVolume, ...], chiplet_ids: tuple[tuple[str, ...], ...],
-             compute: list[float]):
+             distinct: dict, compute: list[float]):
     """Monolithic chip: every tensor crosses the off-chip memory interface."""
     bw, pj_per_bit = topology.platform.offchip_bw_bps, topology.platform.offchip_energy_pj_per_bit
     refetch = options.weight_refetch_factor
@@ -349,19 +363,30 @@ _INTERCONNECTS = {SIPH: _photonic, ELEC: _mesh, MONO: _offchip}
 
 
 def _plan_columns(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPlan) -> tuple:
-    """The plan's assignments transposed, one tuple per field, once checked
-    against the model and topology."""
+    """The plan's assignments transposed, one tuple per field, and its distinct
+    chiplet sets in layer order, once checked against the model and topology:
+    each set, checked once, is not empty, repeats no chiplet and names only
+    compute chiplets of the topology."""
     if plan.model_name != model.name or len(plan.assignments) != len(model.layers):
         raise MappingError(f"plan for {plan.model_name!r} does not match model {model.name!r}")
     columns = _, _, chiplet_ids, total_macs, _ = tuple(zip(*plan.assignments))
-    known = {c.id for c in topology.chiplets}
-    for ids in dict.fromkeys(chiplet_ids):
-        missing = set(ids) - known
-        if missing:
+    compute = {c.id for c in topology.chiplets if c.role == "compute"}
+    distinct = dict.fromkeys(chiplet_ids)
+    for ids in distinct:
+        named = set(ids)
+        if ids and len(named) == len(ids) and named <= compute:
+            continue
+        if not ids:
+            raise MappingError("plan names the empty chiplet set ()")
+        if missing := named - {c.id for c in topology.chiplets}:
             raise MappingError(f"plan names chiplets absent from topology: {sorted(missing)}")
+        if len(named) < len(ids):
+            raise MappingError(f"plan names chiplet set {ids!r}, which repeats a chiplet")
+        raise MappingError(f"plan names chiplet set {ids!r}, "
+                           f"which holds non-compute chiplets {sorted(named - compute)}")
     if min(total_macs) < 1:
         raise MappingError("assignment has no MACs")
-    return columns
+    return columns, distinct
 
 
 def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPlan,
@@ -369,12 +394,13 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
     """Run ``model`` as mapped by ``plan`` on ``topology``. Raises OverflowError
     when finite inputs give an infinite latency, energy or power."""
     options = options or SimOptions()
-    _, mac_types, chiplet_ids, total_macs, invocations = _plan_columns(model, topology, plan)
+    (_, mac_types, chiplet_ids, total_macs, invocations), distinct = _plan_columns(
+        model, topology, plan)
     tables, mac_rate_hz = pricing_tables(topology, params), options.mac_rate_hz
     # the assigned pool retires one vector dot per MAC per cycle: cycles in integers, exact
     compute = [-(-i // m) / mac_rate_hz for i, m in zip(invocations, total_macs)]
     read, write, overhead, bits, own_energy = _INTERCONNECTS[topology.kind](
-        topology, tables, options, model.traffic, chiplet_ids, compute)
+        topology, tables, options, model.traffic, chiplet_ids, distinct, compute)
     columns = zip(compute, read, write, overhead)
     # max(c, r, w) as the builtin makes it: r > c, then w > the larger, so a tie keeps the first
     latency = ([((w if w > r else r) if r > c else (w if w > c else c)) + o

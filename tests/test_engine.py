@@ -391,6 +391,31 @@ def test_sweep_prices_each_path_and_state_once(cfg, monkeypatch):
     assert sum(r.overhead_s > 0 for m in runs for r in m.per_layer) > len(states)
 
 
+@pytest.mark.parametrize("resipi, mode", [(True, "upcoming"), (True, "trailing"),
+                                          (False, "upcoming")])
+def test_controller_resizes_only_at_power_on_and_on_a_change(cfg, monkeypatch, resipi, mode):
+    """The engine consults the controller only when a layer's lit counts
+    differ from its state: resize is called once at power-on and once per
+    stalled layer in either demand mode, and only at power-on with the
+    controller off."""
+    calls = []
+
+    class Recording(EpochController):
+        def resize(self, counts):
+            calls.append(counts)
+            return super().resize(counts)
+
+    monkeypatch.setattr(engine, "EpochController", Recording)
+    variant = with_kind(cfg, "siph_interposer")
+    topo = build_topology(variant)
+    options = replace(variant.options, resipi_enabled=resipi, demand_mode=mode)
+    model = generated_models(1)[0]
+    metrics = simulate_model(model, topo, map_model(model, topo), variant.devices, options)
+    stalls = sum(r.overhead_s > 0 for r in metrics.per_layer)
+    assert (stalls > 0) == resipi
+    assert len(calls) == 1 + stalls
+
+
 @pytest.mark.parametrize("kind, resipi, mode", [("siph", True, "upcoming"),
                                                 ("siph", False, "upcoming"),
                                                 ("siph", True, "trailing"),
@@ -871,6 +896,29 @@ def test_hand_built_bad_plans_raise_their_messages(cfg):
     for plan, message in cases:
         with pytest.raises(MappingError) as caught:
             simulate_model(two, topo, plan, cfg.devices, cfg.options)
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("kind", ["siph_interposer", "elec_interposer", "monolithic"])
+def test_plan_chiplet_sets_that_are_empty_repeat_or_name_memory_raise_naming_the_set(cfg, kind):
+    """Each distinct chiplet set of a plan is checked once per run, on every
+    kind: an empty set, a set that repeats a chiplet and a set that names a
+    non-compute chiplet each raise a MappingError naming the set (mono has no
+    memory chiplet, so there mem0 is absent)."""
+    variant = with_kind(cfg, kind)
+    topo = build_topology(variant)
+    model = load_shipped_model("lenet5")
+    *head, last = map_model(model, topo).assignments
+    twice = last.chiplet_ids + last.chiplet_ids[:1]
+    memory = ("plan names chiplets absent from topology: ['mem0']" if kind == "monolithic" else
+              "plan names chiplet set ('mem0',), which holds non-compute chiplets ['mem0']")
+    cases = [((), "plan names the empty chiplet set ()"),
+             (twice, f"plan names chiplet set {twice!r}, which repeats a chiplet"),
+             (("mem0",), memory)]
+    for ids, message in cases:
+        plan = MappingPlan(model.name, (*head, last._replace(chiplet_ids=ids)))
+        with pytest.raises(MappingError) as caught:
+            simulate_model(model, topo, plan, variant.devices, variant.options)
         assert str(caught.value) == message
 
 
