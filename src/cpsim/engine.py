@@ -236,10 +236,10 @@ class EpochController:
 # One builder per platform kind prices a whole run's data movement from the
 # model's traffic, the plan's chiplet-set column, its distinct chiplet sets
 # and the compute-time column. It returns the per-layer columns read_s,
-# write_s, overhead_s and bits_moved,
-# and a function of the latency column giving the columns of the kind's own
-# energy categories: laser, conversion, gateway_elec, controller and
-# electrical_noc, a literal 0.0 per layer where the kind has no hardware.
+# write_s, overhead_s and bits_moved, and a function of the latency column
+# giving the columns of the kind's own energy categories: laser, conversion,
+# gateway_elec, controller and electrical_noc, a literal 0.0 per layer where
+# the kind has no hardware.
 
 
 def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOptions,
@@ -284,7 +284,7 @@ def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOpt
                 switched = controller.resize(counts)
                 laser_w, bandwidths_of = controller.laser_w, controller._bandwidths_of
             memory_bw, assigned_bw = bandwidths_of[ids]
-            # min(memory_bw, assigned_bw); both are positive, so it is min(assigned_bw, memory_bw) too
+            # min(memory_bw, assigned_bw); both are positive, so min(assigned_bw, memory_bw) too
             bw = assigned_bw if assigned_bw < memory_bw else memory_bw
         rows.append(((read_bits / bw + read_flight) + hold, (write_bits / bw + write_flight) + hold,
                      pcm_s if switched else 0.0, read_bits + write_bits, laser_w, switched))
