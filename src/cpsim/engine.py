@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from collections import Counter
 from functools import reduce
 from itertools import repeat
 from operator import add, attrgetter
@@ -103,18 +102,14 @@ class Memo(dict):
 
 
 class PricingTables:
-    """What runs price from a topology and a DeviceParams alone: each lazy table
-    is a ``Memo`` declared here with its one rule, no entry changing once written. No rule
-    holds the topology or tables, so both go with their last reference, nor does an entry
-    hold a run's controller. ``MappingError`` names an interposer with no memory chiplet,
-    or siph chiplets with no gateway, or whose gateways do not each write one route and
-    own one microring group, as ``build_topology`` wires them."""
+    """What runs price from a topology and a DeviceParams alone: each lazy table is a ``Memo``
+    declared here with its one rule, no entry changing once written. No rule holds the topology
+    or tables, so both go with their last reference, nor does an entry hold a run's controller.
+    The topology checked its wiring when built, so nothing here raises for it."""
 
     def __init__(self, topology: PlatformTopology, params: DeviceParams) -> None:
         self.params = params
         self.memory_ids = memory_ids = [c.id for c in topology.memory_chiplets()]
-        if not memory_ids and topology.kind != MONO:
-            raise MappingError(f"topology {topology.kind!r} has no memory chiplet")
         # interposer rings stay locked to the WDM grid whether or not their
         # gateway is lit; deactivation saves laser power, not trim power.
         # Other kinds have no interposer rings: 0.0 W
@@ -131,19 +126,6 @@ class PricingTables:
                 for i, cid in enumerate(ids)), max(each)))
         if topology.kind != SIPH:
             return
-        if dark := sorted(c.id for c in topology.chiplets if c.gateways < 1):
-            raise MappingError(f"topology {SIPH!r}: no gateway on {dark}")
-        wired = Counter((r.writer_chiplet, r.writer_index, r.protocol) for r in topology.routes)
-        wired.subtract((c.id, k, SWMR if c.role == "memory" else SWSR)
-                       for c in topology.chiplets for k in range(c.gateways))
-        if unwired := sorted({cid for (cid, _, _), n in wired.items() if n}):
-            raise MappingError(f"topology {SIPH!r}: routes do not match the gateways of {unwired}")
-        # each gateway, now known by its one route, owns one microring group
-        owners = Counter(m.owner_gateway for m in topology.mrgs)
-        if ringless := sorted({r.writer_chiplet for r in topology.routes
-                               if owners[r.writer_gateway] != 1}):
-            raise MappingError(f"topology {SIPH!r}: microring groups do not match "
-                               f"the gateways of {ringless}")
         n_wavelengths = topology.platform.n_wavelengths
         self.gw_bw = gw_bw = gateway_peak_bandwidth(topology)
         self.gateways = gateways = {c.id: c.gateways for c in topology.chiplets}
@@ -198,8 +180,9 @@ class EpochController:
     are looked up in the ``Memo`` tables of its (topology, params) objects,
     keyed by lit counts; a controller holds only its state. ``resize`` is the
     one place the state changes; the engine calls it at power-on and then
-    only for a layer whose lit counts differ from ``counts``, and reads
-    ``laser_w`` and the state's bandwidths after each call."""
+    only for a layer whose lit counts differ from ``counts``, and reads ``laser_w``
+    and ``bandwidths``, the state's bits/s of lit memory and assigned gateways per
+    chiplet set, after each call."""
 
     def __init__(self, topology: PlatformTopology, params: DeviceParams) -> None:
         self._tables = pricing_tables(topology, params)
@@ -218,12 +201,8 @@ class EpochController:
         if counts == old:
             return 0
         self.counts = counts
-        self.active, self.laser_w, self._bandwidths_of = tables.states[counts]
+        self.active, self.laser_w, self.bandwidths = tables.states[counts]
         return tables.retunes[old, counts]
-
-    def bandwidths(self, ids: tuple[str, ...]) -> tuple[float, float]:
-        """Bits/s through the lit gateways of the memory chiplets and of ``ids``."""
-        return self._bandwidths_of[ids]
 
     def couplers(self, chiplet_id: str) -> list[PcmcState]:
         """Coupler states along the chiplet's trunk: the trunk is split
@@ -255,7 +234,7 @@ def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOpt
     n_memory, gw_bw = len(tables.memory_ids), tables.gw_bw
     velocity = params.group_velocity_mm_per_s
     read_flight = tables.read_route.path.length_mm / velocity
-    laser_w, bandwidths_of = controller.laser_w, controller._bandwidths_of   # power-on
+    laser_w, bandwidths_of = controller.laser_w, controller.bandwidths   # power-on
     # chiplet set -> (its chiplets, its write flight, its power-on bandwidth), once per set
     sets = {ids: (len(ids), tables.write_routes[ids].path.length_mm / velocity,
                   min(bandwidths_of[ids])) for ids in distinct}
@@ -282,7 +261,7 @@ def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOpt
             if counts != controller.counts:
                 # a changed count always retunes a coupler, so switched > 0 is a resize
                 switched = controller.resize(counts)
-                laser_w, bandwidths_of = controller.laser_w, controller._bandwidths_of
+                laser_w, bandwidths_of = controller.laser_w, controller.bandwidths
             memory_bw, assigned_bw = bandwidths_of[ids]
             # min(memory_bw, assigned_bw); both are positive, so min(assigned_bw, memory_bw) too
             bw = assigned_bw if assigned_bw < memory_bw else memory_bw

@@ -3,11 +3,13 @@
 Builds the three platform variants from one configuration: the photonic
 interposer (chiplets wired through per-gateway microring groups and static
 waveguide routes), the electrical mesh interposer (one router per chiplet),
-and the monolithic single-chip baseline.
+and the monolithic single-chip baseline. A ``PlatformTopology`` checks its own
+wiring when built, raising ``ConfigError``, so no later stage checks it again.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
 
@@ -73,6 +75,28 @@ class PlatformTopology(Record):
     routes: tuple[WaveguideRoute, ...]       # siph only
     mrgs: tuple[Mrg, ...]                    # siph only
     mesh_dims: tuple[int, int]               # chiplet grid, a router each on elec; (1, 1) on mono
+
+    def __post_init__(self) -> None:
+        """The wiring rules: a compute chiplet; on an interposer, a memory chiplet; on
+        siph, gateways on every chiplet, each writing one route and owning one ring group."""
+        roles, siph = {c.role for c in self.chiplets}, f"topology {SIPH!r}: "
+        if "compute" not in roles:
+            raise ConfigError("no compute chiplets configured")
+        if "memory" not in roles and self.kind != MONO:
+            raise ConfigError(f"{self.kind} needs at least one memory chiplet")
+        if self.kind != SIPH:
+            return
+        if dark := sorted(c.id for c in self.chiplets if c.gateways < 1):
+            raise ConfigError(f"{siph}no gateway on {dark}")
+        wired = Counter((r.writer_chiplet, r.writer_index, r.protocol) for r in self.routes)
+        wired.subtract((c.id, k, SWMR if c.role == "memory" else SWSR)
+                       for c in self.chiplets for k in range(c.gateways))
+        if unwired := sorted({cid for (cid, _, _), n in wired.items() if n}):
+            raise ConfigError(f"{siph}routes do not match the gateways of {unwired}")
+        owners = Counter(m.owner_gateway for m in self.mrgs)   # gateways, each known by its route
+        if ringless := sorted({r.writer_chiplet for r in self.routes
+                               if owners[r.writer_gateway] != 1}):
+            raise ConfigError(f"{siph}microring groups do not match the gateways of {ringless}")
 
     @property
     def kind(self) -> str:
@@ -200,7 +224,7 @@ def _wire_photonic(memory: list[ChipletSpec], compute: list[ChipletSpec],
     for gw, chiplet, k in memory_gws:
         length = route_length(chiplet.position, reader_positions, p.interposer_side_mm)
         path = OpticalPath(length_mm=length, mrs_passed=p.n_wavelengths,
-                           drop_stages=1, split_fanout=max(1, len(reader_ids)), couplers=1)
+                           drop_stages=1, split_fanout=len(reader_ids), couplers=1)
         routes.append(WaveguideRoute(gw, chiplet.id, k, SWMR, reader_ids, path))
         mrgs.append(Mrg(gw, filter_rows=fan_in[gw], modulator_rows=1,
                         mrs_per_row=p.n_wavelengths))
@@ -217,11 +241,8 @@ def build_topology(cfg: SimConfig) -> PlatformTopology:
                            (p.interposer_side_mm / 2, p.interposer_side_mm / 2), (0, 0))
         return PlatformTopology(p, chiplets=(chip,), routes=(), mrgs=(), mesh_dims=(1, 1))
     memory, compute = _place_chiplets(cfg)
-    if not compute:
-        raise ConfigError("no compute chiplets configured")
-    if not memory:   # both interposers route to memory
-        raise ConfigError(f"{p.kind} needs at least one memory chiplet")
-    routes, mrgs = _wire_photonic(memory, compute, p) if p.kind == SIPH else ((), ())
+    wire = p.kind == SIPH and memory and compute   # else the record names the role missing
+    routes, mrgs = _wire_photonic(memory, compute, p) if wire else ((), ())
     return PlatformTopology(p, chiplets=(*memory, *compute), routes=tuple(routes),
                             mrgs=tuple(mrgs), mesh_dims=(p.grid_rows, p.grid_cols))
 

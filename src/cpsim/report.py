@@ -70,7 +70,8 @@ REFERENCE_BASELINES = (
 
 
 def _geomean(values: list[float]) -> float:
-    return math.prod(values) ** (1.0 / len(values))
+    """exp of the mean log, free of a product's underflow and drift; a 0 gives 0.0."""
+    return math.exp(math.fsum(map(math.log, values)) / len(values)) if all(values) else 0.0
 
 
 def reject_duplicate_pairs(pairs: list[tuple[str, str]]) -> None:

@@ -346,18 +346,18 @@ def test_state_table_keeps_what_it_built(cfg, monkeypatch):
     full, ids = dict(controller.active), ("conv3a", "conv3b")
     carry(controller, topo, {"conv3a": 2e12, "dense0": 1e12})
     mixed = dict(controller.active)
-    seen = (controller.laser_w, controller.bandwidths(ids))
+    seen = (controller.laser_w, controller.bandwidths[ids])
     retunes = sum(max(full[c], mixed[c]) for c in full if full[c] != mixed[c])
     assert full != mixed and retunes > 0
     for _ in range(3):
         assert controller.resize(tuple(full.values())) == retunes
         assert controller.resize(tuple(mixed.values())) == retunes
         assert controller.active == mixed
-        assert (controller.laser_w, controller.bandwidths(ids)) == seen
+        assert (controller.laser_w, controller.bandwidths[ids]) == seen
     assert len(laser_calls) == 2   # power-on and the mixed state, once each
     again = EpochController(topo, cfg.devices)
     assert again.resize(tuple(mixed.values())) == retunes
-    assert (again.laser_w, again.bandwidths(ids)) == seen
+    assert (again.laser_w, again.bandwidths[ids]) == seen
     assert len(laser_calls) == 2   # a second controller on the same objects solves nothing
 
 
@@ -793,83 +793,6 @@ def test_plan_topology_mismatch_rejected(cfg):
         for bad in (0.5, float("nan"), float("inf")):
             with pytest.raises(ValueError, match=name):
                 replace(cfg.options, **{name: bad})
-
-
-@pytest.mark.parametrize("kind", ["siph", "elec"])
-def test_interposer_topology_without_memory_raises_naming_its_kind(cfg, kind):
-    """build_topology rejects an interposer config with no memory chiplet; a
-    topology built by hand without one fails in the engine with a
-    MappingError naming its kind, on either interposer."""
-    built = build_topology(with_kind(cfg, kind))
-    bare = replace(built, chiplets=tuple(built.compute_chiplets()), routes=(), mrgs=())
-    model = fc_model()
-    plan = map_model(model, bare)
-    with pytest.raises(MappingError) as caught:
-        simulate_model(model, bare, plan, cfg.devices, cfg.options)
-    assert str(caught.value) == f"topology {built.kind!r} has no memory chiplet"
-
-
-def test_siph_topology_whose_routes_do_not_match_its_gateways_raises_naming_the_chiplets(cfg):
-    """Every gateway of a siph chiplet writes one route, SWMR from a memory
-    chiplet and SWSR from a compute chiplet, as build_topology wires them. A
-    hand-built topology that differs fails in the engine and in the epoch
-    controller with a MappingError naming its chiplets, sorted: with no routes
-    at all, and with dense0's routes dropped, which would otherwise leave its
-    lit gateways out of the laser sum without a word."""
-    built = build_topology(with_kind(cfg, "siph"))
-    routes = built.routes
-    swapped = tuple(r._replace(protocol="SWMR") if r.writer_chiplet == "conv5b" else r
-                    for r in routes)
-    cases = [
-        (replace(built, routes=(), mrgs=()), sorted(c.id for c in built.chiplets)),
-        (replace(built, routes=tuple(r for r in routes if r.writer_chiplet != "dense0")),
-         ["dense0"]),
-        (replace(built, routes=routes + routes[-1:]), [routes[-1].writer_chiplet]),
-        (replace(built, routes=swapped), ["conv5b"]),
-    ]
-    model = load_shipped_model("lenet5")
-    for topology, named in cases:
-        message = f"topology 'siph_interposer': routes do not match the gateways of {named}"
-        with pytest.raises(MappingError) as caught:
-            simulate_model(model, topology, map_model(model, topology), cfg.devices, cfg.options)
-        assert str(caught.value) == message
-        with pytest.raises(MappingError) as caught:
-            EpochController(topology, cfg.devices)
-        assert str(caught.value) == message
-
-
-def test_siph_topology_without_a_gateway_or_its_microring_group_raises_naming_the_chiplets(cfg):
-    """A siph chiplet has at least one gateway, and each gateway owns one
-    microring group. A hand-built topology whose compute chiplets have no
-    gateway (routes and rings dropped with them), or whose gateways own no
-    group or two, would otherwise be priced without a word: the lit-count
-    clamp would light a gateway that is not there, and the interposer ring
-    trim would drop or double. The engine and the epoch controller raise a
-    MappingError naming the chiplets, sorted."""
-    built = build_topology(with_kind(cfg, "siph"))
-    gone = {"conv3c", "conv5b"}
-    gone_gateways = {gw for c in built.chiplets if c.id in gone for gw in c.gateway_ids()}
-    no_gateway = replace(
-        built, chiplets=tuple(c._replace(gateways=0) if c.id in gone else c for c in built.chiplets),
-        routes=tuple(r for r in built.routes if r.writer_chiplet not in gone),
-        mrgs=tuple(m for m in built.mrgs if m.owner_gateway not in gone_gateways))
-    first, last = built.routes[0], built.routes[-1]
-    rings = "topology 'siph_interposer': microring groups do not match the gateways of "
-    cases = [
-        (no_gateway, "topology 'siph_interposer': no gateway on ['conv3c', 'conv5b']"),
-        (replace(built, mrgs=()), rings + str(sorted(c.id for c in built.chiplets))),
-        (replace(built, mrgs=built.mrgs + built.mrgs[:1]), rings + f"[{first.writer_chiplet!r}]"),
-        (replace(built, mrgs=tuple(m for m in built.mrgs if m.owner_gateway != last.writer_gateway)),
-         rings + f"[{last.writer_chiplet!r}]"),
-    ]
-    model = load_shipped_model("lenet5")
-    for topology, message in cases:
-        with pytest.raises(MappingError) as caught:
-            simulate_model(model, topology, map_model(model, topology), cfg.devices, cfg.options)
-        assert str(caught.value) == message
-        with pytest.raises(MappingError) as caught:
-            EpochController(topology, cfg.devices)
-        assert str(caught.value) == message
 
 
 def test_hand_built_bad_plans_raise_their_messages(cfg):

@@ -8,8 +8,7 @@ from cpsim import replace
 from cpsim.config import default_config, with_kind
 from cpsim.mapper import (LayerAssignment, MappingError, MappingPlan, chunks_per_dot, map_model,
                           select_mac_type)
-from cpsim.platform import (DEFAULT_MAC_TYPES, MacUnitType, PlatformTopology, build_topology,
-                            default_platform)
+from cpsim.platform import DEFAULT_MAC_TYPES, MacUnitType, build_topology, default_platform
 from cpsim.workload import DnnModelSpec, LayerSpec, load_shipped_model
 
 TYPES = list(DEFAULT_MAC_TYPES.values())
@@ -244,16 +243,6 @@ def test_chiplets_of_one_type_name_with_other_lanes_are_another_type(kind):
               if (layer.kernel_h, layer.kernel_w) == (3, 3)]
     assert threes and {a.chiplet_ids for a in threes} == {("conv3a", "conv3b")}
     assert {a.mac_type.vector_len for a in threes} == {9}
-
-
-def test_map_rejects_platform_without_compute():
-    # build_topology refuses compute-less configs outright, so hand-build one
-    base = default_platform()
-    memory_only = PlatformTopology(base.platform, chiplets=tuple(base.memory_chiplets()),
-                                   routes=(), mrgs=(), mesh_dims=base.mesh_dims)
-    model = DnnModelSpec("toy", (fc_layer(),), fc_layer().params())
-    with pytest.raises(MappingError):
-        map_model(model, memory_only)
 
 
 def test_map_preserves_order_and_covers_every_layer():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,34 @@ def test_geomean_matches_direct_computation():
         assert summary.model == "geomean"
         assert summary.normalized_latency == pytest.approx(
             math.prod(per_model) ** (1 / len(per_model)), rel=1e-12)
+
+
+@pytest.mark.parametrize("copies", [5, 40])
+def test_geomean_of_identical_runs_is_their_own_value(tmp_path, capsys, copies):
+    """Identical runs under distinct names give each summary column the run's
+    own value to 6 significant digits: a product of 40 EPBs near 1e-10
+    underflows to 0, and the root of a product of 5 latencies drifts."""
+    doc = json.loads((resources.files("cpsim.data.models") / "lenet5.desc").read_text())
+    paths = []
+    for i in range(copies):
+        paths.append(tmp_path / f"copy{i}.desc")
+        paths[-1].write_text(json.dumps({**doc, "name": f"copy{i}"}))
+    assert cli_main(["compare", "--models", ",".join(map(str, paths)), "--no-references"]) == 0
+    header, *lines = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    for platform in ("siph_interposer", "elec_interposer", "monolithic"):
+        rows = [line[2:8] for line in lines if line[0] == platform]
+        assert len(rows) == copies + 1 and rows[-1] == rows[0] == rows[1]   # the geomean last
+
+
+def test_geomean_of_a_column_holding_a_zero_is_zero():
+    """A platform that draws no power in one run has a geomean power of 0.0."""
+    runs = runs_for("a") + runs_for("b")
+    idle = runs[0].metrics
+    runs[0] = runs[0]._replace(metrics=idle._replace(avg_power_w=0.0))
+    summary = next(r for r in comparison_table(runs, baseline="mono")
+                   if r.platform == "siph" and r.summary)
+    assert summary.power_w == summary.normalized_power == 0.0
+    assert summary.latency_s > 0.0
 
 
 def test_ratios_invariant_under_energy_rescale():
