@@ -1,7 +1,9 @@
 """End-to-end execution model.
 
-Layers run strictly in order, and a run is priced column by column: one
-list per quantity, one entry per layer. ``simulate_model`` works out the
+Layers run strictly in order, and a run is priced column by column: one list
+per quantity, one entry per layer. ``simulate_model`` checks the plan's
+cached columns (see ``mapper``) against the model and topology, once per
+numbered chiplet set or MAC pool and once for the layer order, works out the
 compute-time column on the assigned MAC arrays, then calls the platform's
 interconnect builder (photonic gateways, electrical mesh or off-chip link)
 once for the read/write transfer time, reconfiguration stall and bits moved
@@ -29,15 +31,17 @@ called per layer: the latency, the demand window and the slower endpoint's
 bandwidth are conditional expressions making the builtin's own comparisons
 in its order, so a tie keeps the first value as the builtin does. A chiplet
 set's constants (its chiplet count, its write flight, its bandwidth in the
-power-on state, its mesh hops) are worked out once per run, in a dict over
-the distinct sets the plan check finds. The controller is consulted only on
-a change: a layer looks its target's lit counts up and calls ``resize`` only
-when they differ from the controller's. Every float total of a column is a
-``reduce(add, ..., 0.0)`` left fold, never ``sum()``, whose compensated
-addition in Python 3.12+ would move the last bits; one layer's few mesh hops
-are folded with ``+=`` from 0.0 in hop order, the same left fold without
-reduce's calls. A category with no nonzero entry, as one the kind has no
-hardware for, totals 0.0 without a fold, which is what the fold would give.
+power-on state, its mesh hops) and a pool's MAC costs are worked out once
+per run, in lists that each layer indexes by its set or pool number, so with
+the controller off no layer hashes its chiplet set. The controller is
+consulted only on a change: a layer looks its target's lit counts up and
+calls ``resize`` only when they differ from the controller's. Every float
+total of a column is a ``reduce(add, ..., 0.0)`` left fold, never ``sum()``,
+whose compensated addition in Python 3.12+ would move the last bits; one
+layer's few mesh hops are folded with ``+=`` from 0.0 in hop order, the same
+left fold without reduce's calls. A category with no nonzero entry, as one
+the kind has no hardware for, totals 0.0 without a fold, which is what the
+fold would give.
 
 A single run is sequential and deterministic; identical inputs produce
 bit-identical metrics.
@@ -213,7 +217,7 @@ class EpochController:
 
 # ---------------------------------------------------------- interconnects
 # One builder per platform kind prices a whole run's data movement from the
-# model's traffic, the plan's chiplet-set column, its distinct chiplet sets
+# model's traffic, the plan's distinct chiplet sets, each layer's set number
 # and the compute-time column. It returns the per-layer columns read_s,
 # write_s, overhead_s and bits_moved, and a function of the latency column
 # giving the columns of the kind's own energy categories: laser, conversion,
@@ -222,8 +226,8 @@ class EpochController:
 
 
 def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOptions,
-              traffic: tuple[TrafficVolume, ...], chiplet_ids: tuple[tuple[str, ...], ...],
-              distinct: dict, compute: list[float]):
+              traffic: tuple[TrafficVolume, ...], chiplet_sets: list[tuple[str, ...]],
+              set_of: list[int], compute: list[float]):
     """Photonic interposer: the epoch controller resizes the lit gateways
     before every layer; a resize stalls for one phase-change transition.
     A transfer is serialization at the slower endpoint, plus waveguide
@@ -235,17 +239,17 @@ def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOpt
     velocity = params.group_velocity_mm_per_s
     read_flight = tables.read_route.path.length_mm / velocity
     laser_w, bandwidths_of = controller.laser_w, controller.bandwidths   # power-on
-    # chiplet set -> (its chiplets, its write flight, its power-on bandwidth), once per set
-    sets = {ids: (len(ids), tables.write_routes[ids].path.length_mm / velocity,
-                  min(bandwidths_of[ids])) for ids in distinct}
+    # by set number: (the set, its chiplets, its write flight, its power-on bandwidth)
+    sets = [(ids, len(ids), tables.write_routes[ids].path.length_mm / velocity,
+             min(bandwidths_of[ids])) for ids in chiplet_sets]
     hold = options.gateway_overhead_cycles / topology.platform.gateway_freq_hz
     refetch, epoch_s = options.weight_refetch_factor, options.epoch_s
     resipi, trailing = options.resipi_enabled, options.demand_mode == "trailing"
     previous = ((), 0, 0)   # no history: the state with only gateway 0 of each chiplet lit
     rows = []
 
-    for (weight, inputs, outputs), ids, compute_s in zip(traffic, chiplet_ids, compute):
-        n_ids, write_flight, bw = sets[ids]
+    for (weight, inputs, outputs), k, compute_s in zip(traffic, set_of, compute):
+        ids, n_ids, write_flight, bw = sets[k]
         weight_bits = weight * refetch
         read_bits = weight_bits + inputs
         write_bits = float(outputs)
@@ -280,8 +284,8 @@ def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOpt
 
 
 def _mesh(topology: PlatformTopology, tables: PricingTables, options: SimOptions,
-          traffic: tuple[TrafficVolume, ...], chiplet_ids: tuple[tuple[str, ...], ...],
-          distinct: dict, compute: list[float]):
+          traffic: tuple[TrafficVolume, ...], chiplet_sets: list[tuple[str, ...]],
+          set_of: list[int], compute: list[float]):
     """Electrical mesh interposer: one router per chiplet, each drawing
     static power for the whole layer. A transfer is the header's per-hop
     router latency plus link serialization, scaled by a congestion factor
@@ -296,11 +300,11 @@ def _mesh(topology: PlatformTopology, tables: PricingTables, options: SimOptions
         hops, worst_hops = tables.hops[ids]
         return (hops, len(ids), crowded if len(ids) > 1 else 1.0,
                 worst_hops * router_cycles / noc_freq_hz)
-    links = {ids: link(ids) for ids in distinct}   # once per set of the run
+    links = list(map(link, chiplet_sets))   # by set number
     rows = []
 
-    for (weight, inputs, outputs), ids in zip(traffic, chiplet_ids):
-        hops, n_ids, congestion, header_s = links[ids]
+    for (weight, inputs, outputs), k in zip(traffic, set_of):
+        hops, n_ids, congestion, header_s = links[k]
         weight_bits = weight * refetch
         # broadcast is replicated on the mesh: every assigned chiplet
         # receives its own copy of the input tensor
@@ -321,8 +325,8 @@ def _mesh(topology: PlatformTopology, tables: PricingTables, options: SimOptions
 
 
 def _offchip(topology: PlatformTopology, tables: PricingTables, options: SimOptions,
-             traffic: tuple[TrafficVolume, ...], chiplet_ids: tuple[tuple[str, ...], ...],
-             distinct: dict, compute: list[float]):
+             traffic: tuple[TrafficVolume, ...], chiplet_sets: list[tuple[str, ...]],
+             set_of: list[int], compute: list[float]):
     """Monolithic chip: every tensor crosses the off-chip memory interface."""
     bw, pj_per_bit = topology.platform.offchip_bw_bps, topology.platform.offchip_energy_pj_per_bit
     refetch = options.weight_refetch_factor
@@ -342,16 +346,20 @@ _INTERCONNECTS = {SIPH: _photonic, ELEC: _mesh, MONO: _offchip}
 
 
 def _plan_columns(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPlan) -> tuple:
-    """The plan's assignments transposed, one tuple per field, and its distinct
-    chiplet sets in layer order, once checked against the model and topology:
-    each set, checked once, is not empty, repeats no chiplet and names only
-    compute chiplets of the topology."""
+    """The plan's cached columns, the model's layer indices first, once checked against
+    the model and topology: the rows assign the model's layers in order; each chiplet
+    set, checked once in layer order, is not empty, repeats no chiplet and names only
+    compute chiplets of the topology; and every pool has MACs."""
     if plan.model_name != model.name or len(plan.assignments) != len(model.layers):
         raise MappingError(f"plan for {plan.model_name!r} does not match model {model.name!r}")
-    columns = _, _, chiplet_ids, total_macs, _ = tuple(zip(*plan.assignments))
+    index, sets, set_of, pools, pool_of, invocations = plan._columns
+    indices = [layer.index for layer in model.layers]
+    if index != indices:
+        row = next(row for row, (a, b) in enumerate(zip(index, indices)) if a != b)
+        raise MappingError(f"plan row {row} assigns layer {index[row]}, "
+                           f"where model {model.name!r} has layer {indices[row]}")
     compute = {c.id for c in topology.chiplets if c.role == "compute"}
-    distinct = dict.fromkeys(chiplet_ids)
-    for ids in distinct:
+    for ids in sets:
         named = set(ids)
         if ids and len(named) == len(ids) and named <= compute:
             continue
@@ -363,9 +371,9 @@ def _plan_columns(model: DnnModelSpec, topology: PlatformTopology, plan: Mapping
             raise MappingError(f"plan names chiplet set {ids!r}, which repeats a chiplet")
         raise MappingError(f"plan names chiplet set {ids!r}, "
                            f"which holds non-compute chiplets {sorted(named - compute)}")
-    if min(total_macs) < 1:
+    if min(pools)[0] < 1:   # the pool of fewest MACs
         raise MappingError("assignment has no MACs")
-    return columns, distinct
+    return indices, sets, set_of, pools, pool_of, invocations
 
 
 def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPlan,
@@ -373,22 +381,23 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
     """Run ``model`` as mapped by ``plan`` on ``topology``. Raises OverflowError
     when finite inputs give an infinite latency, energy or power."""
     options = options or SimOptions()
-    (_, mac_types, chiplet_ids, total_macs, invocations), distinct = _plan_columns(
-        model, topology, plan)
+    indices, sets, set_of, pools, pool_of, invocations = _plan_columns(model, topology, plan)
     tables, mac_rate_hz = pricing_tables(topology, params), options.mac_rate_hz
     # the assigned pool retires one vector dot per MAC per cycle: cycles in integers, exact
-    compute = [-(-i // m) / mac_rate_hz for i, m in zip(invocations, total_macs)]
+    macs = [m for m, _ in pools]
+    compute = [-(-i // m) / mac_rate_hz
+               for i, m in zip(invocations, map(macs.__getitem__, pool_of))]
     read, write, overhead, bits, own_energy = _INTERCONNECTS[topology.kind](
-        topology, tables, options, model.traffic, chiplet_ids, distinct, compute)
+        topology, tables, options, model.traffic, sets, set_of, compute)
     columns = zip(compute, read, write, overhead)
     # max(c, r, w) as the builtin makes it: r > c, then w > the larger, so a tie keeps the first
     latency = ([((w if w > r else r) if r > c else (w if w > c else c)) + o
                 for c, r, w, o in columns] if options.overlap
                else [c + r + w + o for c, r, w, o in columns])
 
-    costs = [tables.mac_costs[m, t.vector_len] for m, t in zip(total_macs, mac_types)]
-    tuning = [w * t for (w, _), t in zip(costs, latency)]
-    mac = [i * pj * 1e-12 for i, (_, pj) in zip(invocations, costs)]
+    costs = [tables.mac_costs[pool] for pool in pools]   # by pool number
+    tuning = [w * t for (w, _), t in zip(map(costs.__getitem__, pool_of), latency)]
+    mac = [i * pj * 1e-12 for i, (_, pj) in zip(invocations, map(costs.__getitem__, pool_of))]
     laser, conversion, gateway, control, noc = own_energy(latency)
     energy = (laser, tuning, conversion, mac, gateway, control, noc)   # ENERGY_CATEGORIES
     energies = [{"laser": la, "tuning": tu, "conversion": cv, "mac": mc, "gateway_elec": ge,
@@ -396,8 +405,7 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
                 for la, tu, cv, mc, ge, ct, en in zip(*energy)]
     # tuple.__new__ makes each record from its row with no Python-level call
     per_layer = tuple(map(tuple.__new__, repeat(LayerResult), zip(
-        [layer.index for layer in model.layers], compute, read, write, overhead, latency,
-        energies, bits)))
+        indices, compute, read, write, overhead, latency, energies, bits)))
 
     # every float sum is a left fold from 0.0 in layer or category order,
     # so no Python version's sum() moves it; a column of zeros (a category

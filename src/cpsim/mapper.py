@@ -6,10 +6,17 @@ decomposed into ceil(dot_length / vector_len) sequential chunks whose
 partial sums accumulate electronically at the MAC unit. One walk over the
 compute chiplets pools each MAC type's ids and MACs; each (kind, kernel
 window) takes its type's pool, and the records come from named columns.
+
+A plan caches the columns a run reads, not as a field, so equality, ``repr``
+and ``_replace`` do not see them: its layer indices, its chiplet sets and its
+(total MACs, vector length) pools, each numbered by first use, each layer's
+set and pool number, and its invocations. ``map_model`` hands over those it
+built; a plan built by hand is transposed once, when first priced.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import repeat
 from operator import mul
 from typing import NamedTuple
@@ -30,9 +37,21 @@ class LayerAssignment(NamedTuple):
     invocations: int    # dot products times chunks_per_dot
 
 
-class MappingPlan(NamedTuple):
+class _PlanFields(NamedTuple):
     model_name: str
     assignments: tuple[LayerAssignment, ...]
+
+
+class MappingPlan(_PlanFields):   # no __slots__: a plan has a __dict__ for its cache
+    @cached_property
+    def _columns(self) -> tuple:
+        """(layer indices, chiplet sets, set numbers, pools, pool numbers, invocations)."""
+        index, mac_types, chiplet_ids, total_macs, invocations = zip(*self.assignments)
+        pools = list(zip(total_macs, [t.vector_len for t in mac_types]))
+        set_no, pool_no = ({key: n for n, key in enumerate(dict.fromkeys(column))}
+                           for column in (chiplet_ids, pools))
+        return (list(index), list(set_no), list(map(set_no.__getitem__, chiplet_ids)),
+                list(pool_no), list(map(pool_no.__getitem__, pools)), invocations)
 
 
 def chunks_per_dot(dot_length: int, vector_len: int) -> int:
@@ -73,13 +92,20 @@ def map_model(model: DnnModelSpec, topology: PlatformTopology) -> MappingPlan:
     # a type depends only on kind and window: one placement per window, by any of its layers
     sizes = list(map(mul, c.kernel_h, c.kernel_w))
     windows = list(zip(c.kind, sizes))
-    placements = {window: (mac_type := select_mac_type(layer, list(pools)), *pools[mac_type])
-                  for window, layer in dict(zip(windows, model.layers)).items()}
-    mac_types, chiplet_ids, total_macs = zip(*map(placements.__getitem__, windows))
+    types, used, placements = list(pools), {}, {}   # used: type -> pool number, by first use
+    for window, layer in dict(zip(windows, model.layers)).items():
+        t = select_mac_type(layer, types)
+        placements[window] = (t, *pools[t], used.setdefault(t, len(used)))
+    mac_types, chiplet_ids, total_macs, pool_of = zip(*map(placements.__getitem__, windows))
     # LayerSpec.dot_length and dot_products, a column at a time
     dot_lengths = map(mul, sizes, c.in_channels)
     chunks = map(chunks_per_dot, dot_lengths, [t.vector_len for t in mac_types])
-    invocations = map(mul, map(mul, map(mul, c.out_h, c.out_w), c.out_channels), chunks)
+    invocations = list(map(mul, map(mul, map(mul, c.out_h, c.out_w), c.out_channels), chunks))
+    index = list(c.index)
     # tuple.__new__ makes each record from its row with no Python-level call
-    return MappingPlan(model.name, tuple(map(tuple.__new__, repeat(LayerAssignment), zip(
-        c.index, mac_types, chiplet_ids, total_macs, invocations))))
+    plan = MappingPlan(model.name, tuple(map(tuple.__new__, repeat(LayerAssignment), zip(
+        index, mac_types, chiplet_ids, total_macs, invocations))))
+    # a type's chiplets are its own, so its chiplet set and its pool share a number
+    plan._columns = (index, [pools[t][0] for t in used], pool_of,
+                     [(pools[t][1], t.vector_len) for t in used], pool_of, invocations)
+    return plan

@@ -78,7 +78,8 @@ class PlatformTopology(Record):
 
     def __post_init__(self) -> None:
         """The wiring rules: a compute chiplet; on an interposer, a memory chiplet; on
-        siph, gateways on every chiplet, each writing one route and owning one ring group."""
+        siph, gateways on every chiplet, each writing one route named for its chiplet
+        and trunk index and owning one ring group, and no ring group owned otherwise."""
         roles, siph = {c.role for c in self.chiplets}, f"topology {SIPH!r}: "
         if "compute" not in roles:
             raise ConfigError("no compute chiplets configured")
@@ -93,10 +94,17 @@ class PlatformTopology(Record):
                        for c in self.chiplets for k in range(c.gateways))
         if unwired := sorted({cid for (cid, _, _), n in wired.items() if n}):
             raise ConfigError(f"{siph}routes do not match the gateways of {unwired}")
+        if misnamed := [r.writer_gateway for r in self.routes
+                        if r.writer_gateway != f"{r.writer_chiplet}:g{r.writer_index}"]:
+            raise ConfigError(f"{siph}routes name writer gateways {sorted(misnamed)}, "
+                              "not their chiplet and trunk index")
         owners = Counter(m.owner_gateway for m in self.mrgs)   # gateways, each known by its route
         if ringless := sorted({r.writer_chiplet for r in self.routes
                                if owners[r.writer_gateway] != 1}):
             raise ConfigError(f"{siph}microring groups do not match the gateways of {ringless}")
+        if len(self.mrgs) > len(self.routes):   # the routes' gateways own one group each
+            stray = sorted(owners.keys() - {r.writer_gateway for r in self.routes})
+            raise ConfigError(f"{siph}microring groups owned by no gateway: {stray}")
 
     @property
     def kind(self) -> str:

@@ -798,8 +798,9 @@ def test_plan_topology_mismatch_rejected(cfg):
 def test_hand_built_bad_plans_raise_their_messages(cfg):
     """The plan is checked from its columns, read once per run: a plan of
     another model or length, chiplets the topology lacks (named for the first
-    such chiplet set in layer order, sorted) and a MAC-less layer each raise
-    their own message."""
+    such chiplet set in layer order, sorted), a MAC-less layer and rows out of
+    the model's layer order (named by the first such row) each raise their own
+    message."""
     topo = default_platform()
     layers = (LayerSpec(0, "conv", 3, 3, 8, 16, 8, 8, 8, 8),
               LayerSpec(1, "fc", 1, 1, 1024, 10, 1, 1, 1, 1))
@@ -815,6 +816,10 @@ def test_hand_built_bad_plans_raise_their_messages(cfg):
                              last._replace(chiplet_ids=("alpha",)))),
          "plan names chiplets absent from topology: ['ghost']"),
         (MappingPlan("two", (head._replace(total_macs=0), last)), "assignment has no MACs"),
+        (MappingPlan("two", (last, head)),
+         "plan row 0 assigns layer 1, where model 'two' has layer 0"),
+        (MappingPlan("two", (head, head._replace(chiplet_ids=last.chiplet_ids))),
+         "plan row 1 assigns layer 0, where model 'two' has layer 1"),
     ]
     for plan, message in cases:
         with pytest.raises(MappingError) as caught:

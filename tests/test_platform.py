@@ -6,8 +6,9 @@ from cpsim import replace
 from cpsim.config import (ChipletConfig, ConfigError, PlatformSettings, SimOptions, parse_config,
                           with_kind)
 from cpsim.devices import DeviceParams, OpticalPath, PcmcState
-from cpsim.platform import (PlatformTopology, _grid_cells, build_topology, default_platform,
-                            electrical_hops, gateway_peak_bandwidth, route_length)
+from cpsim.platform import (Mrg, PlatformTopology, _grid_cells, build_topology,
+                            default_platform, electrical_hops, gateway_peak_bandwidth,
+                            route_length)
 
 FIG6_STYLE = """
 platform: {kind: siph_interposer, n_wavelengths: 64}
@@ -306,6 +307,24 @@ def test_one_route_or_ring_group_dropped_or_repeated_fails_naming_its_chiplet(to
                 with pytest.raises(ConfigError) as caught:
                     replace(topo, **{field: changed})
                 assert str(caught.value) == message
+
+
+def test_a_stray_ring_group_or_a_misnamed_route_fails_naming_its_gateway(topo):
+    """A microring group owned by no gateway, and a route renamed together with
+    its ring group, each make a topology that fails when built, naming the
+    gateway; the stray group would otherwise add its rings to ``total_mrs``."""
+    siph = "topology 'siph_interposer': "
+    with pytest.raises(ConfigError) as caught:
+        replace(topo, mrgs=topo.mrgs + (Mrg("ghost:g0", 1, 1, 64),))
+    assert str(caught.value) == siph + "microring groups owned by no gateway: ['ghost:g0']"
+    route = topo.routes[0]
+    renamed = {route.writer_gateway: "nowhere:g7"}
+    with pytest.raises(ConfigError) as caught:
+        replace(topo, routes=(route._replace(writer_gateway="nowhere:g7"), *topo.routes[1:]),
+                mrgs=tuple(m._replace(owner_gateway=renamed.get(m.owner_gateway, m.owner_gateway))
+                           for m in topo.mrgs))
+    assert str(caught.value) == (siph + "routes name writer gateways ['nowhere:g7'], "
+                                 "not their chiplet and trunk index")
 
 
 def test_route_paths_carry_modulator_row_and_fanout(topo):

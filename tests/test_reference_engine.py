@@ -16,11 +16,19 @@ MAC types, some with a custom vector length, 1 to 64 wavelengths, random
 losses and every option), runs the shipped and generated models in shuffled
 order on one shared topology per kind, and asserts that
 ``repr(simulate_model(...)) == repr(reference(...))``.
+
+On the same drawn platforms, a plan's cache is held to its contract: it is
+worked out from the plan alone, so a ``map_model`` plan and its hand-built
+and ``_replace`` copies price alike, one plan prices on two topologies and
+two device records in turn as each pair alone would, and the cache keeps no
+topology or table alive.
 """
 
+import gc
 import importlib.util
 import math
 import random
+import weakref
 from functools import cache, reduce
 from operator import add
 from pathlib import Path
@@ -28,10 +36,11 @@ from pathlib import Path
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from cpsim import build_topology, map_model, simulate_model, with_kind
+from cpsim import build_topology, engine, map_model, simulate_model, with_kind
 from cpsim.config import ChipletConfig, PlatformSettings, SimConfig, SimOptions
 from cpsim.devices import DeviceParams, mr_tuning_power, required_laser_power, source_mw
 from cpsim.engine import ENERGY_CATEGORIES, LayerResult, RunMetrics
+from cpsim.mapper import MappingPlan
 from cpsim.platform import DEFAULT_MAC_TYPES, electrical_hops
 from cpsim.workload import load_model, load_shipped_model
 
@@ -239,3 +248,60 @@ def test_engine_matches_from_scratch_reference(cfg, devices, options, models):
             args = (model, topology, map_model(model, topology),
                     devices[i % len(devices)], options[i % len(options)])
             assert repr(simulate_model(*args)) == repr(reference(*args))
+
+
+@settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(platforms(), DEVICES, OPTIONS, MODELS)
+def test_a_mapped_plan_and_its_hand_built_and_replaced_copies_price_alike(cfg, params, options,
+                                                                          models):
+    """The columns ``map_model`` hands its plan and those a hand-built or
+    ``_replace`` copy works out from its rows price every model alike."""
+    for kind in ("siph", "elec", "mono"):
+        topology = build_topology(with_kind(cfg, kind))
+        for model in models:
+            plan = map_model(model, topology)
+            copies = (MappingPlan(plan.model_name, plan.assignments),
+                      plan._replace(assignments=plan.assignments))
+            assert copies == (plan, plan) and {repr(c) for c in copies} == {repr(plan)}
+            metrics = repr(simulate_model(model, topology, plan, params, options))
+            for twin in copies:
+                assert repr(simulate_model(model, topology, twin, params, options)) == metrics
+
+
+@settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(platforms(), st.lists(DEVICES, min_size=2, max_size=2), OPTIONS,
+       MODELS.flatmap(st.sampled_from))
+def test_one_plan_on_two_topologies_and_two_device_records_in_turn(cfg, devices, options, model):
+    """One plan priced on the siph and elec topologies of one config (whose
+    compute chiplets are the same) with two DeviceParams, the pairs taken in
+    turn, gives each pair the reference's metrics for it."""
+    topologies = [build_topology(with_kind(cfg, kind)) for kind in ("siph", "elec")]
+    plan = map_model(model, topologies[0])
+    assert map_model(model, topologies[1]) == plan
+    for t, d in ((0, 0), (1, 1), (0, 1), (1, 0)) * 2:
+        args = (model, topologies[t], plan, devices[d], options)
+        assert repr(simulate_model(*args)) == repr(reference(*args))
+
+
+@settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(platforms(), DEVICES, OPTIONS, MODELS.flatmap(st.sampled_from))
+def test_a_plan_cache_keeps_no_topology_or_tables_alive(cfg, params, options, model):
+    """With the cyclic collector off, a topology that priced a mapped plan and
+    a hand-built one goes, with its tables, at its last reference, while both
+    plans, their caches filled, live on."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for kind in ("siph", "elec", "mono"):
+            topology = build_topology(with_kind(cfg, kind))
+            plan = map_model(model, topology)
+            plans = (plan, MappingPlan(plan.model_name, plan.assignments))
+            for p in plans:
+                simulate_model(model, topology, p, params, options)
+            assert all("_columns" in vars(p) for p in plans)
+            refs = [weakref.ref(topology), weakref.ref(engine.pricing_tables(topology, params))]
+            del topology
+            assert [ref() is None for ref in refs] == [True, True]
+    finally:
+        if enabled:
+            gc.enable()
