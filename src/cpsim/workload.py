@@ -6,7 +6,9 @@ shipped descriptors (``data/models/*.desc``) are JSON text, which is also
 YAML, and are parsed with ``json.loads``. A user's file in the documented
 form (``key: value`` lines, one flow mapping per layer) is read by
 ``read_documented_form`` without PyYAML, into the document PyYAML would
-load; any other user file is parsed as YAML. Every document goes through
+load: each line is matched once, and a layer's entries are split out of the
+matched text (a line holding an ``[a, b]`` pair is scanned for them once
+more); any other user file is parsed as YAML. Every document goes through
 ``model_from_doc``, which makes every check.
 ``_layers_hold`` checks a model's layers a column at a time; only a model
 that fails is checked layer by layer, by ``check_fields`` and ``_layers_hold``
@@ -177,9 +179,13 @@ def _layer_from_entry(entry, index: int) -> LayerSpec:
     # values are taken as written: DnnModelSpec checks them. Every field is
     # given, so tuple.__new__ builds the record without LayerSpec's own __new__
     get = entry.get
-    kh, kw = _pair(get("kernel", 1), "kernel", index)
-    in_h, in_w = _pair(get("in_hw", 1), "in_hw", index)
-    out_h, out_w = _pair(get("out_hw", 1), "out_hw", index)
+    kh = kw = get("kernel", 1)
+    in_h = in_w = get("in_hw", 1)
+    out_h = out_w = get("out_hw", 1)
+    if isinstance(kh, list) or isinstance(in_h, list) or isinstance(out_h, list):
+        kh, kw = _pair(kh, "kernel", index)
+        in_h, in_w = _pair(in_h, "in_hw", index)
+        out_h, out_w = _pair(out_h, "out_hw", index)
     return tuple.__new__(LayerSpec, (
         index, kind, kh, kw, entry["channels_in"], entry["channels_out"], in_h, in_w, out_h,
         out_w, get("stride", 1), get("weight_bitwidth", DEFAULT_BITWIDTH),
@@ -188,8 +194,9 @@ def _layer_from_entry(entry, index: int) -> LayerSpec:
 
 @cache
 def _form_patterns():
-    """The documented form's line and entry patterns, compiled on first use.
-    A word that YAML 1.1 reads as a bool or null, in any case, is no word."""
+    """The documented form's line patterns and a pair line's entry pattern,
+    compiled on first use. A word that YAML 1.1 reads as a bool or null, in
+    any case, is no word."""
     import re
 
     word = r"(?!(?i:yes|no|true|false|on|off|null)(?![A-Za-z0-9_]))[A-Za-z_][A-Za-z0-9_]*"
@@ -199,7 +206,7 @@ def _form_patterns():
     comment = r"(?: +#[\t -~]*)?"   # printable ASCII: no YAML line break inside
     return (re.compile(rf"#[\t -~]*|({word}):(?: ({value}))?{comment}").fullmatch,
             re.compile(rf"- \{{((?:{entry}(?:, {entry})*)?)\}}{comment}").fullmatch,
-            re.compile(rf"({word}): ({value})").findall)
+            re.compile(r"(\w+): (\[\w+, \w+\]|\w+)").findall)   # entries the item matched
 
 
 def _form_value(text: str):
@@ -215,7 +222,7 @@ def read_documented_form(text: str) -> dict | None:
     value, ...}`` flow mapping per layer, ``#`` comments and values that are
     a decimal int, a word or an ``[a, b]`` pair of these. ``None`` for any
     other text, which PyYAML then reads."""
-    top, item, entries = _form_patterns()
+    top, item, pair_entries = _form_patterns()
     doc, key, items = {}, None, None   # items: the open key's list, None once it has a value
     for line in text.split("\n"):   # str.splitlines also splits where YAML does not
         if line[:1] == "-":
@@ -224,7 +231,14 @@ def read_documented_form(text: str) -> dict | None:
                 return None
             if not items:
                 doc[key] = items
-            items.append({k: _form_value(v) for k, v in entries(match[1])})
+            inner, layer = match[1], {}
+            if "[" in inner:   # a pair's ", " separates no entries
+                layer = {k: _form_value(v) for k, v in pair_entries(inner)}
+            elif inner:   # matched, so each entry is "word: word" or "word: int"
+                for entry in inner.split(", "):
+                    k, v = entry.split(": ")
+                    layer[k] = int(v) if v[0] <= "9" else v
+            items.append(layer)
         elif line:
             match = top(line)
             if match is None:
@@ -295,7 +309,9 @@ def load_shipped_model(name: str) -> DnnModelSpec:
     from importlib import resources
 
     ref = resources.files("cpsim.data.models").joinpath(f"{name}.desc")
-    if not ref.is_file():
+    try:
+        text = ref.read_text(encoding="utf-8")
+    except OSError:   # no such file, or a directory
         raise DescriptorError(f"no shipped model named {name!r}; "
-                              f"available: {', '.join(shipped_model_names())}")
-    return model_from_doc(json.loads(ref.read_text(encoding="utf-8")))
+                              f"available: {', '.join(shipped_model_names())}") from None
+    return model_from_doc(json.loads(text))
