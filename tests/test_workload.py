@@ -84,6 +84,22 @@ def test_shipped_model_listing():
     assert set(shipped_model_names()) == set(PUBLISHED_TOTALS)
 
 
+def test_an_unknown_shipped_model_is_named_with_those_available(capsys, monkeypatch, tmp_path):
+    message = ("no shipped model named 'nope'; "
+               "available: densenet121, lenet5, mobilenetv2, resnet50, vgg16")
+    with pytest.raises(DescriptorError) as info:
+        load_shipped_model("nope")
+    assert str(info.value) == message
+    assert cli_main(["simulate", "--model", "nope", "--platform", "siph"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    # a directory where a descriptor file would be is no shipped model either
+    (tmp_path / "folder.desc").mkdir()
+    monkeypatch.setattr(resources, "files", lambda package: tmp_path)
+    with pytest.raises(DescriptorError, match="^no shipped model named 'folder'; available: "):
+        load_shipped_model("folder")
+
+
 def test_make_descriptors_regenerates_the_shipped_files():
     """tools/make_descriptors.py writes each shipped descriptor byte for byte."""
     tool = Path(__file__).parent.parent / "tools" / "make_descriptors.py"

@@ -335,6 +335,22 @@ def test_reader_loads_what_yaml_loads_with_each_near_miss(name):
 
 
 @pytest.mark.parametrize("name", LOADERS)
+def test_reader_loads_what_yaml_loads_on_pair_free_layer_lines(name):
+    """A layer line with no [a, b] pair is split, not scanned again: near
+    misses of such a line, and a few texts pinned, read as YAML reads them."""
+    base = ("layers:\n- {kind: fc, channels_in: 10, stride: 1} # x: 1\n"
+            "- {kind: conv, kernel: [3, 4]}\nname: a # c\n")
+    assert read_as_yaml(base, name)
+    read = [read_as_yaml(with_near_miss(base, how, place, near), name)
+            for how, nears in NEAR_MISSES.items()
+            for place in range(places(base, how)) for near in nears]
+    assert 0 < sum(read) < len(read)
+    for layer in ("{}", "{a: 1, b: x, a: 2}", "{a: [1, 2], b: x, a: 3}", "{a: [3, kind]}",
+                  "{a: 0, b: 123456789012345678901}"):
+        assert read_as_yaml(f"layers:\n- {layer}\n", name), layer
+
+
+@pytest.mark.parametrize("name", LOADERS)
 def test_reader_reads_the_readme_example_and_generated_models(name):
     texts = [readme_example(), *generated_texts((1, 2, 3))]
     assert len(texts) == 73
