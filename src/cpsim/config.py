@@ -114,7 +114,7 @@ class PlatformSettings(Record):
         check_fields(self, ConfigError, "platform: ")
 
 
-# Gateways one chiplet's laser trunk taps, at most. The builder wires one
+# Gateways one chiplet's laser trunk taps, at most. A siph topology has one
 # waveguide route and one microring group per gateway, so without a cap a
 # mistyped count would exhaust memory instead of being rejected.
 MAX_GATEWAYS = 1024

@@ -27,9 +27,10 @@ Every entry is a pure function of its key and the two objects, so no run's
 output depends on which runs came before it.
 
 Per layer the engine does arithmetic and few calls. No ``max`` or ``min`` is
-called per layer: the latency, the demand window and the slower endpoint's
-bandwidth are conditional expressions making the builtin's own comparisons
-in its order, so a tie keeps the first value as the builtin does. A chiplet
+called per layer: the latency and the demand window are conditional
+expressions making the builtin's own comparisons in its order, so a tie
+keeps the first value as the builtin does, and a state's bandwidth per
+chiplet set, its slower endpoint's, is a table entry. A chiplet
 set's constants (its chiplet count, its write flight, its bandwidth in the
 power-on state, its mesh hops) and a pool's MAC costs are worked out once
 per run, in lists that each layer indexes by its set or pool number, so with
@@ -109,7 +110,7 @@ class PricingTables:
     """What runs price from a topology and a DeviceParams alone: each lazy table is a ``Memo``
     declared here with its one rule, no entry changing once written. No rule holds the topology
     or tables, so both go with their last reference, nor does an entry hold a run's controller.
-    The topology checked its wiring when built, so nothing here raises for it."""
+    The topology checked the chiplets its wiring follows from, so nothing here raises for it."""
 
     def __init__(self, topology: PlatformTopology, params: DeviceParams) -> None:
         self.params = params
@@ -146,13 +147,14 @@ class PricingTables:
         self.write_routes = Memo(lambda ids: max((r for r in writes if r.writer_chiplet in ids),
                                                  key=_BY_LENGTH))
 
-        def state(counts):   # lit counts -> (active, laser W, bandwidths per chiplet set)
+        def state(counts):   # lit counts -> (active, laser W, bandwidth per chiplet set)
             active = dict(zip(gateways, counts))
             # every chiplet keeps gateway 0 lit, so some route is always driven
             lit_mw = [mw for cid, k, mw in routes if k < active[cid]]
+            lit_memory = sum(active[m] for m in memory_ids)
+            # the slower endpoint's; rounding is monotone, so the same float as min of products
             return active, required_laser_power(lit_mw, n_wavelengths, params), Memo(
-                lambda ids: (sum(active[m] for m in memory_ids) * gw_bw,
-                             sum(active[c] for c in ids) * gw_bw))
+                lambda ids: min(lit_memory, sum(active[c] for c in ids)) * gw_bw)
         self.states = Memo(state)
         # (old, new) lit counts -> couplers retuned
         self.retunes = Memo(lambda pair: sum(max(b, a) for b, a in zip(*pair) if b != a))
@@ -185,8 +187,8 @@ class EpochController:
     keyed by lit counts; a controller holds only its state. ``resize`` is the
     one place the state changes; the engine calls it at power-on and then
     only for a layer whose lit counts differ from ``counts``, and reads ``laser_w``
-    and ``bandwidths``, the state's bits/s of lit memory and assigned gateways per
-    chiplet set, after each call."""
+    and ``bandwidths``, the state's bits/s per chiplet set through the lit gateways
+    of its slower endpoint, memory or assigned, after each call."""
 
     def __init__(self, topology: PlatformTopology, params: DeviceParams) -> None:
         self._tables = pricing_tables(topology, params)
@@ -202,8 +204,6 @@ class EpochController:
         """Enter the state ``counts``; returns the couplers retuned, ``max(before, after)``
         per resized trunk: every lit tap's share changes and every tap going lit or dark flips."""
         old, tables = self.counts, self._tables
-        if counts == old:
-            return 0
         self.counts = counts
         self.active, self.laser_w, self.bandwidths = tables.states[counts]
         return tables.retunes[old, counts]
@@ -241,7 +241,7 @@ def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOpt
     laser_w, bandwidths_of = controller.laser_w, controller.bandwidths   # power-on
     # by set number: (the set, its chiplets, its write flight, its power-on bandwidth)
     sets = [(ids, len(ids), tables.write_routes[ids].path.length_mm / velocity,
-             min(bandwidths_of[ids])) for ids in chiplet_sets]
+             bandwidths_of[ids]) for ids in chiplet_sets]
     hold = options.gateway_overhead_cycles / topology.platform.gateway_freq_hz
     refetch, epoch_s = options.weight_refetch_factor, options.epoch_s
     resipi, trailing = options.resipi_enabled, options.demand_mode == "trailing"
@@ -266,9 +266,7 @@ def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOpt
                 # a changed count always retunes a coupler, so switched > 0 is a resize
                 switched = controller.resize(counts)
                 laser_w, bandwidths_of = controller.laser_w, controller.bandwidths
-            memory_bw, assigned_bw = bandwidths_of[ids]
-            # min(memory_bw, assigned_bw); both are positive, so min(assigned_bw, memory_bw) too
-            bw = assigned_bw if assigned_bw < memory_bw else memory_bw
+            bw = bandwidths_of[ids]
         rows.append(((read_bits / bw + read_flight) + hold, (write_bits / bw + write_flight) + hold,
                      pcm_s if switched else 0.0, read_bits + write_bits, laser_w, switched))
 

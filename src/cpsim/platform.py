@@ -3,13 +3,14 @@
 Builds the three platform variants from one configuration: the photonic
 interposer (chiplets wired through per-gateway microring groups and static
 waveguide routes), the electrical mesh interposer (one router per chiplet),
-and the monolithic single-chip baseline. A ``PlatformTopology`` checks its own
-wiring when built, raising ``ConfigError``, so no later stage checks it again.
+and the monolithic single-chip baseline. A ``PlatformTopology`` is its
+platform settings and placed chiplets; its siph wiring and mesh grid follow
+from them. It checks the chiplets when built, raising ``ConfigError``, so no
+later stage checks them again.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
 
@@ -72,39 +73,17 @@ class WaveguideRoute(NamedTuple):
 class PlatformTopology(Record):
     platform: PlatformSettings               # the settings it was built from
     chiplets: tuple[ChipletSpec, ...]
-    routes: tuple[WaveguideRoute, ...]       # siph only
-    mrgs: tuple[Mrg, ...]                    # siph only
-    mesh_dims: tuple[int, int]               # chiplet grid, a router each on elec; (1, 1) on mono
 
     def __post_init__(self) -> None:
-        """The wiring rules: a compute chiplet; on an interposer, a memory chiplet; on
-        siph, gateways on every chiplet, each writing one route named for its chiplet
-        and trunk index and owning one ring group, and no ring group owned otherwise."""
-        roles, siph = {c.role for c in self.chiplets}, f"topology {SIPH!r}: "
+        """The rules the wiring needs: a compute chiplet; on an interposer, a memory
+        chiplet; on siph, a gateway on every chiplet."""
+        roles = {c.role for c in self.chiplets}
         if "compute" not in roles:
             raise ConfigError("no compute chiplets configured")
         if "memory" not in roles and self.kind != MONO:
             raise ConfigError(f"{self.kind} needs at least one memory chiplet")
-        if self.kind != SIPH:
-            return
-        if dark := sorted(c.id for c in self.chiplets if c.gateways < 1):
-            raise ConfigError(f"{siph}no gateway on {dark}")
-        wired = Counter((r.writer_chiplet, r.writer_index, r.protocol) for r in self.routes)
-        wired.subtract((c.id, k, SWMR if c.role == "memory" else SWSR)
-                       for c in self.chiplets for k in range(c.gateways))
-        if unwired := sorted({cid for (cid, _, _), n in wired.items() if n}):
-            raise ConfigError(f"{siph}routes do not match the gateways of {unwired}")
-        if misnamed := [r.writer_gateway for r in self.routes
-                        if r.writer_gateway != f"{r.writer_chiplet}:g{r.writer_index}"]:
-            raise ConfigError(f"{siph}routes name writer gateways {sorted(misnamed)}, "
-                              "not their chiplet and trunk index")
-        owners = Counter(m.owner_gateway for m in self.mrgs)   # gateways, each known by its route
-        if ringless := sorted({r.writer_chiplet for r in self.routes
-                               if owners[r.writer_gateway] != 1}):
-            raise ConfigError(f"{siph}microring groups do not match the gateways of {ringless}")
-        if len(self.mrgs) > len(self.routes):   # the routes' gateways own one group each
-            stray = sorted(owners.keys() - {r.writer_gateway for r in self.routes})
-            raise ConfigError(f"{siph}microring groups owned by no gateway: {stray}")
+        if self.kind == SIPH and (dark := sorted(c.id for c in self.chiplets if c.gateways < 1)):
+            raise ConfigError(f"topology {SIPH!r}: no gateway on {dark}")
 
     @property
     def kind(self) -> str:
@@ -116,6 +95,27 @@ class PlatformTopology(Record):
     @cached_property
     def pricing(self) -> list:
         return [None]
+
+    # the siph waveguide routes and microring groups, wired from the memory
+    # chiplets and then the compute chiplets, once per topology; () off siph
+    @cached_property
+    def _wiring(self) -> tuple[tuple[WaveguideRoute, ...], tuple[Mrg, ...]]:
+        if self.kind != SIPH:
+            return (), ()
+        return _wire_photonic(self.memory_chiplets(), self.compute_chiplets(), self.platform)
+
+    @property
+    def routes(self) -> tuple[WaveguideRoute, ...]:
+        return self._wiring[0]
+
+    @property
+    def mrgs(self) -> tuple[Mrg, ...]:
+        return self._wiring[1]
+
+    @property
+    def mesh_dims(self) -> tuple[int, int]:
+        """The chiplet grid, a router each on elec; (1, 1) on mono."""
+        return (1, 1) if self.kind == MONO else (self.platform.grid_rows, self.platform.grid_cols)
 
     def compute_chiplets(self) -> list[ChipletSpec]:
         return [c for c in self.chiplets if c.role == "compute"]
@@ -177,16 +177,16 @@ def _cell_position(cell: tuple[int, int], rows: int, cols: int, side_mm: float) 
     return ((cell[1] + 0.5) * side_mm / cols, (cell[0] + 0.5) * side_mm / rows)
 
 
-def _place_chiplets(cfg: SimConfig) -> tuple[list[ChipletSpec], list[ChipletSpec]]:
-    """The placed memory and compute chiplets, memory taking the first cells."""
+def _place_chiplets(cfg: SimConfig) -> tuple[ChipletSpec, ...]:
+    """The placed chiplets, memory and then compute, memory taking the first cells."""
     p = cfg.platform
     capacity = p.grid_rows * p.grid_cols
     if len(cfg.chiplets) > capacity:
         raise ConfigError(f"{len(cfg.chiplets)} chiplets exceed the "
                           f"{p.grid_rows}x{p.grid_cols} interposer grid")
-    cells = iter(_grid_cells(p.grid_rows, p.grid_cols, len(cfg.chiplets)))
-    return ([_chiplet_spec(c, next(cells), p) for c in cfg.chiplets if c.role == "memory"],
-            [_chiplet_spec(c, next(cells), p) for c in cfg.chiplets if c.role == "compute"])
+    memory_first = sorted(cfg.chiplets, key=lambda c: c.role != "memory")   # a stable sort
+    cells = _grid_cells(p.grid_rows, p.grid_cols, len(memory_first))
+    return tuple(_chiplet_spec(c, cell, p) for c, cell in zip(memory_first, cells))
 
 
 def _chiplet_spec(entry: ChipletConfig, cell: tuple[int, int], p) -> ChipletSpec:
@@ -205,7 +205,7 @@ def _chiplet_spec(entry: ChipletConfig, cell: tuple[int, int], p) -> ChipletSpec
 
 
 def _wire_photonic(memory: list[ChipletSpec], compute: list[ChipletSpec],
-                   p) -> tuple[list[WaveguideRoute], list[Mrg]]:
+                   p) -> tuple[tuple[WaveguideRoute, ...], tuple[Mrg, ...]]:
     # (gateway id, chiplet, index on the chiplet's trunk)
     compute_gws = [(gw, c, k) for c in compute for k, gw in enumerate(c.gateway_ids())]
     memory_gws = [(gw, c, k) for c in memory for k, gw in enumerate(c.gateway_ids())]
@@ -236,23 +236,19 @@ def _wire_photonic(memory: list[ChipletSpec], compute: list[ChipletSpec],
         routes.append(WaveguideRoute(gw, chiplet.id, k, SWMR, reader_ids, path))
         mrgs.append(Mrg(gw, filter_rows=fan_in[gw], modulator_rows=1,
                         mrs_per_row=p.n_wavelengths))
-    return routes, mrgs
+    return tuple(routes), tuple(mrgs)
 
 
 def build_topology(cfg: SimConfig) -> PlatformTopology:
-    """Wire the topology of ``cfg.platform.kind``; ``with_kind`` picks another."""
+    """Place the chiplets of ``cfg.platform.kind``; ``with_kind`` picks another."""
     p = cfg.platform
     if p.kind == MONO:
         mac = MacUnitType(f"mono{p.monolithic_vector_len}", p.monolithic_vector_len, "conv")
         chip = ChipletSpec("mono0", "compute", mac, p.monolithic_macs,
                            p.monolithic_macs, 1,
                            (p.interposer_side_mm / 2, p.interposer_side_mm / 2), (0, 0))
-        return PlatformTopology(p, chiplets=(chip,), routes=(), mrgs=(), mesh_dims=(1, 1))
-    memory, compute = _place_chiplets(cfg)
-    wire = p.kind == SIPH and memory and compute   # else the record names the role missing
-    routes, mrgs = _wire_photonic(memory, compute, p) if wire else ((), ())
-    return PlatformTopology(p, chiplets=(*memory, *compute), routes=tuple(routes),
-                            mrgs=tuple(mrgs), mesh_dims=(p.grid_rows, p.grid_cols))
+        return PlatformTopology(p, chiplets=(chip,))
+    return PlatformTopology(p, chiplets=_place_chiplets(cfg))
 
 
 def default_platform() -> PlatformTopology:

@@ -82,14 +82,17 @@ def test_flag_cases_differ_from_default():
 # of every nested record, so a change to how records are built shows here
 RECORD_REPR_SHA256 = {
     "default_config": "7fab366341880dea1d34a5d4345c9214e40a7ab5f398cee915b1f009415feae5",
-    "default_platform": "adba4492ab10fbf42046c7106c9feab47e6c395800aa7664ce56aaf0ede70a8a",
-    "elec_topology": "296549c4a766188d54a2be6668eb7e7b5587de1f4715f00a282b192076692127",
+    "default_platform": "ef972bdd564ee0cfa8ad330ce35b56bd35921a75216371097c3a094f0500b6de",
+    "default_platform_wiring": "4109b5498a8df1f5831e608b802fbb42aa13a5e8535fad33123b9f0b470021fc",
+    "elec_topology": "b9f92f081a9023078ef4877b66e24196ef5e277d3bc3e4c384abc09129bf4d70",
     "lenet5": "7962d2e7f8bfad1f2831133277a2810130ef3505d3f5bba999629d6eca9efb60",
     "resnet50_plan": "c80130ba0a9829ae95f75fb9e10d53eed5d937608d2eb6518ae6c556cd2eb280",
 }
 RECORDS = {
     "default_config": default_config,
     "default_platform": default_platform,
+    # the siph (routes, mrgs), which a topology derives and its repr leaves out
+    "default_platform_wiring": lambda: ((t := default_platform()).routes, t.mrgs),
     "elec_topology": lambda: build_topology(with_kind(default_config(), "elec")),
     "lenet5": lambda: load_shipped_model("lenet5"),
     "resnet50_plan": lambda: map_model(load_shipped_model("resnet50"), default_platform()),

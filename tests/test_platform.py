@@ -6,7 +6,7 @@ from cpsim import replace
 from cpsim.config import (ChipletConfig, ConfigError, PlatformSettings, SimOptions, parse_config,
                           with_kind)
 from cpsim.devices import DeviceParams, OpticalPath, PcmcState
-from cpsim.platform import (Mrg, PlatformTopology, _grid_cells, build_topology,
+from cpsim.platform import (PlatformTopology, _grid_cells, build_topology,
                             default_platform, electrical_hops, gateway_peak_bandwidth,
                             route_length)
 
@@ -206,7 +206,7 @@ def test_topology_carries_the_settings_it_was_built_from(cfg, kind):
     assert topology.kind == variant.platform.kind
 
 
-# ---------------------------------------------- a topology checks its wiring
+# ------------------ a topology checks its chiplets and derives its wiring
 
 
 def test_topology_without_compute_chiplets_raises_when_built(cfg):
@@ -214,8 +214,7 @@ def test_topology_without_compute_chiplets_raises_when_built(cfg):
     hand without a compute chiplet fails when built too, on every kind."""
     base = default_platform()
     with pytest.raises(ConfigError) as caught:
-        PlatformTopology(base.platform, chiplets=tuple(base.memory_chiplets()), routes=(),
-                         mrgs=(), mesh_dims=base.mesh_dims)
+        PlatformTopology(base.platform, chiplets=tuple(base.memory_chiplets()))
     assert caught.type is ConfigError and str(caught.value) == "no compute chiplets configured"
     for kind in ("elec", "mono"):
         built = build_topology(with_kind(cfg, kind))
@@ -231,100 +230,44 @@ def test_interposer_topology_without_memory_raises_naming_its_kind(cfg, kind):
     ConfigError naming its kind, on either interposer."""
     built = build_topology(with_kind(cfg, kind))
     with pytest.raises(ConfigError) as caught:
-        replace(built, chiplets=tuple(built.compute_chiplets()), routes=(), mrgs=())
+        replace(built, chiplets=tuple(built.compute_chiplets()))
     assert caught.type is ConfigError
     assert str(caught.value) == f"{built.kind} needs at least one memory chiplet"
 
 
-def test_siph_routes_that_do_not_match_the_gateways_raise_naming_the_chiplets(cfg):
-    """Every gateway of a siph chiplet writes one route, SWMR from a memory
-    chiplet and SWSR from a compute chiplet, as build_topology wires them. A
-    topology built by hand that differs fails when built with a ConfigError
-    naming its chiplets, sorted: with no routes at all, and with dense0's
-    routes dropped, which would otherwise leave its lit gateways out of the
-    laser sum without a word."""
-    built = build_topology(with_kind(cfg, "siph"))
-    routes = built.routes
-    swapped = tuple(r._replace(protocol="SWMR") if r.writer_chiplet == "conv5b" else r
-                    for r in routes)
-    cases = [
-        ({"routes": (), "mrgs": ()}, sorted(c.id for c in built.chiplets)),
-        ({"routes": tuple(r for r in routes if r.writer_chiplet != "dense0")}, ["dense0"]),
-        ({"routes": routes + routes[-1:]}, [routes[-1].writer_chiplet]),
-        ({"routes": swapped}, ["conv5b"]),
-    ]
-    for changes, named in cases:
-        with pytest.raises(ConfigError) as caught:
-            replace(built, **changes)
-        assert str(caught.value) == (
-            f"topology 'siph_interposer': routes do not match the gateways of {named}")
-
-
 def test_siph_chiplet_without_a_gateway_or_ring_group_raises_naming_it(cfg):
-    """A siph chiplet has at least one gateway, and each gateway owns one
-    microring group. A topology built by hand whose compute chiplets have no
-    gateway (routes and rings dropped with them), or whose gateways own no
-    group or two, would otherwise be priced without a word: the lit-count
-    clamp would light a gateway that is not there, and the interposer ring
-    trim would drop or double. It fails when built with a ConfigError naming
-    the chiplets, sorted."""
+    """A siph chiplet has at least one gateway, and its routes and ring groups
+    are its gateways'. A topology built by hand whose compute chiplets have no
+    gateway would otherwise be priced without a word: the lit-count clamp
+    would light a gateway that is not there. It fails when built with a
+    ConfigError naming the chiplets, sorted."""
     built = build_topology(with_kind(cfg, "siph"))
     gone = {"conv3c", "conv5b"}
-    gone_gateways = {gw for c in built.chiplets if c.id in gone for gw in c.gateway_ids()}
-    no_gateway = {
-        "chiplets": tuple(c._replace(gateways=0) if c.id in gone else c for c in built.chiplets),
-        "routes": tuple(r for r in built.routes if r.writer_chiplet not in gone),
-        "mrgs": tuple(m for m in built.mrgs if m.owner_gateway not in gone_gateways)}
-    first, last = built.routes[0], built.routes[-1]
-    rings = "topology 'siph_interposer': microring groups do not match the gateways of "
-    cases = [
-        (no_gateway, "topology 'siph_interposer': no gateway on ['conv3c', 'conv5b']"),
-        ({"mrgs": ()}, rings + str(sorted(c.id for c in built.chiplets))),
-        ({"mrgs": built.mrgs + built.mrgs[:1]}, rings + f"[{first.writer_chiplet!r}]"),
-        ({"mrgs": tuple(m for m in built.mrgs if m.owner_gateway != last.writer_gateway)},
-         rings + f"[{last.writer_chiplet!r}]"),
-    ]
-    for changes, message in cases:
-        with pytest.raises(ConfigError) as caught:
-            replace(built, **changes)
-        assert str(caught.value) == message
-
-
-def test_one_route_or_ring_group_dropped_or_repeated_fails_naming_its_chiplet(topo):
-    """Each single route and each single microring group of the default siph
-    topology, dropped or repeated, makes a topology that fails when built,
-    naming the chiplet of that route's gateway; the topology itself passes."""
-    assert replace(topo) == topo
-    chiplet_of = {r.writer_gateway: r.writer_chiplet for r in topo.routes}
-    text = "topology 'siph_interposer': {} do not match the gateways of ['{}']"
-    for field, what, gateway in (("routes", "routes", lambda r: r.writer_gateway),
-                                 ("mrgs", "microring groups", lambda m: m.owner_gateway)):
-        items = getattr(topo, field)
-        assert len(items) == len(chiplet_of)   # one of each per gateway
-        for i, item in enumerate(items):
-            message = text.format(what, chiplet_of[gateway(item)])
-            for changed in (items[:i] + items[i + 1:], items[:i + 1] + items[i:]):
-                with pytest.raises(ConfigError) as caught:
-                    replace(topo, **{field: changed})
-                assert str(caught.value) == message
-
-
-def test_a_stray_ring_group_or_a_misnamed_route_fails_naming_its_gateway(topo):
-    """A microring group owned by no gateway, and a route renamed together with
-    its ring group, each make a topology that fails when built, naming the
-    gateway; the stray group would otherwise add its rings to ``total_mrs``."""
-    siph = "topology 'siph_interposer': "
     with pytest.raises(ConfigError) as caught:
-        replace(topo, mrgs=topo.mrgs + (Mrg("ghost:g0", 1, 1, 64),))
-    assert str(caught.value) == siph + "microring groups owned by no gateway: ['ghost:g0']"
-    route = topo.routes[0]
-    renamed = {route.writer_gateway: "nowhere:g7"}
-    with pytest.raises(ConfigError) as caught:
-        replace(topo, routes=(route._replace(writer_gateway="nowhere:g7"), *topo.routes[1:]),
-                mrgs=tuple(m._replace(owner_gateway=renamed.get(m.owner_gateway, m.owner_gateway))
-                           for m in topo.mrgs))
-    assert str(caught.value) == (siph + "routes name writer gateways ['nowhere:g7'], "
-                                 "not their chiplet and trunk index")
+        replace(built, chiplets=tuple(c._replace(gateways=0) if c.id in gone else c
+                                      for c in built.chiplets))
+    assert str(caught.value) == "topology 'siph_interposer': no gateway on ['conv3c', 'conv5b']"
+
+
+def test_a_topology_is_its_platform_and_chiplets(cfg):
+    """A topology's only fields are its platform and chiplets. Its routes, ring
+    groups and mesh grid follow from them, so none of the three can be given,
+    by hand or through replace; a topology rebuilt by hand from the two fields
+    of a built one equals it and derives the same three, on every kind."""
+    assert PlatformTopology._fields == ("platform", "chiplets")
+    built = default_platform()
+    with pytest.raises(TypeError, match=r"unexpected keyword arguments \['routes'\]"):
+        PlatformTopology(built.platform, built.chiplets, routes=built.routes)
+    for name in ("routes", "mrgs", "mesh_dims"):
+        with pytest.raises(TypeError, match=rf"unexpected keyword arguments \['{name}'\]"):
+            replace(built, **{name: getattr(built, name)})
+    for kind in ("siph", "elec", "mono"):
+        built = build_topology(with_kind(cfg, kind))
+        by_hand = PlatformTopology(built.platform, built.chiplets)
+        assert by_hand == built and by_hand is not built
+        assert ((by_hand.routes, by_hand.mrgs, by_hand.mesh_dims)
+                == (built.routes, built.mrgs, built.mesh_dims))
+        assert bool(by_hand.routes) == bool(by_hand.mrgs) == (kind == "siph")
 
 
 def test_route_paths_carry_modulator_row_and_fanout(topo):
