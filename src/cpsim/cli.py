@@ -75,17 +75,17 @@ def _load_config(path: str | None) -> SimConfig:
 
 def _apply_flags(cfg: SimConfig, args) -> SimConfig:
     options = cfg.options
-    if getattr(args, "no_overlap", False):
+    if args.no_overlap:
         options = replace(options, overlap=False)
-    if getattr(args, "no_resipi", False):
+    if args.no_resipi:
         options = replace(options, resipi_enabled=False)
-    if getattr(args, "epoch_us", None) is not None:
+    if args.epoch_us is not None:
         options = replace(options, epoch_s=args.epoch_us * 1e-6)
     return replace(cfg, options=options)
 
 
 def _resolve_model(name: str) -> DnnModelSpec:
-    if os.path.sep in name or name.endswith(".desc") or os.path.exists(name):
+    if os.path.sep in name or name.endswith(".desc") or os.path.isfile(name):
         return load_model_file(name)
     return load_shipped_model(name)
 

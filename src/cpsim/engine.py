@@ -2,15 +2,15 @@
 
 Layers run strictly in order, and a run is priced column by column: one list
 per quantity, one entry per layer. ``simulate_model`` checks the plan's
-cached columns (see ``mapper``) against the model and topology, once per
-numbered chiplet set or MAC pool and once for the layer order, works out the
-compute-time column on the assigned MAC arrays, then calls the platform's
-interconnect builder (photonic gateways, electrical mesh or off-chip link)
-once for the read/write transfer time, reconfiguration stall and bits moved
-of every layer, and the energy its lasers, conversions, gateway electronics,
-controller, mesh or off-chip interface draw. From those it works out the
-latency, MAC ring tuning and MAC energy columns, builds each layer's record
-once and folds the run's totals from the columns.
+cached columns (see ``mapper``) against the model and topology, once for the
+layer order and once per numbered chiplet set, whose pool shares its number,
+works out the compute-time column on the assigned MAC arrays, then calls the
+platform's interconnect builder (photonic gateways, electrical mesh or
+off-chip link) once for the read/write transfer time, reconfiguration stall
+and bits moved of every layer, and the energy its lasers, conversions,
+gateway electronics, controller, mesh or off-chip interface draw. From those
+it works out the latency, MAC ring tuning and MAC energy columns, builds each
+layer's record once and folds the run's totals from the columns.
 
 On the photonic interposer an epoch controller re-evaluates traffic before
 every layer and retunes the phase-change couplers so only the gateways the
@@ -32,9 +32,9 @@ expressions making the builtin's own comparisons in its order, so a tie
 keeps the first value as the builtin does, and a state's bandwidth per
 chiplet set, its slower endpoint's, is a table entry. A chiplet
 set's constants (its chiplet count, its write flight, its bandwidth in the
-power-on state, its mesh hops) and a pool's MAC costs are worked out once
-per run, in lists that each layer indexes by its set or pool number, so with
-the controller off no layer hashes its chiplet set. The controller is
+power-on state, its mesh hops) and its pool's MAC costs are worked out once
+per run, in lists that each layer indexes by its set number, so with the
+controller off no layer hashes its chiplet set. The controller is
 consulted only on a change: a layer looks its target's lit counts up and
 calls ``resize`` only when they differ from the controller's. Every float
 total of a column is a ``reduce(add, ..., 0.0)`` left fold, never ``sum()``,
@@ -192,9 +192,8 @@ class EpochController:
 
     def __init__(self, topology: PlatformTopology, params: DeviceParams) -> None:
         self._tables = pricing_tables(topology, params)
-        self._gateways = self._tables.gateways
         self.counts = ()
-        self.resize(tuple(self._gateways.values()))   # power-on: every gateway lit
+        self.resize(tuple(self._tables.gateways.values()))   # power-on: every gateway lit
 
     def lit_counts(self, wanted: dict[str, int]) -> tuple[int, ...]:
         """The state for ``wanted`` gateways per chiplet, at least 1 and at most all."""
@@ -211,8 +210,8 @@ class EpochController:
     def couplers(self, chiplet_id: str) -> list[PcmcState]:
         """Coupler states along the chiplet's trunk: the trunk is split
         equally over its lit gateways, dark gateways pass it along."""
-        lit = self.active[chiplet_id]
-        return pcmc_chain_for_equal_split([k < lit for k in range(self._gateways[chiplet_id])])
+        lit, n = self.active[chiplet_id], self._tables.gateways[chiplet_id]
+        return pcmc_chain_for_equal_split([k < lit for k in range(n)])
 
 
 # ---------------------------------------------------------- interconnects
@@ -345,33 +344,32 @@ _INTERCONNECTS = {SIPH: _photonic, ELEC: _mesh, MONO: _offchip}
 
 def _plan_columns(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPlan) -> tuple:
     """The plan's cached columns, the model's layer indices first, once checked against
-    the model and topology: the rows assign the model's layers in order; each chiplet
-    set, checked once in layer order, is not empty, repeats no chiplet and names only
-    compute chiplets of the topology; and every pool has MACs."""
+    the model and topology: the rows assign the model's layers in order; and each chiplet
+    set, checked once in layer order, is not empty, names only chiplets of the topology,
+    repeats none and names only compute chiplets, and then its pool has MACs."""
     if plan.model_name != model.name or len(plan.assignments) != len(model.layers):
         raise MappingError(f"plan for {plan.model_name!r} does not match model {model.name!r}")
-    index, sets, set_of, pools, pool_of, invocations = plan._columns
+    index, sets, set_of, pools, invocations = plan._columns
     indices = [layer.index for layer in model.layers]
     if index != indices:
         row = next(row for row, (a, b) in enumerate(zip(index, indices)) if a != b)
         raise MappingError(f"plan row {row} assigns layer {index[row]}, "
                            f"where model {model.name!r} has layer {indices[row]}")
     compute = {c.id for c in topology.chiplets if c.role == "compute"}
-    for ids in sets:
+    for ids, (macs, _) in zip(sets, pools):
         named = set(ids)
-        if ids and len(named) == len(ids) and named <= compute:
-            continue
         if not ids:
             raise MappingError("plan names the empty chiplet set ()")
-        if missing := named - {c.id for c in topology.chiplets}:
+        if not named <= compute and (missing := named - {c.id for c in topology.chiplets}):
             raise MappingError(f"plan names chiplets absent from topology: {sorted(missing)}")
         if len(named) < len(ids):
             raise MappingError(f"plan names chiplet set {ids!r}, which repeats a chiplet")
-        raise MappingError(f"plan names chiplet set {ids!r}, "
-                           f"which holds non-compute chiplets {sorted(named - compute)}")
-    if min(pools)[0] < 1:   # the pool of fewest MACs
-        raise MappingError("assignment has no MACs")
-    return indices, sets, set_of, pools, pool_of, invocations
+        if not named <= compute:
+            raise MappingError(f"plan names chiplet set {ids!r}, "
+                               f"which holds non-compute chiplets {sorted(named - compute)}")
+        if macs < 1:
+            raise MappingError("assignment has no MACs")
+    return indices, sets, set_of, pools, invocations
 
 
 def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPlan,
@@ -379,12 +377,12 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
     """Run ``model`` as mapped by ``plan`` on ``topology``. Raises OverflowError
     when finite inputs give an infinite latency, energy or power."""
     options = options or SimOptions()
-    indices, sets, set_of, pools, pool_of, invocations = _plan_columns(model, topology, plan)
+    indices, sets, set_of, pools, invocations = _plan_columns(model, topology, plan)
     tables, mac_rate_hz = pricing_tables(topology, params), options.mac_rate_hz
     # the assigned pool retires one vector dot per MAC per cycle: cycles in integers, exact
     macs = [m for m, _ in pools]
     compute = [-(-i // m) / mac_rate_hz
-               for i, m in zip(invocations, map(macs.__getitem__, pool_of))]
+               for i, m in zip(invocations, map(macs.__getitem__, set_of))]
     read, write, overhead, bits, own_energy = _INTERCONNECTS[topology.kind](
         topology, tables, options, model.traffic, sets, set_of, compute)
     columns = zip(compute, read, write, overhead)
@@ -393,9 +391,9 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
                 for c, r, w, o in columns] if options.overlap
                else [c + r + w + o for c, r, w, o in columns])
 
-    costs = [tables.mac_costs[pool] for pool in pools]   # by pool number
-    tuning = [w * t for (w, _), t in zip(map(costs.__getitem__, pool_of), latency)]
-    mac = [i * pj * 1e-12 for i, (_, pj) in zip(invocations, map(costs.__getitem__, pool_of))]
+    costs = [tables.mac_costs[pool] for pool in pools]   # by set number
+    tuning = [w * t for (w, _), t in zip(map(costs.__getitem__, set_of), latency)]
+    mac = [i * pj * 1e-12 for i, (_, pj) in zip(invocations, map(costs.__getitem__, set_of))]
     laser, conversion, gateway, control, noc = own_energy(latency)
     energy = (laser, tuning, conversion, mac, gateway, control, noc)   # ENERGY_CATEGORIES
     energies = [{"laser": la, "tuning": tu, "conversion": cv, "mac": mc, "gateway_elec": ge,

@@ -8,9 +8,10 @@ compute chiplets pools each MAC type's ids and MACs; each (kind, kernel
 window) takes its type's pool, and the records come from named columns.
 
 A plan caches the columns a run reads, not as a field, so equality, ``repr``
-and ``_replace`` do not see them: its layer indices, its chiplet sets and its
-(total MACs, vector length) pools, each numbered by first use, each layer's
-set and pool number, and its invocations. ``map_model`` hands over those it
+and ``_replace`` do not see them: its layer indices, its chiplet sets, each
+layer's set number, each set's (total MACs, vector length) pool and its
+invocations. Each distinct (chiplet ids, total MACs, vector length) of the
+rows is one set, numbered by first use. ``map_model`` hands over those it
 built; a plan built by hand is transposed once, when first priced.
 """
 
@@ -45,13 +46,12 @@ class _PlanFields(NamedTuple):
 class MappingPlan(_PlanFields):   # no __slots__: a plan has a __dict__ for its cache
     @cached_property
     def _columns(self) -> tuple:
-        """(layer indices, chiplet sets, set numbers, pools, pool numbers, invocations)."""
+        """(layer indices, chiplet sets, set numbers, each set's pool, invocations)."""
         index, mac_types, chiplet_ids, total_macs, invocations = zip(*self.assignments)
-        pools = list(zip(total_macs, [t.vector_len for t in mac_types]))
-        set_no, pool_no = ({key: n for n, key in enumerate(dict.fromkeys(column))}
-                           for column in (chiplet_ids, pools))
-        return (list(index), list(set_no), list(map(set_no.__getitem__, chiplet_ids)),
-                list(pool_no), list(map(pool_no.__getitem__, pools)), invocations)
+        keys = list(zip(chiplet_ids, total_macs, [t.vector_len for t in mac_types]))
+        number = {key: n for n, key in enumerate(dict.fromkeys(keys))}   # by first use
+        return (list(index), [ids for ids, _, _ in number], list(map(number.__getitem__, keys)),
+                [(macs, lanes) for _, macs, lanes in number], list(invocations))
 
 
 def chunks_per_dot(dot_length: int, vector_len: int) -> int:
@@ -92,11 +92,11 @@ def map_model(model: DnnModelSpec, topology: PlatformTopology) -> MappingPlan:
     # a type depends only on kind and window: one placement per window, by any of its layers
     sizes = list(map(mul, c.kernel_h, c.kernel_w))
     windows = list(zip(c.kind, sizes))
-    types, used, placements = list(pools), {}, {}   # used: type -> pool number, by first use
+    types, used, placements = list(pools), {}, {}   # used: type -> set number, by first use
     for window, layer in dict(zip(windows, model.layers)).items():
         t = select_mac_type(layer, types)
         placements[window] = (t, *pools[t], used.setdefault(t, len(used)))
-    mac_types, chiplet_ids, total_macs, pool_of = zip(*map(placements.__getitem__, windows))
+    mac_types, chiplet_ids, total_macs, set_of = zip(*map(placements.__getitem__, windows))
     # LayerSpec.dot_length and dot_products, a column at a time
     dot_lengths = map(mul, sizes, c.in_channels)
     chunks = map(chunks_per_dot, dot_lengths, [t.vector_len for t in mac_types])
@@ -105,7 +105,7 @@ def map_model(model: DnnModelSpec, topology: PlatformTopology) -> MappingPlan:
     # tuple.__new__ makes each record from its row with no Python-level call
     plan = MappingPlan(model.name, tuple(map(tuple.__new__, repeat(LayerAssignment), zip(
         index, mac_types, chiplet_ids, total_macs, invocations))))
-    # a type's chiplets are its own, so its chiplet set and its pool share a number
-    plan._columns = (index, [pools[t][0] for t in used], pool_of,
-                     [(pools[t][1], t.vector_len) for t in used], pool_of, invocations)
+    # a type's chiplets are its own, so each type is one (chiplet set, pool) of the plan
+    plan._columns = (index, [pools[t][0] for t in used], list(set_of),
+                     [(pools[t][1], t.vector_len) for t in used], invocations)
     return plan

@@ -820,6 +820,9 @@ def test_hand_built_bad_plans_raise_their_messages(cfg):
          "plan row 0 assigns layer 1, where model 'two' has layer 0"),
         (MappingPlan("two", (head, head._replace(chiplet_ids=last.chiplet_ids))),
          "plan row 1 assigns layer 0, where model 'two' has layer 1"),
+        # within a set, the set rules come before its pool's MACs
+        (MappingPlan("two", (head, last._replace(chiplet_ids=("mem0",), total_macs=0))),
+         "plan names chiplet set ('mem0',), which holds non-compute chiplets ['mem0']"),
     ]
     for plan, message in cases:
         with pytest.raises(MappingError) as caught:

@@ -36,7 +36,7 @@ from pathlib import Path
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from cpsim import build_topology, engine, map_model, simulate_model, with_kind
+from cpsim import build_topology, default_config, engine, map_model, simulate_model, with_kind
 from cpsim.config import ChipletConfig, PlatformSettings, SimConfig, SimOptions
 from cpsim.devices import DeviceParams, mr_tuning_power, required_laser_power, source_mw
 from cpsim.engine import ENERGY_CATEGORIES, LayerResult, RunMetrics
@@ -266,6 +266,27 @@ def test_a_mapped_plan_and_its_hand_built_and_replaced_copies_price_alike(cfg, p
             metrics = repr(simulate_model(model, topology, plan, params, options))
             for twin in copies:
                 assert repr(simulate_model(model, topology, twin, params, options)) == metrics
+                assert list(twin._columns) == list(plan._columns)
+
+
+def test_one_chiplet_set_with_two_pools_prices_each_row_by_its_own_pool():
+    """A hand-built lenet5 plan that names the dense set in both fc rows,
+    once with 8 MACs and once with 4, numbers the set twice and prices each
+    row by its own pool, to the last bit as the reference does, on every kind."""
+    model = load_shipped_model("lenet5")
+    for kind in ("siph", "elec", "mono"):
+        cfg = with_kind(default_config(), kind)
+        topology = build_topology(cfg)
+        rows = list(map_model(model, topology).assignments)
+        fc = [i for i, layer in enumerate(model.layers) if layer.kind == "fc"][:2]
+        dense = rows[fc[0]].chiplet_ids
+        for i, macs in zip(fc, (8, 4)):
+            rows[i] = rows[i]._replace(chiplet_ids=dense, total_macs=macs)
+        plan = MappingPlan(model.name, tuple(rows))
+        set_of = plan._columns[2]
+        assert set_of[fc[0]] != set_of[fc[1]]
+        args = (model, topology, plan, cfg.devices, cfg.options)
+        assert repr(simulate_model(*args)) == repr(reference(*args))
 
 
 @settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))

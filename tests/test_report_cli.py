@@ -227,6 +227,15 @@ def test_validate_shipped_model(capsys):
     assert capsys.readouterr().out.strip() == "62006 parameters OK"
 
 
+def test_a_local_directory_does_not_hide_a_shipped_model(tmp_path, monkeypatch, capsys):
+    """A model argument is read as a file only when it names one: a folder
+    named like a shipped model leaves the shipped model to be found."""
+    (tmp_path / "lenet5").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["validate", "lenet5"]) == 0
+    assert capsys.readouterr().out.strip() == "62006 parameters OK"
+
+
 def test_validate_bad_descriptor(tmp_path, capsys):
     bad = tmp_path / "bad.desc"
     bad.write_text("name: bad\ndeclared_param_count: 5\nlayers:\n"
