@@ -21,7 +21,8 @@ On the same drawn platforms, a plan's cache is held to its contract: it is
 worked out from the plan alone, so a ``map_model`` plan and its hand-built
 and ``_replace`` copies price alike, one plan prices on two topologies and
 two device records in turn as each pair alone would, and the cache keeps no
-topology or table alive.
+topology or table alive. A hand-built plan that gives one chiplet set two
+pools prices each row by its own pool.
 """
 
 import gc
@@ -278,7 +279,7 @@ def test_one_chiplet_set_with_two_pools_prices_each_row_by_its_own_pool():
         cfg = with_kind(default_config(), kind)
         topology = build_topology(cfg)
         rows = list(map_model(model, topology).assignments)
-        fc = [i for i, layer in enumerate(model.layers) if layer.kind == "fc"][:2]
+        fc = [i for i, layer in enumerate(model.layers) if layer.kind == "fc"]
         dense = rows[fc[0]].chiplet_ids
         for i, macs in zip(fc, (8, 4)):
             rows[i] = rows[i]._replace(chiplet_ids=dense, total_macs=macs)
