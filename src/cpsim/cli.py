@@ -96,10 +96,11 @@ def _resolve_models(spec: str) -> list[DnnModelSpec]:
     return [_resolve_model(n.strip()) for n in spec.split(",") if n.strip()]
 
 
-def _run_one(model: DnnModelSpec, variant: SimConfig,
-             topology: PlatformTopology) -> engine.RunMetrics:
+def _run_one(model: DnnModelSpec, variant: SimConfig, topology: PlatformTopology,
+             per_layer: bool = True) -> engine.RunMetrics:
     plan = map_model(model, topology)
-    return engine.simulate_model(model, topology, plan, variant.devices, variant.options)
+    return engine.simulate_model(model, topology, plan, variant.devices, variant.options,
+                                 per_layer=per_layer)
 
 
 def _cmd_validate(args) -> int:
@@ -135,8 +136,9 @@ def _cmd_compare(args, parser: argparse.ArgumentParser) -> int:
     # one topology per platform, shared by every model
     variants = {platform: with_kind(cfg, platform) for platform in platforms}
     topologies = {platform: build_topology(v) for platform, v in variants.items()}
+    # the table reads only each run's totals, so no run builds its layer records
     runs = [report.LabeledRun(KIND_ALIASES[platform], model.name,
-                              _run_one(model, variants[platform], topologies[platform]))
+                              _run_one(model, variants[platform], topologies[platform], False))
             for model in models for platform in platforms]
 
     rows = report.comparison_table(runs, KIND_ALIASES[args.baseline])

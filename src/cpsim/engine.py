@@ -10,7 +10,8 @@ off-chip link) once for the read/write transfer time, reconfiguration stall
 and bits moved of every layer, and the energy its lasers, conversions,
 gateway electronics, controller, mesh or off-chip interface draw. From those
 it works out the latency, MAC ring tuning and MAC energy columns, builds each
-layer's record once and folds the run's totals from the columns.
+layer's record once when ``per_layer`` is true (``compare`` reads only the
+totals and passes false) and folds the run's totals from the columns.
 
 On the photonic interposer an epoch controller re-evaluates traffic before
 every layer and retunes the phase-change couplers so only the gateways the
@@ -373,9 +374,11 @@ def _plan_columns(model: DnnModelSpec, topology: PlatformTopology, plan: Mapping
 
 
 def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPlan,
-                   params: DeviceParams, options: SimOptions | None = None) -> RunMetrics:
-    """Run ``model`` as mapped by ``plan`` on ``topology``. Raises OverflowError
-    when finite inputs give an infinite latency, energy or power."""
+                   params: DeviceParams, options: SimOptions | None = None,
+                   per_layer: bool = True) -> RunMetrics:
+    """Run ``model`` as mapped by ``plan`` on ``topology``; with ``per_layer`` false,
+    no layer record is built and the same totals come with ``per_layer=()``.
+    Raises OverflowError when finite inputs give an infinite latency, energy or power."""
     options = options or SimOptions()
     indices, sets, set_of, pools, invocations = _plan_columns(model, topology, plan)
     tables, mac_rate_hz = pricing_tables(topology, params), options.mac_rate_hz
@@ -396,12 +399,14 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
     mac = [i * pj * 1e-12 for i, (_, pj) in zip(invocations, map(costs.__getitem__, set_of))]
     laser, conversion, gateway, control, noc = own_energy(latency)
     energy = (laser, tuning, conversion, mac, gateway, control, noc)   # ENERGY_CATEGORIES
-    energies = [{"laser": la, "tuning": tu, "conversion": cv, "mac": mc, "gateway_elec": ge,
-                 "controller": ct, "electrical_noc": en}
-                for la, tu, cv, mc, ge, ct, en in zip(*energy)]
-    # tuple.__new__ makes each record from its row with no Python-level call
-    per_layer = tuple(map(tuple.__new__, repeat(LayerResult), zip(
-        indices, compute, read, write, overhead, latency, energies, bits)))
+    records = ()
+    if per_layer:
+        energies = [{"laser": la, "tuning": tu, "conversion": cv, "mac": mc, "gateway_elec": ge,
+                     "controller": ct, "electrical_noc": en}
+                    for la, tu, cv, mc, ge, ct, en in zip(*energy)]
+        # tuple.__new__ makes each record from its row with no Python-level call
+        records = tuple(map(tuple.__new__, repeat(LayerResult), zip(
+            indices, compute, read, write, overhead, latency, energies, bits)))
 
     # every float sum is a left fold from 0.0 in layer or category order,
     # so no Python version's sum() moves it; a column of zeros (a category
@@ -418,4 +423,4 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
     return RunMetrics(total_latency_s=total_latency, total_energy_j=total_energy,
                       energy_breakdown=breakdown, avg_power_w=avg_power, total_bits=total_bits,
                       epb_j_per_bit=total_energy / total_bits if total_bits else 0.0,
-                      per_layer=per_layer)
+                      per_layer=records)

@@ -164,6 +164,8 @@ _LAYER_CELLS = ("compute_s", "read_s", "write_s", "overhead_s", "latency_s", "bi
 
 def render_run(model: str, platform: str, metrics: RunMetrics, format: str) -> str:
     """One run as JSON, or as a table of layer rows and a total row."""
+    if not metrics.per_layer:   # every model has a layer, so only a totals-only run has none
+        raise ValueError(f"{model} on {platform} was priced without per-layer records")
     rows = layer_rows(metrics)
     if format == "json":
         doc = {"model": model, "platform": platform,

@@ -270,6 +270,25 @@ def test_a_mapped_plan_and_its_hand_built_and_replaced_copies_price_alike(cfg, p
                 assert list(twin._columns) == list(plan._columns)
 
 
+@settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(platforms(), DEVICES, OPTIONS, MODELS)
+def test_a_totals_only_run_gives_the_full_runs_totals_to_the_last_bit(cfg, params, options,
+                                                                      models):
+    """``per_layer=False`` builds no layer record and returns the default run's
+    metrics with ``per_layer=()``: every float and the breakdown dict equal,
+    and the same repr, on every kind."""
+    for kind in ("siph", "elec", "mono"):
+        topology = build_topology(with_kind(cfg, kind))
+        for model in models:
+            plan = map_model(model, topology)
+            full = simulate_model(model, topology, plan, params, options)
+            totals = simulate_model(model, topology, plan, params, options, per_layer=False)
+            assert len(full.per_layer) == len(model.layers) and totals.per_layer == ()
+            assert totals == full._replace(per_layer=())
+            assert totals.energy_breakdown == full.energy_breakdown
+            assert repr(totals) == repr(full._replace(per_layer=()))
+
+
 def test_one_chiplet_set_with_two_pools_prices_each_row_by_its_own_pool():
     """A hand-built lenet5 plan that names the dense set in both fc rows,
     once with 8 MACs and once with 4, numbers the set twice and prices each

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from importlib import resources
+from inspect import signature
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,10 @@ from cpsim.config import (MAX_GATEWAYS, ChipletConfig, ConfigError, SimOptions, 
 from cpsim.devices import pcmc_for_split
 from cpsim.engine import RunMetrics
 from cpsim.platform import build_topology
+from cpsim.mapper import map_model
 from cpsim.report import (LabeledRun, comparison_table, emit_report, reference_rows,
-                          render_report)
+                          render_report, render_run)
+from cpsim.workload import load_shipped_model, shipped_model_names
 
 
 def metrics_of(power_w, latency_s, epb_j_per_bit):
@@ -378,6 +381,40 @@ def test_compare_rejects_duplicate_pairs(tmp_path, capsys, monkeypatch):
     assert cli_main(["compare", "--models", "lenet5", "--platforms", "siph,siph,mono"]) == 1
     assert "('siph_interposer', 'lenet5')" in capsys.readouterr().err
     assert simulated == []  # rejected from the labels, before any simulation
+
+
+def test_compare_prices_totals_only_and_simulate_keeps_the_layer_records(tmp_path,
+                                                                         monkeypatch):
+    """``compare`` reads only each run's totals, so every run it prices passes
+    ``per_layer=False``; ``simulate``, which writes each layer, keeps the default."""
+    simulate = engine.simulate_model
+    asked = []
+
+    def recorded(*args, **kwargs):
+        bound = signature(simulate).bind(*args, **kwargs)
+        bound.apply_defaults()
+        asked.append(bound.arguments["per_layer"])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "simulate_model", recorded)
+    assert cli_main(["compare", "--out", str(tmp_path / "cmp.csv")]) == 0
+    assert asked == [False] * (3 * len(shipped_model_names()))   # every model on three platforms
+    asked.clear()
+    assert cli_main(["simulate", "--model", "lenet5", "--platform", "siph",
+                     "--out", str(tmp_path / "run.json")]) == 0
+    assert asked == [True]
+
+
+@pytest.mark.parametrize("format", ["csv", "json", "tsv"])
+def test_render_run_rejects_a_run_priced_without_layer_records(cfg, format):
+    """A totals-only run would render as a report with no layer rows, so it is refused."""
+    topo, model = build_topology(cfg), load_shipped_model("lenet5")
+    args = (model, topo, map_model(model, topo), cfg.devices, cfg.options)
+    assert "layer" in render_run("lenet5", "siph_interposer", engine.simulate_model(*args), format)
+    totals = engine.simulate_model(*args, per_layer=False)
+    with pytest.raises(ValueError, match="lenet5 on siph_interposer was priced without "
+                                         "per-layer records"):
+        render_run("lenet5", "siph_interposer", totals, format)
 
 
 def test_topology_dump(tmp_path):
