@@ -586,19 +586,6 @@ def test_totals_are_left_folds_of_layers(sweep):
 
 
 # per kind, the energy categories it has no hardware for
-def test_a_totals_only_run_keeps_every_check(cfg):
-    """Skipping the layer records skips no check: a plan for another model and
-    an overflowing run still raise."""
-    topo = default_platform()
-    model, other = load_shipped_model("lenet5"), load_shipped_model("vgg16")
-    with pytest.raises(MappingError, match="does not match model 'lenet5'"):
-        simulate_model(model, topo, map_model(other, topo), cfg.devices, cfg.options,
-                       per_layer=False)
-    with pytest.raises(OverflowError, match="lenet5"):
-        simulate_model(model, topo, map_model(model, topo), cfg.devices,
-                       replace(cfg.options, mac_rate_hz=5e-324), per_layer=False)
-
-
 ABSENT = {"siph_interposer": ("electrical_noc",),
           "elec_interposer": ("laser", "conversion", "gateway_elec", "controller"),
           "monolithic": ("laser", "conversion", "gateway_elec", "controller")}

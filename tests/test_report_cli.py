@@ -17,8 +17,8 @@ from cpsim.config import (MAX_GATEWAYS, ChipletConfig, ConfigError, SimOptions, 
                           with_kind)
 from cpsim.devices import pcmc_for_split
 from cpsim.engine import RunMetrics
-from cpsim.platform import build_topology
 from cpsim.mapper import map_model
+from cpsim.platform import build_topology
 from cpsim.report import (LabeledRun, comparison_table, emit_report, reference_rows,
                           render_report, render_run)
 from cpsim.workload import load_shipped_model, shipped_model_names
