@@ -128,7 +128,7 @@ def _cmd_compare(args, parser: argparse.ArgumentParser) -> int:
     if args.baseline not in platforms:
         parser.error(f"baseline {args.baseline!r} not among platforms {platforms}")
     models = _resolve_models(args.models)
-    if not models or not platforms:
+    if not models:   # no platform fails the baseline check above
         parser.error("nothing to sweep: need at least one model and one platform")
     report.reject_duplicate_pairs([(KIND_ALIASES[platform], model.name)
                                    for model in models for platform in platforms])

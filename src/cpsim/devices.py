@@ -38,8 +38,10 @@ NonNeg = float       # >= 0
 Positive = float     # > 0
 AtLeastOne = float   # >= 1
 Fraction = float     # in (0, 1]
+Name = str           # a report's table cell: no comma, tab or line break, not "geomean"
 
 _INT, _FLOAT = (int,), (int, float)
+_CELL_BREAKS = frozenset(",\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")   # str.splitlines' too
 # annotation: (types a value may have, their noun, bound test or None, bound text)
 _DOMAINS = {
     "int": (_INT, "an integer", None, ""),
@@ -54,6 +56,8 @@ _DOMAINS = {
     "Positive": (_FLOAT, "a number", lambda v: v > 0.0, "> 0"),
     "AtLeastOne": (_FLOAT, "a number", lambda v: v >= 1.0, ">= 1"),
     "Fraction": (_FLOAT, "a number", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "Name": ((str,), "a string", lambda v: v != "geomean" and _CELL_BREAKS.isdisjoint(v),
+             "free of commas, tabs and line breaks, and not 'geomean'"),
 }
 _SCHEMAS: dict[type, tuple] = {}
 
@@ -282,7 +286,10 @@ def required_laser_power(source_mws: Sequence[float], n_wavelengths: int,
 
 
 def serialization_time(bits: int, n_wavelengths: int, rate_bps: float) -> float:
-    """Seconds to clock ``bits`` through n_wavelengths parallel OOK lanes."""
+    """Seconds to clock ``bits`` through n_wavelengths parallel OOK lanes. The engine's
+    ``_photonic`` applies this rule inline as ``bits / bw``, its lanes the slower endpoint's
+    lit gateways times the wavelengths, with ``bw = lit * (n_wavelengths * rate_bps)``: the
+    same rule, but the product is associated otherwise, so the last bit may differ."""
     if n_wavelengths < 1:
         raise ValueError("need at least one wavelength")
     if rate_bps <= 0:

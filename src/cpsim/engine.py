@@ -2,8 +2,8 @@
 
 Layers run strictly in order, and a run is priced column by column: one list
 per quantity, one entry per layer. ``simulate_model`` checks the plan's
-cached columns (see ``mapper``) against the model and topology, once for the
-layer order and once per numbered chiplet set, whose pool shares its number,
+cached columns (see ``mapper``) against the model, looks each numbered
+chiplet set up in the pricing tables, which check it against the topology,
 works out the compute-time column on the assigned MAC arrays, then calls the
 platform's interconnect builder (photonic gateways, electrical mesh or
 off-chip link) once for the read/write transfer time, reconfiguration stall
@@ -21,11 +21,12 @@ pipeline for one phase-change transition and retunes the laser budget.
 What a run works out from its topology and DeviceParams alone is kept in a
 ``PricingTables`` that the topology holds for the DeviceParams object it last
 ran with, found by identity. Besides each route's source power, every table
-(MAC costs, mesh hops, write routes, the controller's lit-count states, their
+(MAC pools, mesh hops, write routes, the controller's lit-count states, their
 retunes and the lit counts per layer target) is a ``Memo`` declared with its
 one rule; the interconnect builders and the controller only look entries up.
 Every entry is a pure function of its key and the two objects, so no run's
-output depends on which runs came before it.
+output depends on which runs came before it. A plan's chiplet set that fails
+the pools' checks is stored nowhere, so it fails on every run.
 
 Per layer the engine does arithmetic and few calls. No ``max`` or ``min`` is
 called per layer: the latency and the demand window are conditional
@@ -33,8 +34,8 @@ expressions making the builtin's own comparisons in its order, so a tie
 keeps the first value as the builtin does, and a state's bandwidth per
 chiplet set, its slower endpoint's, is a table entry. A chiplet
 set's constants (its chiplet count, its write flight, its bandwidth in the
-power-on state, its mesh hops) and its pool's MAC costs are worked out once
-per run, in lists that each layer indexes by its set number, so with the
+power-on state, its mesh hops) and its pool's MACs and MAC costs are worked out
+once per run, in lists that each layer indexes by its set number, so with the
 controller off no layer hashes its chiplet set. The controller is
 consulted only on a change: a layer looks its target's lit counts up and
 calls ``resize`` only when they differ from the controller's. Every float
@@ -111,7 +112,7 @@ class PricingTables:
     """What runs price from a topology and a DeviceParams alone: each lazy table is a ``Memo``
     declared here with its one rule, no entry changing once written. No rule holds the topology
     or tables, so both go with their last reference, nor does an entry hold a run's controller.
-    The topology checked the chiplets its wiring follows from, so nothing here raises for it."""
+    The topology checked its chiplets; only ``pools`` raises, for a plan's set unfit for them."""
 
     def __init__(self, topology: PlatformTopology, params: DeviceParams) -> None:
         self.params = params
@@ -120,10 +121,25 @@ class PricingTables:
         # gateway is lit; deactivation saves laser power, not trim power.
         # Other kinds have no interposer rings: 0.0 W
         link_w = mr_tuning_power(topology.total_mrs(), params)
-        # (total MACs, vector length) -> (ring trim W of link and MAC pool, converter pJ)
-        self.mac_costs = Memo(lambda pool: (
-            link_w + mr_tuning_power(pool[0] * pool[1], params),
-            params.dac_energy_pj * pool[1] + params.adc_energy_pj))
+        chiplets = {c.id: c for c in topology.chiplets}
+
+        def pool(key):   # (chiplet ids, MAC type) -> (MACs, ring trim W of link and pool, pJ)
+            ids, mac_type = key
+            if not ids:
+                raise MappingError("plan names the empty chiplet set ()")
+            if missing := set(ids) - chiplets.keys():
+                raise MappingError(f"plan names chiplets absent from topology: {sorted(missing)}")
+            if len(set(ids)) < len(ids):
+                raise MappingError(f"plan names chiplet set {ids!r}, which repeats a chiplet")
+            if other := sorted(c for c in ids if chiplets[c].mac_type != mac_type):
+                raise MappingError(f"plan names chiplet set {ids!r} as MAC type {mac_type.name!r} "
+                                   f"of {mac_type.vector_len} lanes, which {other} are not")
+            macs, lanes = sum(chiplets[c].macs for c in ids), mac_type.vector_len
+            if macs < 1:
+                raise MappingError("assignment has no MACs")
+            return (macs, link_w + mr_tuning_power(macs * lanes, params),
+                    params.dac_energy_pj * lanes + params.adc_energy_pj)
+        self.pools = Memo(pool)
         if topology.kind == ELEC:
             mesh = weakref.proxy(topology)   # held strongly, the topology would be in a cycle
             # chiplet ids -> (each one's hops from its memory chiplet, the most)
@@ -231,7 +247,9 @@ def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOpt
     """Photonic interposer: the epoch controller resizes the lit gateways
     before every layer; a resize stalls for one phase-change transition.
     A transfer is serialization at the slower endpoint, plus waveguide
-    propagation and fixed store-and-forward gateway buffering."""
+    propagation and fixed store-and-forward gateway buffering. Serialization is
+    ``devices.serialization_time``'s rule inline, ``bits / bw``, its lanes the lit gateways
+    times the wavelengths: ``bw`` is lit * (wavelengths * rate), a product associated otherwise."""
     params = tables.params
     controller = EpochController(topology, params)
     layer_counts, ceil, pcm_s = tables.layer_counts, math.ceil, params.pcm_transition_s
@@ -343,34 +361,18 @@ _INTERCONNECTS = {SIPH: _photonic, ELEC: _mesh, MONO: _offchip}
 # ------------------------------------------------------------- simulation
 
 
-def _plan_columns(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPlan) -> tuple:
-    """The plan's cached columns, the model's layer indices first, once checked against
-    the model and topology: the rows assign the model's layers in order; and each chiplet
-    set, checked once in layer order, is not empty, names only chiplets of the topology,
-    repeats none and names only compute chiplets, and then its pool has MACs."""
+def _plan_columns(model: DnnModelSpec, plan: MappingPlan) -> tuple:
+    """The plan's cached columns, the model's layer indices first, once checked against the
+    model: the rows assign its layers in order. ``PricingTables.pools`` checks each set."""
     if plan.model_name != model.name or len(plan.assignments) != len(model.layers):
         raise MappingError(f"plan for {plan.model_name!r} does not match model {model.name!r}")
-    index, sets, set_of, pools, invocations = plan._columns
+    index, sets, set_of, invocations = plan._columns
     indices = [layer.index for layer in model.layers]
     if index != indices:
         row = next(row for row, (a, b) in enumerate(zip(index, indices)) if a != b)
         raise MappingError(f"plan row {row} assigns layer {index[row]}, "
                            f"where model {model.name!r} has layer {indices[row]}")
-    compute = {c.id for c in topology.chiplets if c.role == "compute"}
-    for ids, (macs, _) in zip(sets, pools):
-        named = set(ids)
-        if not ids:
-            raise MappingError("plan names the empty chiplet set ()")
-        if not named <= compute and (missing := named - {c.id for c in topology.chiplets}):
-            raise MappingError(f"plan names chiplets absent from topology: {sorted(missing)}")
-        if len(named) < len(ids):
-            raise MappingError(f"plan names chiplet set {ids!r}, which repeats a chiplet")
-        if not named <= compute:
-            raise MappingError(f"plan names chiplet set {ids!r}, "
-                               f"which holds non-compute chiplets {sorted(named - compute)}")
-        if macs < 1:
-            raise MappingError("assignment has no MACs")
-    return indices, sets, set_of, pools, invocations
+    return indices, sets, set_of, invocations
 
 
 def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPlan,
@@ -380,23 +382,24 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
     no layer record is built and the same totals come with ``per_layer=()``.
     Raises OverflowError when finite inputs give an infinite latency, energy or power."""
     options = options or SimOptions()
-    indices, sets, set_of, pools, invocations = _plan_columns(model, topology, plan)
+    indices, sets, set_of, invocations = _plan_columns(model, plan)
     tables, mac_rate_hz = pricing_tables(topology, params), options.mac_rate_hz
+    # by set number, each set checked in layer order: its MACs, ring trim W and converter pJ,
+    # as lists: map calls a list's bound __getitem__ faster than a tuple's
+    macs, trim_w, convert_pj = map(list, zip(*[tables.pools[key] for key in sets]))
     # the assigned pool retires one vector dot per MAC per cycle: cycles in integers, exact
-    macs = [m for m, _ in pools]
     compute = [-(-i // m) / mac_rate_hz
                for i, m in zip(invocations, map(macs.__getitem__, set_of))]
     read, write, overhead, bits, own_energy = _INTERCONNECTS[topology.kind](
-        topology, tables, options, model.traffic, sets, set_of, compute)
+        topology, tables, options, model.traffic, [ids for ids, _ in sets], set_of, compute)
     columns = zip(compute, read, write, overhead)
     # max(c, r, w) as the builtin makes it: r > c, then w > the larger, so a tie keeps the first
     latency = ([((w if w > r else r) if r > c else (w if w > c else c)) + o
                 for c, r, w, o in columns] if options.overlap
                else [c + r + w + o for c, r, w, o in columns])
 
-    costs = [tables.mac_costs[pool] for pool in pools]   # by set number
-    tuning = [w * t for (w, _), t in zip(map(costs.__getitem__, set_of), latency)]
-    mac = [i * pj * 1e-12 for i, (_, pj) in zip(invocations, map(costs.__getitem__, set_of))]
+    tuning = [w * t for w, t in zip(map(trim_w.__getitem__, set_of), latency)]
+    mac = [i * pj * 1e-12 for i, pj in zip(invocations, map(convert_pj.__getitem__, set_of))]
     laser, conversion, gateway, control, noc = own_energy(latency)
     energy = (laser, tuning, conversion, mac, gateway, control, noc)   # ENERGY_CATEGORIES
     records = ()

@@ -4,15 +4,15 @@ Every layer goes to all chiplets of one MAC type (maximal intra-layer
 parallelism); layers execute strictly in order. Oversized dot products are
 decomposed into ceil(dot_length / vector_len) sequential chunks whose
 partial sums accumulate electronically at the MAC unit. One walk over the
-compute chiplets pools each MAC type's ids and MACs; each (kind, kernel
-window) takes its type's pool, and the records come from named columns.
+compute chiplets pools each MAC type's ids; each (kind, kernel window) takes
+its type's chiplets, and the records come from named columns. A row names its
+chiplets and MAC type; the engine sums their MACs from the topology it prices on.
 
 A plan caches the columns a run reads, not as a field, so equality, ``repr``
 and ``_replace`` do not see them: its layer indices, its chiplet sets, each
-layer's set number, each set's (total MACs, vector length) pool and its
-invocations. Each distinct (chiplet ids, total MACs, vector length) of the
-rows is one set, numbered by first use. ``map_model`` hands over those it
-built; a plan built by hand is transposed once, when first priced.
+layer's set number and its invocations. Each distinct (chiplet ids, MAC
+type) of the rows is one set, numbered by first use. ``map_model`` hands over
+those it built; a plan built by hand is transposed once, when first priced.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class LayerAssignment(NamedTuple):
     layer_index: int
     mac_type: MacUnitType
     chiplet_ids: tuple[str, ...]
-    total_macs: int
     invocations: int    # dot products times chunks_per_dot
 
 
@@ -46,12 +45,11 @@ class _PlanFields(NamedTuple):
 class MappingPlan(_PlanFields):   # no __slots__: a plan has a __dict__ for its cache
     @cached_property
     def _columns(self) -> tuple:
-        """(layer indices, chiplet sets, set numbers, each set's pool, invocations)."""
-        index, mac_types, chiplet_ids, total_macs, invocations = zip(*self.assignments)
-        keys = list(zip(chiplet_ids, total_macs, [t.vector_len for t in mac_types]))
+        """(layer indices, (chiplet ids, MAC type) sets, set numbers, invocations)."""
+        index, mac_types, chiplet_ids, invocations = zip(*self.assignments)
+        keys = list(zip(chiplet_ids, mac_types))
         number = {key: n for n, key in enumerate(dict.fromkeys(keys))}   # by first use
-        return (list(index), [ids for ids, _, _ in number], list(map(number.__getitem__, keys)),
-                [(macs, lanes) for _, macs, lanes in number], list(invocations))
+        return list(index), list(number), list(map(number.__getitem__, keys)), list(invocations)
 
 
 def chunks_per_dot(dot_length: int, vector_len: int) -> int:
@@ -83,10 +81,9 @@ def select_mac_type(layer: LayerSpec, available: list[MacUnitType]) -> MacUnitTy
 
 def map_model(model: DnnModelSpec, topology: PlatformTopology) -> MappingPlan:
     """Assign every layer to all chiplets of its selected MAC type."""
-    pools = {}   # MAC type (name and lanes) -> its chiplets' ids and MACs, in first-seen order
+    pools = {}   # MAC type (name and lanes) -> its chiplets' ids, in first-seen order
     for chiplet in topology.compute_chiplets():
-        ids, macs = pools.get(chiplet.mac_type, ((), 0))
-        pools[chiplet.mac_type] = ((*ids, chiplet.id), macs + chiplet.macs)
+        pools[chiplet.mac_type] = (*pools.get(chiplet.mac_type, ()), chiplet.id)
     c = LayerSpec._make(zip(*model.layers))   # each field holds its column
 
     # a type depends only on kind and window: one placement per window, by any of its layers
@@ -95,8 +92,8 @@ def map_model(model: DnnModelSpec, topology: PlatformTopology) -> MappingPlan:
     types, used, placements = list(pools), {}, {}   # used: type -> set number, by first use
     for window, layer in dict(zip(windows, model.layers)).items():
         t = select_mac_type(layer, types)
-        placements[window] = (t, *pools[t], used.setdefault(t, len(used)))
-    mac_types, chiplet_ids, total_macs, set_of = zip(*map(placements.__getitem__, windows))
+        placements[window] = (t, pools[t], used.setdefault(t, len(used)))
+    mac_types, chiplet_ids, set_of = zip(*map(placements.__getitem__, windows))
     # LayerSpec.dot_length and dot_products, a column at a time
     dot_lengths = map(mul, sizes, c.in_channels)
     chunks = map(chunks_per_dot, dot_lengths, [t.vector_len for t in mac_types])
@@ -104,8 +101,7 @@ def map_model(model: DnnModelSpec, topology: PlatformTopology) -> MappingPlan:
     index = list(c.index)
     # tuple.__new__ makes each record from its row with no Python-level call
     plan = MappingPlan(model.name, tuple(map(tuple.__new__, repeat(LayerAssignment), zip(
-        index, mac_types, chiplet_ids, total_macs, invocations))))
-    # a type's chiplets are its own, so each type is one (chiplet set, pool) of the plan
-    plan._columns = (index, [pools[t][0] for t in used], list(set_of),
-                     [(pools[t][1], t.vector_len) for t in used], invocations)
+        index, mac_types, chiplet_ids, invocations))))
+    # a type's chiplets are its own, so each type is one (chiplet ids, MAC type) set of the plan
+    plan._columns = index, [(pools[t], t) for t in used], list(set_of), invocations
     return plan

@@ -24,7 +24,7 @@ from operator import gt
 from typing import NamedTuple
 
 from .config import read_keys, safe_load
-from .devices import Bitwidth, Count, NonNegInt, Record, check_fields, choice, fields_hold
+from .devices import Bitwidth, Count, Name, NonNegInt, Record, check_fields, choice, fields_hold
 
 DEFAULT_BITWIDTH = 8
 LayerKind = choice("LayerKind", "conv", "fc")
@@ -72,7 +72,7 @@ class LayerSpec(NamedTuple):
 
 
 class DnnModelSpec(Record):
-    name: str
+    name: Name   # a cell of the comparison table, where the summary rows are "geomean"
     layers: tuple[LayerSpec, ...]
     declared_param_count: int
 

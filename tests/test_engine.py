@@ -29,9 +29,9 @@ def fc_model(fin=100, fout=10, weight_bitwidth=8, activation_bitwidth=8):
     return DnnModelSpec("onefc", (layer,), layer.params())
 
 
-def assignment(invocations, macs, vlen=100, ids=("dense0",)):
+def assignment(invocations, vlen=100, ids=("dense0",)):
     mac = next(t for t in DEFAULT_MAC_TYPES.values() if t.vector_len == vlen)
-    return LayerAssignment(0, mac, ids, macs, invocations)
+    return LayerAssignment(0, mac, ids, invocations)
 
 
 def single_layer(variant, placed, model=None, **options):
@@ -48,13 +48,18 @@ def single_layer(variant, placed, model=None, **options):
 
 
 def test_compute_time_examples(cfg):
-    """ceil(invocations / MACs) cycles at the MAC rate."""
-    def compute_s(invocations, macs, vlen=100):
-        return single_layer(cfg, assignment(invocations, macs, vlen), mac_rate_hz=2e9).compute_s
+    """ceil(invocations / MACs) cycles at the MAC rate, the MACs those of the
+    assigned chiplets: 8 on dense0 and dense1, 132 on conv3a to conv3c."""
+    dense, conv3 = ("dense0", "dense1"), ("conv3a", "conv3b", "conv3c")
+    topo = build_topology(cfg)
+    assert [sum(topo.chiplet(c).macs for c in ids) for ids in (dense, conv3)] == [8, 132]
 
-    assert compute_s(10, 8) == pytest.approx(1e-9, rel=1e-12)
-    assert compute_s(0, 8) == 0.0
-    assert compute_s(132, 132, vlen=9) == pytest.approx(0.5e-9, rel=1e-12)
+    def compute_s(invocations, ids, vlen=100):
+        return single_layer(cfg, assignment(invocations, vlen, ids), mac_rate_hz=2e9).compute_s
+
+    assert compute_s(10, dense) == pytest.approx(1e-9, rel=1e-12)
+    assert compute_s(0, dense) == 0.0
+    assert compute_s(132, conv3, vlen=9) == pytest.approx(0.5e-9, rel=1e-12)
 
 
 def test_compute_cycles_are_exact_above_float_precision(cfg):
@@ -79,7 +84,7 @@ def test_compute_cycles_are_exact_above_float_precision(cfg):
 def test_photonic_transfer_example(cfg):
     """768,000 bits read through one lit gateway at each end (768 Gb/s) over
     the 18.4 mm broadcast route, plus 4 buffering cycles at 2 GHz."""
-    layer = single_layer(cfg, assignment(1, 4), fc_model(100, 950, 8, 4))
+    layer = single_layer(cfg, assignment(1), fc_model(100, 950, 8, 4))
     assert layer.read_s == pytest.approx(1e-6 + 18.4 / 7.5e10 + 2e-9, rel=1e-12)
     assert layer.read_s == pytest.approx(1.0022453e-6, rel=1e-6)
 
@@ -88,7 +93,7 @@ def test_photonic_transfer_overhead_only(cfg):
     """At a line rate that makes serialization vanish, a transfer costs its
     propagation and buffering alone."""
     fast = replace(cfg, platform=replace(cfg.platform, link_rate_bps=1e300))
-    layer = single_layer(fast, assignment(1, 4), fc_model(100, 950, 8, 4))
+    layer = single_layer(fast, assignment(1), fc_model(100, 950, 8, 4))
     assert layer.read_s == pytest.approx(2.2453333e-9, rel=1e-6)
 
 
@@ -104,7 +109,7 @@ def test_photonic_transfer_min_bandwidth_rule(cfg):
         topo = build_topology(variant)
         fixed = (max(r.path.length_mm for r in topo.routes if r.protocol == "SWMR")
                  / variant.devices.group_velocity_mm_per_s + 4 / 2e9)
-        layer = single_layer(variant, assignment(1, 4, ids=ids), model, resipi_enabled=False)
+        layer = single_layer(variant, assignment(1, ids=ids), model, resipi_enabled=False)
         return layer.read_s - fixed
 
     full = serialization(cfg)
@@ -121,11 +126,11 @@ def test_electrical_transfer_examples(cfg):
     the serialization."""
     variant = with_kind(cfg, "elec_interposer")
 
-    def write_s(*ids):   # fc 100->32 writes 256 bits
-        return single_layer(variant, assignment(1, 4, ids=ids), fc_model(100, 32)).write_s
+    def write_s(*ids, vlen=100):   # fc 100->32 writes 256 bits
+        return single_layer(variant, assignment(1, vlen, ids), fc_model(100, 32)).write_s
 
     assert write_s("dense0") == pytest.approx(3e-9 + 1e-9, rel=1e-12)
-    assert write_s("conv3a") == pytest.approx(4.5e-9 + 1e-9, rel=1e-12)
+    assert write_s("conv3a", vlen=9) == pytest.approx(4.5e-9 + 1e-9, rel=1e-12)
     assert write_s("dense0", "dense1") == pytest.approx(3e-9 + 2e-9, rel=1e-12)
 
 
@@ -794,10 +799,11 @@ def test_plan_topology_mismatch_rejected(cfg):
     ghost = last._replace(chiplet_ids=last.chiplet_ids + ("ghost",))
     with pytest.raises(MappingError, match="ghost"):
         simulate_model(two, topo, MappingPlan("two", (*head, ghost)), cfg.devices, cfg.options)
-    # a hand-built plan with a MAC-less layer fails before the layer loop
-    no_macs = MappingPlan("two", (*head, last._replace(total_macs=0)))
+    # a layer on chiplets that have no MACs fails before the layer loop
+    no_macs = replace(topo, chiplets=tuple(c._replace(macs=0) if c.id in last.chiplet_ids
+                                           else c for c in topo.chiplets))
     with pytest.raises(ValueError, match="no MACs"):
-        simulate_model(two, topo, no_macs, cfg.devices, cfg.options)
+        simulate_model(two, no_macs, map_model(two, topo), cfg.devices, cfg.options)
     # a bad device or option record fails when built, so no run ever sees one
     for bad in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="pcm_transition_s"):
@@ -811,9 +817,9 @@ def test_plan_topology_mismatch_rejected(cfg):
 def test_hand_built_bad_plans_raise_their_messages(cfg):
     """The plan is checked from its columns, read once per run: a plan of
     another model or length, chiplets the topology lacks (named for the first
-    such chiplet set in layer order, sorted), a MAC-less layer and rows out of
-    the model's layer order (named by the first such row) each raise their own
-    message."""
+    such chiplet set in layer order, sorted), a layer on chiplets with no MACs
+    and rows out of the model's layer order (named by the first such row) each
+    raise their own message."""
     topo = default_platform()
     layers = (LayerSpec(0, "conv", 3, 3, 8, 16, 8, 8, 8, 8),
               LayerSpec(1, "fc", 1, 1, 1024, 10, 1, 1, 1, 1))
@@ -828,34 +834,41 @@ def test_hand_built_bad_plans_raise_their_messages(cfg):
         (MappingPlan("two", (head._replace(chiplet_ids=("ghost",)),
                              last._replace(chiplet_ids=("alpha",)))),
          "plan names chiplets absent from topology: ['ghost']"),
-        (MappingPlan("two", (head._replace(total_macs=0), last)), "assignment has no MACs"),
         (MappingPlan("two", (last, head)),
          "plan row 0 assigns layer 1, where model 'two' has layer 0"),
         (MappingPlan("two", (head, head._replace(chiplet_ids=last.chiplet_ids))),
          "plan row 1 assigns layer 0, where model 'two' has layer 1"),
-        # within a set, the set rules come before its pool's MACs
-        (MappingPlan("two", (head, last._replace(chiplet_ids=("mem0",), total_macs=0))),
-         "plan names chiplet set ('mem0',), which holds non-compute chiplets ['mem0']"),
+        # within a set, the set rules come before its MACs: mem0 has none
+        (MappingPlan("two", (head, last._replace(chiplet_ids=("mem0",)))),
+         "plan names chiplet set ('mem0',) as MAC type 'dense100' of 100 lanes, "
+         "which ['mem0'] are not"),
     ]
     for plan, message in cases:
         with pytest.raises(MappingError) as caught:
             simulate_model(two, topo, plan, cfg.devices, cfg.options)
         assert str(caught.value) == message
+    no_macs = replace(topo, chiplets=tuple(c._replace(macs=0) if c.id in head.chiplet_ids
+                                           else c for c in topo.chiplets))
+    with pytest.raises(MappingError) as caught:
+        simulate_model(two, no_macs, MappingPlan("two", (head, last)), cfg.devices, cfg.options)
+    assert str(caught.value) == "assignment has no MACs"
 
 
 @pytest.mark.parametrize("kind", ["siph_interposer", "elec_interposer", "monolithic"])
 def test_plan_chiplet_sets_that_are_empty_repeat_or_name_memory_raise_naming_the_set(cfg, kind):
-    """Each distinct chiplet set of a plan is checked once per run, on every
+    """Each distinct chiplet set of a plan is checked on every run, on every
     kind: an empty set, a set that repeats a chiplet and a set that names a
-    non-compute chiplet each raise a MappingError naming the set (mono has no
-    memory chiplet, so there mem0 is absent)."""
+    memory chiplet, which has no MAC type, each raise a MappingError naming the
+    set (mono has no memory chiplet, so there mem0 is absent)."""
     variant = with_kind(cfg, kind)
     topo = build_topology(variant)
     model = load_shipped_model("lenet5")
     *head, last = map_model(model, topo).assignments
     twice = last.chiplet_ids + last.chiplet_ids[:1]
+    t = last.mac_type
     memory = ("plan names chiplets absent from topology: ['mem0']" if kind == "monolithic" else
-              "plan names chiplet set ('mem0',), which holds non-compute chiplets ['mem0']")
+              f"plan names chiplet set ('mem0',) as MAC type {t.name!r} of {t.vector_len} "
+              "lanes, which ['mem0'] are not")
     cases = [((), "plan names the empty chiplet set ()"),
              (twice, f"plan names chiplet set {twice!r}, which repeats a chiplet"),
              (("mem0",), memory)]
@@ -864,6 +877,47 @@ def test_plan_chiplet_sets_that_are_empty_repeat_or_name_memory_raise_naming_the
         with pytest.raises(MappingError) as caught:
             simulate_model(model, topo, plan, variant.devices, variant.options)
         assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("kind", ["siph_interposer", "elec_interposer", "monolithic"])
+def test_a_set_named_with_a_mac_type_its_chiplets_lack_raises_on_every_run(cfg, kind):
+    """A row's MAC type must be that of every chiplet it names: a set named
+    with another type raises a MappingError naming the set, the type and the
+    chiplets, sorted, that are not of it. A set that fails is not kept, so
+    the next run raises again."""
+    variant = with_kind(cfg, kind)
+    topo = build_topology(variant)
+    model = load_shipped_model("lenet5")
+    *head, last = map_model(model, topo).assignments
+    conv3 = DEFAULT_MAC_TYPES["conv3x3"]
+    ids = ("mono0",) if kind == "monolithic" else ("dense1", "conv3a", "dense0")
+    plan = MappingPlan(model.name, (*head, last._replace(mac_type=conv3, chiplet_ids=ids)))
+    wrong = ["mono0"] if kind == "monolithic" else ["dense0", "dense1"]
+    for _ in range(2):
+        with pytest.raises(MappingError) as caught:
+            simulate_model(model, topo, plan, variant.devices, variant.options)
+        assert str(caught.value) == (f"plan names chiplet set {ids!r} as MAC type 'conv3x3' "
+                                     f"of 9 lanes, which {wrong} are not")
+
+
+@pytest.mark.parametrize("kind", ["siph_interposer", "elec_interposer", "monolithic"])
+def test_a_plan_priced_on_another_topology_takes_that_topologys_macs(cfg, kind):
+    """A plan mapped on topology A and priced on a B with the same chiplet ids
+    and types but 4x their MACs gives B's own mapped run to the last bit, not
+    A's: a plan names chiplets, and their MACs are the topology's."""
+    a = with_kind(cfg, kind)
+    b = replace(a, chiplets=tuple(replace(c, macs=4 * c.macs,
+                                          macs_per_gateway=4 * c.macs_per_gateway)
+                                  if c.role == "compute" else c for c in a.chiplets),
+                platform=replace(a.platform, monolithic_macs=4 * a.platform.monolithic_macs))
+    topo_a, topo_b = build_topology(a), build_topology(b)
+    for name in ("lenet5", "resnet50"):
+        model = load_shipped_model(name)
+        plan = map_model(model, topo_a)
+        own = simulate_model(model, topo_b, map_model(model, topo_b), b.devices, b.options)
+        moved = simulate_model(model, topo_b, plan, b.devices, b.options)
+        assert repr(moved) == repr(own)
+        assert moved != simulate_model(model, topo_a, plan, a.devices, a.options)
 
 
 @pytest.mark.parametrize("section, field, value", [("options", "overlap", "no"),

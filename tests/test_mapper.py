@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cpsim import replace
 from cpsim.config import default_config, with_kind
+from cpsim.engine import pricing_tables
 from cpsim.mapper import (LayerAssignment, MappingError, MappingPlan, chunks_per_dot, map_model,
                           select_mac_type)
 from cpsim.platform import DEFAULT_MAC_TYPES, MacUnitType, build_topology, default_platform
@@ -160,7 +161,6 @@ def reference_plan(model, topology):
         mac_type = select_mac_type(layer, available)
         chiplets = [c for c in compute if c.mac_type == mac_type]
         rows.append(LayerAssignment(layer.index, mac_type, tuple(c.id for c in chiplets),
-                                    sum(c.macs for c in chiplets),
                                     layer.dot_products
                                     * chunks_per_dot(layer.dot_length, mac_type.vector_len)))
     return MappingPlan(model.name, tuple(rows))
@@ -209,7 +209,7 @@ def test_map_lenet5_fc_layers():
     plan = map_model(model, topo)
     fc_assignments = [a for a, l in zip(plan.assignments, model.layers) if l.kind == "fc"]
     assert all(a.mac_type.name == "dense100" for a in fc_assignments)
-    assert all(a.total_macs == 8 for a in fc_assignments)
+    assert all(sum(topo.chiplet(c).macs for c in a.chiplet_ids) == 8 for a in fc_assignments)
     assert all(set(a.chiplet_ids) == {"dense0", "dense1"} for a in fc_assignments)
 
 
@@ -219,7 +219,7 @@ def test_map_conv3x3_spans_all_three_chiplets():
     model = DnnModelSpec("toy", (layer,), layer.params())
     plan = map_model(model, topo)
     a = plan.assignments[0]
-    assert a.total_macs == 132
+    assert sum(topo.chiplet(c).macs for c in a.chiplet_ids) == 132
     assert set(a.chiplet_ids) == {"conv3a", "conv3b", "conv3c"}
     assert chunks_per_dot(layer.dot_length, 9) == 16
     assert a.invocations == layer.dot_products * 16
@@ -237,7 +237,9 @@ def test_chiplets_of_one_type_name_with_other_lanes_are_another_type(kind):
         model = load_shipped_model(name)
         for a in map_model(model, topo).assignments:
             assert {topo.chiplet(cid).mac_type for cid in a.chiplet_ids} == {a.mac_type}
-            assert a.total_macs == sum(topo.chiplet(cid).macs for cid in a.chiplet_ids)
+            # the MACs a run prices the row on are those chiplets' own
+            macs, _, _ = pricing_tables(topo, cfg.devices).pools[a.chiplet_ids, a.mac_type]
+            assert macs == sum(topo.chiplet(cid).macs for cid in a.chiplet_ids)
     resnet = load_shipped_model("resnet50")
     threes = [a for layer, a in zip(resnet.layers, map_model(resnet, topo).assignments)
               if (layer.kernel_h, layer.kernel_w) == (3, 3)]

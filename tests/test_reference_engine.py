@@ -21,8 +21,7 @@ On the same drawn platforms, a plan's cache is held to its contract: it is
 worked out from the plan alone, so a ``map_model`` plan and its hand-built
 and ``_replace`` copies price alike, one plan prices on two topologies and
 two device records in turn as each pair alone would, and the cache keeps no
-topology or table alive. A hand-built plan that gives one chiplet set two
-pools prices each row by its own pool.
+topology or table alive.
 """
 
 import gc
@@ -37,7 +36,7 @@ from pathlib import Path
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from cpsim import build_topology, default_config, engine, map_model, simulate_model, with_kind
+from cpsim import build_topology, engine, map_model, simulate_model, with_kind
 from cpsim.config import ChipletConfig, PlatformSettings, SimConfig, SimOptions
 from cpsim.devices import DeviceParams, mr_tuning_power, required_laser_power, source_mw
 from cpsim.engine import ENERGY_CATEGORIES, LayerResult, RunMetrics
@@ -76,7 +75,8 @@ def reference(model, topology, plan, params, options) -> RunMetrics:
     for layer, a in zip(model.layers, plan.assignments):
         weights, inputs, outputs = traffic(layer)
         ids = a.chiplet_ids
-        compute_s = -(-a.invocations // a.total_macs) / options.mac_rate_hz
+        macs = sum(topology.chiplet(c).macs for c in ids)   # the named chiplets' own MACs
+        compute_s = -(-a.invocations // macs) / options.mac_rate_hz
         weight_bits = weights * options.weight_refetch_factor
         write_bits = float(outputs)
         overhead_s, joules, watts = 0.0, {}, {}
@@ -143,7 +143,7 @@ def reference(model, topology, plan, params, options) -> RunMetrics:
         for category, w in watts.items():
             energy[category] += w * latency
         vector_len = a.mac_type.vector_len
-        energy["tuning"] = (link_w + mr_tuning_power(a.total_macs * vector_len, params)) * latency
+        energy["tuning"] = (link_w + mr_tuning_power(macs * vector_len, params)) * latency
         energy["mac"] = a.invocations * (params.dac_energy_pj * vector_len
                                          + params.adc_energy_pj) * 1e-12
         results.append(LayerResult(layer.index, compute_s, read_s, write_s, overhead_s, latency,
@@ -287,26 +287,6 @@ def test_a_totals_only_run_gives_the_full_runs_totals_to_the_last_bit(cfg, param
             assert totals == full._replace(per_layer=())
             assert totals.energy_breakdown == full.energy_breakdown
             assert repr(totals) == repr(full._replace(per_layer=()))
-
-
-def test_one_chiplet_set_with_two_pools_prices_each_row_by_its_own_pool():
-    """A hand-built lenet5 plan that names the dense set in both fc rows,
-    once with 8 MACs and once with 4, numbers the set twice and prices each
-    row by its own pool, to the last bit as the reference does, on every kind."""
-    model = load_shipped_model("lenet5")
-    for kind in ("siph", "elec", "mono"):
-        cfg = with_kind(default_config(), kind)
-        topology = build_topology(cfg)
-        rows = list(map_model(model, topology).assignments)
-        fc = [i for i, layer in enumerate(model.layers) if layer.kind == "fc"]
-        dense = rows[fc[0]].chiplet_ids
-        for i, macs in zip(fc, (8, 4)):
-            rows[i] = rows[i]._replace(chiplet_ids=dense, total_macs=macs)
-        plan = MappingPlan(model.name, tuple(rows))
-        set_of = plan._columns[2]
-        assert set_of[fc[0]] != set_of[fc[1]]
-        args = (model, topology, plan, cfg.devices, cfg.options)
-        assert repr(simulate_model(*args)) == repr(reference(*args))
 
 
 @settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))

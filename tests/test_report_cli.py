@@ -158,6 +158,25 @@ def test_compare_against_a_zero_energy_baseline_exits_1(tmp_path, capsys):
                             "'lenet5': nothing to normalize by\n")
 
 
+@pytest.mark.parametrize("name", ["res,net\tx", "a\tb", "two\nlines", "cr\rname",
+                                  "sep\u2028name", "geomean"])
+@pytest.mark.parametrize("fmt", ["csv", "tsv", "json"])
+def test_a_model_name_that_breaks_the_table_exits_1_naming_the_field(tmp_path, capsys, name,
+                                                                      fmt):
+    """A comma, tab or line break in a model's name would add a cell or a
+    line to a csv or tsv row, and a model named geomean would pass for a
+    summary row: the model is rejected when built, naming ``name``, so
+    compare exits 1 and writes nothing."""
+    desc = tmp_path / "weird.desc"
+    desc.write_text(yaml.safe_dump({"name": name, "declared_param_count": 1010, "layers": [
+        {"kind": "fc", "channels_in": 100, "channels_out": 10}]}), "utf-8")
+    assert cli_main(["compare", "--models", str(desc), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: model {name!r}: name must be free of commas, tabs and "
+                            f"line breaks, and not 'geomean', got {name!r}\n")
+
+
 def test_baseline_missing_model_rejected():
     runs = runs_for("a") + [LabeledRun("elec", "b", metrics_of(45.3, 60e-3, 22e-9))]
     with pytest.raises(ValueError, match="no run for model"):
