@@ -1,9 +1,9 @@
 """End-to-end execution model.
 
 Layers run strictly in order, and a run is priced column by column: one list
-per quantity, one entry per layer. ``simulate_model`` checks the plan's
-cached columns (see ``mapper``) against the model, looks each numbered
-chiplet set up in the pricing tables, which check it against the topology,
+per quantity, one entry per layer, row *i* of the plan pricing layer *i*.
+``simulate_model`` reads the plan's cached columns (see ``mapper``), looks each
+numbered chiplet set up in the pricing tables, which check it against the topology,
 works out the compute-time column on the assigned MAC arrays, then calls the
 platform's interconnect builder (photonic gateways, electrical mesh or
 off-chip link) once for the read/write transfer time, reconfiguration stall
@@ -21,7 +21,7 @@ pipeline for one phase-change transition and retunes the laser budget.
 What a run works out from its topology and DeviceParams alone is kept in a
 ``PricingTables`` that the topology holds for the DeviceParams object it last
 ran with, found by identity. Besides each route's source power, every table
-(MAC pools, mesh hops, write routes, the controller's lit-count states, their
+(MAC pools, mesh hops, write flights, the controller's lit-count states, their
 retunes and the lit counts per layer target) is a ``Memo`` declared with its
 one rule; the interconnect builders and the controller only look entries up.
 Every entry is a pure function of its key and the two objects, so no run's
@@ -56,7 +56,7 @@ import math
 import weakref
 from functools import reduce
 from itertools import repeat
-from operator import add, attrgetter
+from operator import add
 from typing import NamedTuple
 
 # default_config, map_model, build_topology and layer_traffic are unused here;
@@ -69,7 +69,6 @@ from .platform import (SWMR, SWSR, PlatformTopology, build_topology, electrical_
                        gateway_peak_bandwidth)
 from .workload import DnnModelSpec, TrafficVolume, layer_traffic
 
-_BY_LENGTH = attrgetter("path.length_mm")
 ENERGY_CATEGORIES = ("laser", "tuning", "conversion", "mac", "gateway_elec",
                      "controller", "electrical_noc")
 
@@ -158,11 +157,12 @@ class PricingTables:
         # in topology order, so the laser sum keeps its float order
         routes = [(r.writer_chiplet, r.writer_index, source_mw(r.path, params))
                   for r in topology.routes]
-        self.read_route = max((r for r in topology.routes if r.protocol == SWMR), key=_BY_LENGTH)
+        velocity = params.group_velocity_mm_per_s   # a flight: seconds on a longest route
+        self.read_flight = max(r.path.length_mm for r in topology.routes
+                               if r.protocol == SWMR) / velocity
         writes = [r for r in topology.routes if r.protocol == SWSR]
-        # chiplet ids -> a longest write route of those chiplets
-        self.write_routes = Memo(lambda ids: max((r for r in writes if r.writer_chiplet in ids),
-                                                 key=_BY_LENGTH))
+        self.write_flights = Memo(lambda ids: max(   # chiplet ids -> their write flight
+            r.path.length_mm for r in writes if r.writer_chiplet in ids) / velocity)
 
         def state(counts):   # lit counts -> (active, laser W, bandwidth per chiplet set)
             active = dict(zip(gateways, counts))
@@ -254,12 +254,10 @@ def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOpt
     controller = EpochController(topology, params)
     layer_counts, ceil, pcm_s = tables.layer_counts, math.ceil, params.pcm_transition_s
     n_memory, gw_bw = len(tables.memory_ids), tables.gw_bw
-    velocity = params.group_velocity_mm_per_s
-    read_flight = tables.read_route.path.length_mm / velocity
+    read_flight, write_flights = tables.read_flight, tables.write_flights
     laser_w, bandwidths_of = controller.laser_w, controller.bandwidths   # power-on
     # by set number: (the set, its chiplets, its write flight, its power-on bandwidth)
-    sets = [(ids, len(ids), tables.write_routes[ids].path.length_mm / velocity,
-             bandwidths_of[ids]) for ids in chiplet_sets]
+    sets = [(ids, len(ids), write_flights[ids], bandwidths_of[ids]) for ids in chiplet_sets]
     hold = options.gateway_overhead_cycles / topology.platform.gateway_freq_hz
     refetch, epoch_s = options.weight_refetch_factor, options.epoch_s
     resipi, trailing = options.resipi_enabled, options.demand_mode == "trailing"
@@ -361,20 +359,6 @@ _INTERCONNECTS = {SIPH: _photonic, ELEC: _mesh, MONO: _offchip}
 # ------------------------------------------------------------- simulation
 
 
-def _plan_columns(model: DnnModelSpec, plan: MappingPlan) -> tuple:
-    """The plan's cached columns, the model's layer indices first, once checked against the
-    model: the rows assign its layers in order. ``PricingTables.pools`` checks each set."""
-    if plan.model_name != model.name or len(plan.assignments) != len(model.layers):
-        raise MappingError(f"plan for {plan.model_name!r} does not match model {model.name!r}")
-    index, sets, set_of, invocations = plan._columns
-    indices = [layer.index for layer in model.layers]
-    if index != indices:
-        row = next(row for row, (a, b) in enumerate(zip(index, indices)) if a != b)
-        raise MappingError(f"plan row {row} assigns layer {index[row]}, "
-                           f"where model {model.name!r} has layer {indices[row]}")
-    return indices, sets, set_of, invocations
-
-
 def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: MappingPlan,
                    params: DeviceParams, options: SimOptions | None = None,
                    per_layer: bool = True) -> RunMetrics:
@@ -382,7 +366,9 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
     no layer record is built and the same totals come with ``per_layer=()``.
     Raises OverflowError when finite inputs give an infinite latency, energy or power."""
     options = options or SimOptions()
-    indices, sets, set_of, invocations = _plan_columns(model, plan)
+    if plan.model_name != model.name or len(plan.assignments) != len(model.layers):
+        raise MappingError(f"plan for {plan.model_name!r} does not match model {model.name!r}")
+    sets, set_of, invocations = plan._columns   # PricingTables.pools checks each set
     tables, mac_rate_hz = pricing_tables(topology, params), options.mac_rate_hz
     # by set number, each set checked in layer order: its MACs, ring trim W and converter pJ,
     # as lists: map calls a list's bound __getitem__ faster than a tuple's
@@ -409,7 +395,8 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
                     for la, tu, cv, mc, ge, ct, en in zip(*energy)]
         # tuple.__new__ makes each record from its row with no Python-level call
         records = tuple(map(tuple.__new__, repeat(LayerResult), zip(
-            indices, compute, read, write, overhead, latency, energies, bits)))
+            [layer.index for layer in model.layers], compute, read, write, overhead, latency,
+            energies, bits)))
 
     # every float sum is a left fold from 0.0 in layer or category order,
     # so no Python version's sum() moves it; a column of zeros (a category

@@ -5,14 +5,14 @@ parallelism); layers execute strictly in order. Oversized dot products are
 decomposed into ceil(dot_length / vector_len) sequential chunks whose
 partial sums accumulate electronically at the MAC unit. One walk over the
 compute chiplets pools each MAC type's ids; each (kind, kernel window) takes
-its type's chiplets, and the records come from named columns. A row names its
-chiplets and MAC type; the engine sums their MACs from the topology it prices on.
+its type's chiplets, and the records come from named columns. Row *i* names layer
+*i*'s chiplets and MAC type; the engine sums their MACs from the topology it prices on.
 
 A plan caches the columns a run reads, not as a field, so equality, ``repr``
-and ``_replace`` do not see them: its layer indices, its chiplet sets, each
-layer's set number and its invocations. Each distinct (chiplet ids, MAC
-type) of the rows is one set, numbered by first use. ``map_model`` hands over
-those it built; a plan built by hand is transposed once, when first priced.
+and ``_replace`` do not see them: its chiplet sets, each layer's set number and
+its invocations. Each distinct (chiplet ids, MAC type) of the rows is one set,
+numbered by first use. ``map_model`` hands over those it built; a plan built by
+hand is checked row by row and transposed once, when first priced.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ class MappingError(ValueError):
     """Model cannot be placed on the given topology."""
 
 
-class LayerAssignment(NamedTuple):
-    layer_index: int
+class LayerAssignment(NamedTuple):   # row i assigns the model's layer i
     mac_type: MacUnitType
     chiplet_ids: tuple[str, ...]
     invocations: int    # dot products times chunks_per_dot
@@ -45,11 +44,15 @@ class _PlanFields(NamedTuple):
 class MappingPlan(_PlanFields):   # no __slots__: a plan has a __dict__ for its cache
     @cached_property
     def _columns(self) -> tuple:
-        """(layer indices, (chiplet ids, MAC type) sets, set numbers, invocations)."""
-        index, mac_types, chiplet_ids, invocations = zip(*self.assignments)
+        """((chiplet ids, MAC type) sets, set numbers, invocations), once each row is checked."""
+        for row, (mac_type, ids, _) in enumerate(self.assignments):
+            if not (isinstance(mac_type, MacUnitType) and isinstance(ids, tuple)):
+                raise MappingError(f"plan row {row} names MAC type {mac_type!r} on chiplets "
+                                   f"{ids!r}: a MacUnitType on a tuple of chiplet ids is wanted")
+        mac_types, chiplet_ids, invocations = zip(*self.assignments)
         keys = list(zip(chiplet_ids, mac_types))
         number = {key: n for n, key in enumerate(dict.fromkeys(keys))}   # by first use
-        return list(index), list(number), list(map(number.__getitem__, keys)), list(invocations)
+        return list(number), list(map(number.__getitem__, keys)), list(invocations)
 
 
 def chunks_per_dot(dot_length: int, vector_len: int) -> int:
@@ -98,10 +101,9 @@ def map_model(model: DnnModelSpec, topology: PlatformTopology) -> MappingPlan:
     dot_lengths = map(mul, sizes, c.in_channels)
     chunks = map(chunks_per_dot, dot_lengths, [t.vector_len for t in mac_types])
     invocations = list(map(mul, map(mul, map(mul, c.out_h, c.out_w), c.out_channels), chunks))
-    index = list(c.index)
     # tuple.__new__ makes each record from its row with no Python-level call
     plan = MappingPlan(model.name, tuple(map(tuple.__new__, repeat(LayerAssignment), zip(
-        index, mac_types, chiplet_ids, invocations))))
+        mac_types, chiplet_ids, invocations))))
     # a type's chiplets are its own, so each type is one (chiplet ids, MAC type) set of the plan
-    plan._columns = index, [(pools[t], t) for t in used], list(set_of), invocations
+    plan._columns = [(pools[t], t) for t in used], list(set_of), invocations
     return plan

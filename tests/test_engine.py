@@ -31,7 +31,7 @@ def fc_model(fin=100, fout=10, weight_bitwidth=8, activation_bitwidth=8):
 
 def assignment(invocations, vlen=100, ids=("dense0",)):
     mac = next(t for t in DEFAULT_MAC_TYPES.values() if t.vector_len == vlen)
-    return LayerAssignment(0, mac, ids, invocations)
+    return LayerAssignment(mac, ids, invocations)
 
 
 def single_layer(variant, placed, model=None, **options):
@@ -817,9 +817,8 @@ def test_plan_topology_mismatch_rejected(cfg):
 def test_hand_built_bad_plans_raise_their_messages(cfg):
     """The plan is checked from its columns, read once per run: a plan of
     another model or length, chiplets the topology lacks (named for the first
-    such chiplet set in layer order, sorted), a layer on chiplets with no MACs
-    and rows out of the model's layer order (named by the first such row) each
-    raise their own message."""
+    such chiplet set in layer order, sorted) and a layer on chiplets with no
+    MACs each raise their own message."""
     topo = default_platform()
     layers = (LayerSpec(0, "conv", 3, 3, 8, 16, 8, 8, 8, 8),
               LayerSpec(1, "fc", 1, 1, 1024, 10, 1, 1, 1, 1))
@@ -834,10 +833,6 @@ def test_hand_built_bad_plans_raise_their_messages(cfg):
         (MappingPlan("two", (head._replace(chiplet_ids=("ghost",)),
                              last._replace(chiplet_ids=("alpha",)))),
          "plan names chiplets absent from topology: ['ghost']"),
-        (MappingPlan("two", (last, head)),
-         "plan row 0 assigns layer 1, where model 'two' has layer 0"),
-        (MappingPlan("two", (head, head._replace(chiplet_ids=last.chiplet_ids))),
-         "plan row 1 assigns layer 0, where model 'two' has layer 1"),
         # within a set, the set rules come before its MACs: mem0 has none
         (MappingPlan("two", (head, last._replace(chiplet_ids=("mem0",)))),
          "plan names chiplet set ('mem0',) as MAC type 'dense100' of 100 lanes, "
@@ -852,6 +847,41 @@ def test_hand_built_bad_plans_raise_their_messages(cfg):
     with pytest.raises(MappingError) as caught:
         simulate_model(two, no_macs, MappingPlan("two", (head, last)), cfg.devices, cfg.options)
     assert str(caught.value) == "assignment has no MACs"
+
+
+def test_hand_built_rows_of_the_wrong_shape_raise_naming_the_row(cfg):
+    """A hand-built row whose MAC type is not a ``MacUnitType``, or whose
+    chiplet ids are not a tuple, raises a MappingError naming the row, its MAC
+    type and its chiplets, not an error from deep in the run."""
+    topo = default_platform()
+    model = load_shipped_model("lenet5")
+    *head, last = map_model(model, topo).assignments
+    row, ids = len(head), last.chiplet_ids
+    cases = [(None, ids), ("dense100", ids), (last.mac_type, list(ids))]
+    for mac_type, chiplet_ids in cases:
+        plan = MappingPlan(model.name, (*head, last._replace(mac_type=mac_type,
+                                                             chiplet_ids=chiplet_ids)))
+        with pytest.raises(MappingError) as caught:
+            simulate_model(model, topo, plan, cfg.devices, cfg.options)
+        assert str(caught.value) == (
+            f"plan row {row} names MAC type {mac_type!r} on chiplets {chiplet_ids!r}: "
+            "a MacUnitType on a tuple of chiplet ids is wanted")
+
+
+def test_plan_row_i_prices_the_models_layer_i_whatever_its_index(cfg):
+    """A plan's rows are the model's layers in order: a plan mapped for layers
+    numbered 0 and 1 prices a model of the same name and geometry whose layers
+    are numbered 7 and 9 as that model's own plan does, records numbered 7 and 9."""
+    topo = default_platform()
+    layers = (LayerSpec(0, "conv", 3, 3, 8, 16, 8, 8, 8, 8),
+              LayerSpec(1, "fc", 1, 1, 1024, 10, 1, 1, 1, 1))
+    two = DnnModelSpec("two", layers, sum(layer.params() for layer in layers))
+    renumbered = replace(two, layers=tuple(layer._replace(index=i)
+                                           for layer, i in zip(layers, (7, 9))))
+    run = simulate_model(renumbered, topo, map_model(two, topo), cfg.devices, cfg.options)
+    assert [r.layer_index for r in run.per_layer] == [7, 9]
+    assert run == simulate_model(renumbered, topo, map_model(renumbered, topo), cfg.devices,
+                                 cfg.options)
 
 
 @pytest.mark.parametrize("kind", ["siph_interposer", "elec_interposer", "monolithic"])

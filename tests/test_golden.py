@@ -87,7 +87,7 @@ RECORD_REPR_SHA256 = {
     "default_platform_wiring": "4109b5498a8df1f5831e608b802fbb42aa13a5e8535fad33123b9f0b470021fc",
     "elec_topology": "b9f92f081a9023078ef4877b66e24196ef5e277d3bc3e4c384abc09129bf4d70",
     "lenet5": "7962d2e7f8bfad1f2831133277a2810130ef3505d3f5bba999629d6eca9efb60",
-    "resnet50_plan": "e414b6d7c0e30dbb84fd13d17854a45c3c1f46f7e2b9bc0ddcafe0367a717375",
+    "resnet50_plan": "84684400bfde79687b461d3f4d4a05e9912de5e6f65a5b9d86698981ef2ac5ee",
 }
 RECORDS = {
     "default_config": default_config,
@@ -107,18 +107,26 @@ def test_record_repr_is_pinned(name):
 
 
 def test_resnet50_plan_in_the_old_repr_form_keeps_the_old_digest():
-    """Before a row lost ``total_macs``, the resnet50 plan's repr hashed to the
-    old digest; that repr, rebuilt from the new plan with each row's
-    ``total_macs`` summed from the topology's chiplets, hashes to it still."""
-    old_row = namedtuple("LayerAssignment",
-                         "layer_index mac_type chiplet_ids total_macs invocations")
+    """Before a row lost ``layer_index``, and before that ``total_macs``, the
+    resnet50 plan's repr hashed to the old digests; those reprs, rebuilt from
+    the new plan with each row's index from the model and its ``total_macs``
+    summed from the topology's chiplets, hash to them still."""
     old_plan = namedtuple("MappingPlan", "model_name assignments")
-    topology = default_platform()
-    plan = map_model(load_shipped_model("resnet50"), topology)
-    rows = tuple(old_row(a.layer_index, a.mac_type, a.chiplet_ids,
-                         sum(topology.chiplet(c).macs for c in a.chiplet_ids), a.invocations)
-                 for a in plan.assignments)
-    text = repr(old_plan(plan.model_name, rows))
-    assert "total_macs" not in repr(plan) and "total_macs" in text
-    assert (hashlib.sha256(text.encode()).hexdigest()
-            == "c80130ba0a9829ae95f75fb9e10d53eed5d937608d2eb6518ae6c556cd2eb280")
+    model, topology = load_shipped_model("resnet50"), default_platform()
+    plan = map_model(model, topology)
+    indexed = namedtuple("LayerAssignment", "layer_index mac_type chiplet_ids invocations")
+    macs = namedtuple("LayerAssignment",
+                      "layer_index mac_type chiplet_ids total_macs invocations")
+    forms = {
+        "e414b6d7c0e30dbb84fd13d17854a45c3c1f46f7e2b9bc0ddcafe0367a717375": tuple(
+            indexed(layer.index, *a) for layer, a in zip(model.layers, plan.assignments)),
+        "c80130ba0a9829ae95f75fb9e10d53eed5d937608d2eb6518ae6c556cd2eb280": tuple(
+            macs(layer.index, a.mac_type, a.chiplet_ids,
+                 sum(topology.chiplet(c).macs for c in a.chiplet_ids), a.invocations)
+            for layer, a in zip(model.layers, plan.assignments)),
+    }
+    assert "layer_index" not in repr(plan)
+    for digest, rows in forms.items():
+        text = repr(old_plan(plan.model_name, rows))
+        assert "layer_index" in text
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
