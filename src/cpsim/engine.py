@@ -1,8 +1,8 @@
 """End-to-end execution model.
 
 Layers run strictly in order, and a run is priced column by column: one list
-per quantity, one entry per layer, row *i* of the plan pricing layer *i*.
-``simulate_model`` reads the plan's cached columns (see ``mapper``), looks each
+per quantity, one entry per layer, entry *i* of each plan column pricing layer
+*i*. ``simulate_model`` reads the plan's columns (see ``mapper``), looks each
 numbered chiplet set up in the pricing tables, which check it against the topology,
 works out the compute-time column on the assigned MAC arrays, then calls the
 platform's interconnect builder (photonic gateways, electrical mesh or
@@ -135,7 +135,8 @@ class PricingTables:
                                    f"of {mac_type.vector_len} lanes, which {other} are not")
             macs, lanes = sum(chiplets[c].macs for c in ids), mac_type.vector_len
             if macs < 1:
-                raise MappingError("assignment has no MACs")
+                raise MappingError(f"plan names chiplet set {ids!r} as MAC type "
+                                   f"{mac_type.name!r}, whose chiplets have no MACs")
             return (macs, link_w + mr_tuning_power(macs * lanes, params),
                     params.dac_energy_pj * lanes + params.adc_energy_pj)
         self.pools = Memo(pool)
@@ -243,7 +244,7 @@ class EpochController:
 
 def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOptions,
               traffic: tuple[TrafficVolume, ...], chiplet_sets: list[tuple[str, ...]],
-              set_of: list[int], compute: list[float]):
+              set_of: tuple[int, ...], compute: list[float]):
     """Photonic interposer: the epoch controller resizes the lit gateways
     before every layer; a resize stalls for one phase-change transition.
     A transfer is serialization at the slower endpoint, plus waveguide
@@ -299,7 +300,7 @@ def _photonic(topology: PlatformTopology, tables: PricingTables, options: SimOpt
 
 def _mesh(topology: PlatformTopology, tables: PricingTables, options: SimOptions,
           traffic: tuple[TrafficVolume, ...], chiplet_sets: list[tuple[str, ...]],
-          set_of: list[int], compute: list[float]):
+          set_of: tuple[int, ...], compute: list[float]):
     """Electrical mesh interposer: one router per chiplet, each drawing
     static power for the whole layer. A transfer is the header's per-hop
     router latency plus link serialization, scaled by a congestion factor
@@ -340,7 +341,7 @@ def _mesh(topology: PlatformTopology, tables: PricingTables, options: SimOptions
 
 def _offchip(topology: PlatformTopology, tables: PricingTables, options: SimOptions,
              traffic: tuple[TrafficVolume, ...], chiplet_sets: list[tuple[str, ...]],
-             set_of: list[int], compute: list[float]):
+             set_of: tuple[int, ...], compute: list[float]):
     """Monolithic chip: every tensor crosses the off-chip memory interface."""
     bw, pj_per_bit = topology.platform.offchip_bw_bps, topology.platform.offchip_energy_pj_per_bit
     refetch = options.weight_refetch_factor
@@ -366,9 +367,9 @@ def simulate_model(model: DnnModelSpec, topology: PlatformTopology, plan: Mappin
     no layer record is built and the same totals come with ``per_layer=()``.
     Raises OverflowError when finite inputs give an infinite latency, energy or power."""
     options = options or SimOptions()
-    if plan.model_name != model.name or len(plan.assignments) != len(model.layers):
+    if plan.model_name != model.name or len(plan.set_of) != len(model.layers):
         raise MappingError(f"plan for {plan.model_name!r} does not match model {model.name!r}")
-    sets, set_of, invocations = plan._columns   # PricingTables.pools checks each set
+    sets, set_of, invocations = plan.sets, plan.set_of, plan.invocations   # pools check each set
     tables, mac_rate_hz = pricing_tables(topology, params), options.mac_rate_hz
     # by set number, each set checked in layer order: its MACs, ring trim W and converter pJ,
     # as lists: map calls a list's bound __getitem__ faster than a tuple's

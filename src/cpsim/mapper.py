@@ -5,23 +5,17 @@ parallelism); layers execute strictly in order. Oversized dot products are
 decomposed into ceil(dot_length / vector_len) sequential chunks whose
 partial sums accumulate electronically at the MAC unit. One walk over the
 compute chiplets pools each MAC type's ids; each (kind, kernel window) takes
-its type's chiplets, and the records come from named columns. Row *i* names layer
-*i*'s chiplets and MAC type; the engine sums their MACs from the topology it prices on.
-
-A plan caches the columns a run reads, not as a field, so equality, ``repr``
-and ``_replace`` do not see them: its chiplet sets, each layer's set number and
-its invocations. Each distinct (chiplet ids, MAC type) of the rows is one set,
-numbered by first use. ``map_model`` hands over those it built; a plan built by
-hand is checked row by row and transposed once, when first priced.
+its type's chiplets. A plan is the columns a run reads, worked out from the
+model's named columns and checked when built: its distinct (chiplet ids, MAC
+type) sets numbered by first use, and each layer's set number and invocations.
+The engine checks each set against the topology it prices on.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import repeat
 from operator import mul
-from typing import NamedTuple
 
+from .devices import Record, check_fields
 from .platform import MacUnitType, PlatformTopology
 from .workload import DnnModelSpec, LayerSpec
 
@@ -30,29 +24,27 @@ class MappingError(ValueError):
     """Model cannot be placed on the given topology."""
 
 
-class LayerAssignment(NamedTuple):   # row i assigns the model's layer i
-    mac_type: MacUnitType
-    chiplet_ids: tuple[str, ...]
-    invocations: int    # dot products times chunks_per_dot
-
-
-class _PlanFields(NamedTuple):
+class MappingPlan(Record):
     model_name: str
-    assignments: tuple[LayerAssignment, ...]
+    sets: tuple[tuple[tuple[str, ...], MacUnitType], ...]   # (chiplet ids, MAC type)
+    set_of: tuple[int, ...]        # layer i's set number, sets numbered by first use
+    invocations: tuple[int, ...]   # layer i's dot products times chunks_per_dot
 
-
-class MappingPlan(_PlanFields):   # no __slots__: a plan has a __dict__ for its cache
-    @cached_property
-    def _columns(self) -> tuple:
-        """((chiplet ids, MAC type) sets, set numbers, invocations), once each row is checked."""
-        for row, (mac_type, ids, _) in enumerate(self.assignments):
-            if not (isinstance(mac_type, MacUnitType) and isinstance(ids, tuple)):
-                raise MappingError(f"plan row {row} names MAC type {mac_type!r} on chiplets "
-                                   f"{ids!r}: a MacUnitType on a tuple of chiplet ids is wanted")
-        mac_types, chiplet_ids, invocations = zip(*self.assignments)
-        keys = list(zip(chiplet_ids, mac_types))
-        number = {key: n for n, key in enumerate(dict.fromkeys(keys))}   # by first use
-        return list(number), list(map(number.__getitem__, keys)), list(invocations)
+    def __post_init__(self) -> None:
+        where = f"plan for {self.model_name!r}: "
+        check_fields(self, MappingError, where)
+        sets, set_of, invocations = self.sets, self.set_of, self.invocations
+        for n, pair in enumerate(sets):
+            if not (isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], tuple)
+                    and {str}.issuperset(map(type, pair[0])) and isinstance(pair[1], MacUnitType)):
+                raise MappingError(f"{where}set {n} is {pair!r}, not (chiplet ids, MacUnitType)")
+            if pair in sets[:n]:
+                raise MappingError(f"{where}set {n} repeats set {sets.index(pair)}, {pair!r}")
+        if {*map(type, set_of)} - {int} or [*dict.fromkeys(set_of)] != [*range(len(sets))]:
+            raise MappingError(f"{where}set_of must number all {len(sets)} sets in integers "
+                               f"from 0, in order of first use, got {set_of!r}")
+        if len(invocations) != len(set_of):
+            raise MappingError(f"{where}{len(invocations)} invocations for {len(set_of)} layers")
 
 
 def chunks_per_dot(dot_length: int, vector_len: int) -> int:
@@ -95,15 +87,10 @@ def map_model(model: DnnModelSpec, topology: PlatformTopology) -> MappingPlan:
     types, used, placements = list(pools), {}, {}   # used: type -> set number, by first use
     for window, layer in dict(zip(windows, model.layers)).items():
         t = select_mac_type(layer, types)
-        placements[window] = (t, pools[t], used.setdefault(t, len(used)))
-    mac_types, chiplet_ids, set_of = zip(*map(placements.__getitem__, windows))
+        placements[window] = (t.vector_len, used.setdefault(t, len(used)))
+    lanes, set_of = zip(*map(placements.__getitem__, windows))
     # LayerSpec.dot_length and dot_products, a column at a time
-    dot_lengths = map(mul, sizes, c.in_channels)
-    chunks = map(chunks_per_dot, dot_lengths, [t.vector_len for t in mac_types])
-    invocations = list(map(mul, map(mul, map(mul, c.out_h, c.out_w), c.out_channels), chunks))
-    # tuple.__new__ makes each record from its row with no Python-level call
-    plan = MappingPlan(model.name, tuple(map(tuple.__new__, repeat(LayerAssignment), zip(
-        mac_types, chiplet_ids, invocations))))
+    chunks = map(chunks_per_dot, map(mul, sizes, c.in_channels), lanes)
+    invocations = tuple(map(mul, map(mul, map(mul, c.out_h, c.out_w), c.out_channels), chunks))
     # a type's chiplets are its own, so each type is one (chiplet ids, MAC type) set of the plan
-    plan._columns = [(pools[t], t) for t in used], list(set_of), invocations
-    return plan
+    return MappingPlan(model.name, tuple((pools[t], t) for t in used), set_of, invocations)

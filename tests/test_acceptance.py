@@ -208,14 +208,14 @@ def test_criterion_8_mapping_oracle():
                 assert (layer.dot_products
                         * chunks_per_dot(layer.dot_length, mac.vector_len)) == enumerated
 
-        # the mapper's own assignments agree with the enumeration as well
+        # the mapper's own invocations, on each layer's set, agree with the enumeration as well
         topo = default_platform()
         model = DnnModelSpec("grid", tuple(layers), sum(l.params() for l in layers))
         plan = map_model(model, topo)
-        for layer, assignment in zip(model.layers, plan.assignments):
-            enumerated = layer.dot_products * math.ceil(
-                layer.dot_length / assignment.mac_type.vector_len)
-            assert assignment.invocations == enumerated
+        for layer, k, invocations in zip(model.layers, plan.set_of, plan.invocations):
+            _, mac_type = plan.sets[k]
+            enumerated = layer.dot_products * math.ceil(layer.dot_length / mac_type.vector_len)
+            assert invocations == enumerated
 
 
 def test_criterion_9_byte_identical_sweeps(tmp_path):

@@ -17,7 +17,7 @@ from cpsim.config import with_kind
 from cpsim.devices import (CRYSTALLINE, DeviceParams, OpticalPath, path_insertion_loss,
                            pcmc_chain_for_equal_split, required_laser_power, source_mw)
 from cpsim.engine import EpochController, simulate_model
-from cpsim.mapper import LayerAssignment, MappingError, MappingPlan, map_model
+from cpsim.mapper import MappingError, MappingPlan, map_model
 from cpsim.platform import (DEFAULT_MAC_TYPES, build_topology, default_platform,
                             gateway_peak_bandwidth)
 from cpsim.workload import DnnModelSpec, LayerSpec, layer_traffic, load_model, load_shipped_model
@@ -30,15 +30,17 @@ def fc_model(fin=100, fout=10, weight_bitwidth=8, activation_bitwidth=8):
 
 
 def assignment(invocations, vlen=100, ids=("dense0",)):
+    """A one-layer plan's (sets, set_of, invocations): its one set is ``ids`` as
+    the MAC type of ``vlen`` lanes."""
     mac = next(t for t in DEFAULT_MAC_TYPES.values() if t.vector_len == vlen)
-    return LayerAssignment(mac, ids, invocations)
+    return ((ids, mac),), (0,), (invocations,)
 
 
 def single_layer(variant, placed, model=None, **options):
     """The one LayerResult of ``model`` (fc 100->10 by default) on the platform
-    of ``variant``, placed as the LayerAssignment ``placed`` says."""
+    of ``variant``, placed on the one set of the columns ``placed``."""
     model = model or fc_model()
-    metrics = simulate_model(model, build_topology(variant), MappingPlan(model.name, (placed,)),
+    metrics = simulate_model(model, build_topology(variant), MappingPlan(model.name, *placed),
                              variant.devices, replace(variant.options, **options))
     [layer] = metrics.per_layer
     return layer
@@ -795,12 +797,13 @@ def test_plan_topology_mismatch_rejected(cfg):
     layers = (LayerSpec(0, "conv", 3, 3, 8, 16, 8, 8, 8, 8),
               LayerSpec(1, "fc", 1, 1, 1024, 10, 1, 1, 1, 1))
     two = DnnModelSpec("two", layers, sum(layer.params() for layer in layers))
-    *head, last = map_model(two, topo).assignments
-    ghost = last._replace(chiplet_ids=last.chiplet_ids + ("ghost",))
+    plan = map_model(two, topo)
+    head, (ids, mac_type) = plan.sets
+    ghost = replace(plan, sets=(head, (ids + ("ghost",), mac_type)))
     with pytest.raises(MappingError, match="ghost"):
-        simulate_model(two, topo, MappingPlan("two", (*head, ghost)), cfg.devices, cfg.options)
+        simulate_model(two, topo, ghost, cfg.devices, cfg.options)
     # a layer on chiplets that have no MACs fails before the layer loop
-    no_macs = replace(topo, chiplets=tuple(c._replace(macs=0) if c.id in last.chiplet_ids
+    no_macs = replace(topo, chiplets=tuple(c._replace(macs=0) if c.id in ids
                                            else c for c in topo.chiplets))
     with pytest.raises(ValueError, match="no MACs"):
         simulate_model(two, no_macs, map_model(two, topo), cfg.devices, cfg.options)
@@ -823,53 +826,44 @@ def test_hand_built_bad_plans_raise_their_messages(cfg):
     layers = (LayerSpec(0, "conv", 3, 3, 8, 16, 8, 8, 8, 8),
               LayerSpec(1, "fc", 1, 1, 1024, 10, 1, 1, 1, 1))
     two = DnnModelSpec("two", layers, sum(layer.params() for layer in layers))
-    head, last = map_model(two, topo).assignments
+    plan = map_model(two, topo)
+    (head, head_type), (last, last_type) = plan.sets   # layer 0 on set 0, layer 1 on set 1
     cases = [
-        (MappingPlan("other", (head, last)), "plan for 'other' does not match model 'two'"),
-        (MappingPlan("two", (head,)), "plan for 'two' does not match model 'two'"),
-        (MappingPlan("two", ()), "plan for 'two' does not match model 'two'"),
-        (MappingPlan("two", (head, last._replace(chiplet_ids=("zeta", "ghost")))),
+        (replace(plan, model_name="other"), "plan for 'other' does not match model 'two'"),
+        (MappingPlan("two", plan.sets[:1], (0,), plan.invocations[:1]),
+         "plan for 'two' does not match model 'two'"),
+        (MappingPlan("two", (), (), ()), "plan for 'two' does not match model 'two'"),
+        (replace(plan, sets=((head, head_type), (("zeta", "ghost"), last_type))),
          "plan names chiplets absent from topology: ['ghost', 'zeta']"),
-        (MappingPlan("two", (head._replace(chiplet_ids=("ghost",)),
-                             last._replace(chiplet_ids=("alpha",)))),
+        (replace(plan, sets=((("ghost",), head_type), (("alpha",), last_type))),
          "plan names chiplets absent from topology: ['ghost']"),
         # within a set, the set rules come before its MACs: mem0 has none
-        (MappingPlan("two", (head, last._replace(chiplet_ids=("mem0",)))),
+        (replace(plan, sets=((head, head_type), (("mem0",), last_type))),
          "plan names chiplet set ('mem0',) as MAC type 'dense100' of 100 lanes, "
          "which ['mem0'] are not"),
     ]
-    for plan, message in cases:
+    for bad, message in cases:
         with pytest.raises(MappingError) as caught:
-            simulate_model(two, topo, plan, cfg.devices, cfg.options)
+            simulate_model(two, topo, bad, cfg.devices, cfg.options)
         assert str(caught.value) == message
-    no_macs = replace(topo, chiplets=tuple(c._replace(macs=0) if c.id in head.chiplet_ids
+    no_macs = replace(topo, chiplets=tuple(c._replace(macs=0) if c.id in head
                                            else c for c in topo.chiplets))
     with pytest.raises(MappingError) as caught:
-        simulate_model(two, no_macs, MappingPlan("two", (head, last)), cfg.devices, cfg.options)
-    assert str(caught.value) == "assignment has no MACs"
+        simulate_model(two, no_macs, plan, cfg.devices, cfg.options)
+    assert str(caught.value) == ("plan names chiplet set ('conv3a', 'conv3b', 'conv3c') as MAC "
+                                 "type 'conv3x3', whose chiplets have no MACs")
 
 
-def test_hand_built_rows_of_the_wrong_shape_raise_naming_the_row(cfg):
-    """A hand-built row whose MAC type is not a ``MacUnitType``, or whose
-    chiplet ids are not a tuple, raises a MappingError naming the row, its MAC
-    type and its chiplets, not an error from deep in the run."""
-    topo = default_platform()
-    model = load_shipped_model("lenet5")
-    *head, last = map_model(model, topo).assignments
-    row, ids = len(head), last.chiplet_ids
-    cases = [(None, ids), ("dense100", ids), (last.mac_type, list(ids))]
-    for mac_type, chiplet_ids in cases:
-        plan = MappingPlan(model.name, (*head, last._replace(mac_type=mac_type,
-                                                             chiplet_ids=chiplet_ids)))
-        with pytest.raises(MappingError) as caught:
-            simulate_model(model, topo, plan, cfg.devices, cfg.options)
-        assert str(caught.value) == (
-            f"plan row {row} names MAC type {mac_type!r} on chiplets {chiplet_ids!r}: "
-            "a MacUnitType on a tuple of chiplet ids is wanted")
+def last_layer_on(plan, ids, mac_type=None):
+    """``plan`` with its last layer alone on a new, last set: ``ids`` as ``mac_type``,
+    by default the MAC type of the set it leaves, which an earlier layer still uses."""
+    mac_type = mac_type or plan.sets[plan.set_of[-1]][1]
+    return replace(plan, sets=(*plan.sets, (ids, mac_type)),
+                   set_of=(*plan.set_of[:-1], len(plan.sets)))
 
 
 def test_plan_row_i_prices_the_models_layer_i_whatever_its_index(cfg):
-    """A plan's rows are the model's layers in order: a plan mapped for layers
+    """Entry i of a plan's columns is the model's layer i: a plan mapped for layers
     numbered 0 and 1 prices a model of the same name and geometry whose layers
     are numbered 7 and 9 as that model's own plan does, records numbered 7 and 9."""
     topo = default_platform()
@@ -893,9 +887,9 @@ def test_plan_chiplet_sets_that_are_empty_repeat_or_name_memory_raise_naming_the
     variant = with_kind(cfg, kind)
     topo = build_topology(variant)
     model = load_shipped_model("lenet5")
-    *head, last = map_model(model, topo).assignments
-    twice = last.chiplet_ids + last.chiplet_ids[:1]
-    t = last.mac_type
+    plan = map_model(model, topo)
+    last_ids, t = plan.sets[plan.set_of[-1]]
+    twice = last_ids + last_ids[:1]
     memory = ("plan names chiplets absent from topology: ['mem0']" if kind == "monolithic" else
               f"plan names chiplet set ('mem0',) as MAC type {t.name!r} of {t.vector_len} "
               "lanes, which ['mem0'] are not")
@@ -903,25 +897,24 @@ def test_plan_chiplet_sets_that_are_empty_repeat_or_name_memory_raise_naming_the
              (twice, f"plan names chiplet set {twice!r}, which repeats a chiplet"),
              (("mem0",), memory)]
     for ids, message in cases:
-        plan = MappingPlan(model.name, (*head, last._replace(chiplet_ids=ids)))
         with pytest.raises(MappingError) as caught:
-            simulate_model(model, topo, plan, variant.devices, variant.options)
+            simulate_model(model, topo, last_layer_on(plan, ids), variant.devices,
+                           variant.options)
         assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("kind", ["siph_interposer", "elec_interposer", "monolithic"])
 def test_a_set_named_with_a_mac_type_its_chiplets_lack_raises_on_every_run(cfg, kind):
-    """A row's MAC type must be that of every chiplet it names: a set named
+    """A set's MAC type must be that of every chiplet it names: a set named
     with another type raises a MappingError naming the set, the type and the
     chiplets, sorted, that are not of it. A set that fails is not kept, so
     the next run raises again."""
     variant = with_kind(cfg, kind)
     topo = build_topology(variant)
     model = load_shipped_model("lenet5")
-    *head, last = map_model(model, topo).assignments
     conv3 = DEFAULT_MAC_TYPES["conv3x3"]
     ids = ("mono0",) if kind == "monolithic" else ("dense1", "conv3a", "dense0")
-    plan = MappingPlan(model.name, (*head, last._replace(mac_type=conv3, chiplet_ids=ids)))
+    plan = last_layer_on(map_model(model, topo), ids, conv3)
     wrong = ["mono0"] if kind == "monolithic" else ["dense0", "dense1"]
     for _ in range(2):
         with pytest.raises(MappingError) as caught:

@@ -18,6 +18,8 @@ from cpsim import (build_topology, default_config, default_platform, load_shippe
                    map_model, with_kind)
 from cpsim.cli import cli_main
 
+from conftest import rows
+
 GOLDEN = Path(__file__).parent / "golden"
 MODELS = ("lenet5", "resnet50", "densenet121", "vgg16", "mobilenetv2")
 PLATFORMS = ("siph", "elec", "mono")
@@ -87,7 +89,7 @@ RECORD_REPR_SHA256 = {
     "default_platform_wiring": "4109b5498a8df1f5831e608b802fbb42aa13a5e8535fad33123b9f0b470021fc",
     "elec_topology": "b9f92f081a9023078ef4877b66e24196ef5e277d3bc3e4c384abc09129bf4d70",
     "lenet5": "7962d2e7f8bfad1f2831133277a2810130ef3505d3f5bba999629d6eca9efb60",
-    "resnet50_plan": "84684400bfde79687b461d3f4d4a05e9912de5e6f65a5b9d86698981ef2ac5ee",
+    "resnet50_plan": "a9a2db8a8ede3c8b5cde5d6880da3b6bb56bb121beed606dd6723d40d2933d24",
 }
 RECORDS = {
     "default_config": default_config,
@@ -107,26 +109,31 @@ def test_record_repr_is_pinned(name):
 
 
 def test_resnet50_plan_in_the_old_repr_form_keeps_the_old_digest():
-    """Before a row lost ``layer_index``, and before that ``total_macs``, the
-    resnet50 plan's repr hashed to the old digests; those reprs, rebuilt from
-    the new plan with each row's index from the model and its ``total_macs``
-    summed from the topology's chiplets, hash to them still."""
+    """Before a plan became its columns, a tuple of per-layer rows, before a row
+    lost ``layer_index``, and before that ``total_macs``, the resnet50 plan's
+    repr hashed to the old digests; those reprs, rebuilt from the new plan's
+    columns with each row's index from the model and its ``total_macs`` summed
+    from the topology's chiplets, hash to them still."""
     old_plan = namedtuple("MappingPlan", "model_name assignments")
     model, topology = load_shipped_model("resnet50"), default_platform()
     plan = map_model(model, topology)
+    layers = rows(plan)   # each layer's (MAC type, chiplet ids, invocations)
+    row = namedtuple("LayerAssignment", "mac_type chiplet_ids invocations")
     indexed = namedtuple("LayerAssignment", "layer_index mac_type chiplet_ids invocations")
     macs = namedtuple("LayerAssignment",
                       "layer_index mac_type chiplet_ids total_macs invocations")
     forms = {
+        "84684400bfde79687b461d3f4d4a05e9912de5e6f65a5b9d86698981ef2ac5ee": tuple(
+            row(*a) for a in layers),
         "e414b6d7c0e30dbb84fd13d17854a45c3c1f46f7e2b9bc0ddcafe0367a717375": tuple(
-            indexed(layer.index, *a) for layer, a in zip(model.layers, plan.assignments)),
+            indexed(layer.index, *a) for layer, a in zip(model.layers, layers)),
         "c80130ba0a9829ae95f75fb9e10d53eed5d937608d2eb6518ae6c556cd2eb280": tuple(
             macs(layer.index, a.mac_type, a.chiplet_ids,
                  sum(topology.chiplet(c).macs for c in a.chiplet_ids), a.invocations)
-            for layer, a in zip(model.layers, plan.assignments)),
+            for layer, a in zip(model.layers, layers)),
     }
-    assert "layer_index" not in repr(plan)
-    for digest, rows in forms.items():
-        text = repr(old_plan(plan.model_name, rows))
-        assert "layer_index" in text
+    assert "assignments" not in repr(plan)
+    for digest, old_rows in forms.items():
+        text = repr(old_plan(plan.model_name, old_rows))
+        assert "LayerAssignment" in text
         assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from cpsim import replace
 from cpsim.config import default_config, with_kind
 from cpsim.engine import pricing_tables
-from cpsim.mapper import (LayerAssignment, MappingError, MappingPlan, chunks_per_dot, map_model,
-                          select_mac_type)
+from cpsim.mapper import MappingError, MappingPlan, chunks_per_dot, map_model, select_mac_type
 from cpsim.platform import DEFAULT_MAC_TYPES, MacUnitType, build_topology, default_platform
 from cpsim.workload import DnnModelSpec, LayerSpec, load_shipped_model
+
+from conftest import rows
 
 TYPES = list(DEFAULT_MAC_TYPES.values())
 
@@ -141,10 +142,10 @@ def test_chunks_per_dot_is_exact_above_float_precision():
 
 def test_plan_invocations_are_exact_for_a_dot_length_above_2_53():
     topology = default_platform()
-    [narrow] = map_model(DnnModelSpec("narrow", (fc_layer(),), 1010), topology).assignments
+    [narrow] = rows(map_model(DnnModelSpec("narrow", (fc_layer(),), 1010), topology))
     vlen = narrow.mac_type.vector_len
     layer = fc_layer(fin=vlen * 2**55 + 1, fout=3)   # one element past 2**55 full chunks
-    [wide] = map_model(DnnModelSpec("wide", (layer,), layer.params()), topology).assignments
+    [wide] = rows(map_model(DnnModelSpec("wide", (layer,), layer.params()), topology))
     assert wide.mac_type == narrow.mac_type
     assert wide.invocations == 3 * (2**55 + 1)
 
@@ -153,30 +154,34 @@ def test_plan_invocations_are_exact_for_a_dot_length_above_2_53():
 
 
 def reference_plan(model, topology):
-    """The plan built layer by layer, with no placement shared between layers."""
+    """The plan built layer by layer, with no placement shared between layers:
+    a layer's (chiplet ids, MAC type) takes the next set number at its first use."""
     compute = topology.compute_chiplets()
     available = list(dict.fromkeys(c.mac_type for c in compute))
-    rows = []
+    sets, set_of, invocations = [], [], []
     for layer in model.layers:
         mac_type = select_mac_type(layer, available)
-        chiplets = [c for c in compute if c.mac_type == mac_type]
-        rows.append(LayerAssignment(mac_type, tuple(c.id for c in chiplets),
-                                    layer.dot_products
-                                    * chunks_per_dot(layer.dot_length, mac_type.vector_len)))
-    return MappingPlan(model.name, tuple(rows))
+        placement = (tuple(c.id for c in compute if c.mac_type == mac_type), mac_type)
+        if placement not in sets:
+            sets.append(placement)
+        set_of.append(sets.index(placement))
+        invocations.append(layer.dot_products
+                           * chunks_per_dot(layer.dot_length, mac_type.vector_len))
+    return MappingPlan(model.name, tuple(sets), tuple(set_of), tuple(invocations))
 
 
 @pytest.mark.parametrize("kind", ["siph", "elec", "mono"])
 @pytest.mark.parametrize("name", ["lenet5", "resnet50", "densenet121", "vgg16", "mobilenetv2"])
 def test_map_model_equals_a_layer_by_layer_reference(kind, name):
-    """The column-wise plan is the one each layer gets on its own, record for
-    record and of the same record types."""
+    """The column-wise plan is the one each layer gets on its own, entry for
+    entry and of the same types."""
     topology = build_topology(with_kind(default_config(), kind))
     model = load_shipped_model(name)
     plan = map_model(model, topology)
     assert plan == reference_plan(model, topology)
     assert type(plan) is MappingPlan
-    assert {type(a) for a in plan.assignments} == {LayerAssignment}
+    assert {type(column) for column in (plan.sets, plan.set_of, plan.invocations)} == {tuple}
+    assert {type(i) for i in (*plan.set_of, *plan.invocations)} == {int}
 
 
 @pytest.mark.parametrize("kind", ["siph", "elec"])
@@ -197,7 +202,7 @@ def test_map_model_keeps_topology_order_with_mac_types_interleaved(kind):
         model = load_shipped_model(name)
         plan = map_model(model, topology)
         assert plan == reference_plan(model, topology)
-        pools.update((a.mac_type, a.chiplet_ids) for a in plan.assignments)
+        pools.update((mac_type, ids) for ids, mac_type in plan.sets)
     assert pools[DEFAULT_MAC_TYPES["conv3x3"]] == ("conv3a", "conv3b", "conv3c")
     assert pools[DEFAULT_MAC_TYPES["dense100"]] == ("dense0",)
 
@@ -207,7 +212,7 @@ def test_map_lenet5_fc_layers():
     topo = default_platform()
     model = load_shipped_model("lenet5")
     plan = map_model(model, topo)
-    fc_assignments = [a for a, l in zip(plan.assignments, model.layers) if l.kind == "fc"]
+    fc_assignments = [a for a, l in zip(rows(plan), model.layers) if l.kind == "fc"]
     assert all(a.mac_type.name == "dense100" for a in fc_assignments)
     assert all(sum(topo.chiplet(c).macs for c in a.chiplet_ids) == 8 for a in fc_assignments)
     assert all(set(a.chiplet_ids) == {"dense0", "dense1"} for a in fc_assignments)
@@ -218,7 +223,7 @@ def test_map_conv3x3_spans_all_three_chiplets():
     layer = LayerSpec(0, "conv", 3, 3, 16, 8, 8, 8, 8, 8)
     model = DnnModelSpec("toy", (layer,), layer.params())
     plan = map_model(model, topo)
-    a = plan.assignments[0]
+    [a] = rows(plan)
     assert sum(topo.chiplet(c).macs for c in a.chiplet_ids) == 132
     assert set(a.chiplet_ids) == {"conv3a", "conv3b", "conv3c"}
     assert chunks_per_dot(layer.dot_length, 9) == 16
@@ -235,13 +240,13 @@ def test_chiplets_of_one_type_name_with_other_lanes_are_another_type(kind):
     topo = build_topology(cfg)
     for name in ("lenet5", "resnet50", "densenet121", "vgg16", "mobilenetv2"):
         model = load_shipped_model(name)
-        for a in map_model(model, topo).assignments:
+        for a in rows(map_model(model, topo)):
             assert {topo.chiplet(cid).mac_type for cid in a.chiplet_ids} == {a.mac_type}
             # the MACs a run prices the row on are those chiplets' own
             macs, _, _ = pricing_tables(topo, cfg.devices).pools[a.chiplet_ids, a.mac_type]
             assert macs == sum(topo.chiplet(cid).macs for cid in a.chiplet_ids)
     resnet = load_shipped_model("resnet50")
-    threes = [a for layer, a in zip(resnet.layers, map_model(resnet, topo).assignments)
+    threes = [a for layer, a in zip(resnet.layers, rows(map_model(resnet, topo)))
               if (layer.kernel_h, layer.kernel_w) == (3, 3)]
     assert threes and {a.chiplet_ids for a in threes} == {("conv3a", "conv3b")}
     assert {a.mac_type.vector_len for a in threes} == {9}
@@ -252,7 +257,46 @@ def test_map_preserves_order_and_covers_every_layer():
     model = load_shipped_model("resnet50")
     plan = map_model(model, topo)
     assert plan.model_name == "resnet50"
-    assert len(plan.assignments) == len(model.layers)
+    assert len(plan.set_of) == len(plan.invocations) == len(model.layers)
+
+
+LENET5 = map_model(load_shipped_model("lenet5"), default_platform())
+CONV5, (DENSE_IDS, DENSE100) = LENET5.sets   # set_of (0, 0, 0, 1, 1)
+ONE_CONV3 = (("conv3a",), DEFAULT_MAC_TYPES["conv3x3"])
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"sets": list(LENET5.sets)}, f"sets must be a tuple, got {list(LENET5.sets)!r}"),
+    ({"set_of": [0, 0, 0, 1, 1]}, "set_of must be a tuple, got [0, 0, 0, 1, 1]"),
+    ({"invocations": list(LENET5.invocations)},
+     f"invocations must be a tuple, got {list(LENET5.invocations)!r}"),
+    # a set's MAC type None or a type's name, or its ids a list, is not the pair a set is
+    *(({"sets": (CONV5, bad)}, f"set 1 is {bad!r}, not (chiplet ids, MacUnitType)")
+      for bad in ((DENSE_IDS, None), (DENSE_IDS, "dense100"), (list(DENSE_IDS), DENSE100),
+                  (DENSE_IDS, DENSE100, 8))),
+    ({"sets": (CONV5, CONV5)}, f"set 1 repeats set 0, {CONV5!r}"),
+    *(({"set_of": set_of}, "set_of must number all 2 sets in integers from 0, in order of "
+       f"first use, got {set_of!r}")
+      for set_of in ((0, 0, 0, 1, -1), (0, 0, 0, 1, 2), (0, 0, 0, 1, 1.0), (0, 0, 0, 1, True),
+                     (0, 0, 0, 0, 0), (1, 1, 1, 0, 0))),
+    ({"sets": (*LENET5.sets, ONE_CONV3)}, "set_of must number all 3 sets in integers from 0, "
+     "in order of first use, got (0, 0, 0, 1, 1)"),
+    ({"invocations": LENET5.invocations[:-1]}, "4 invocations for 5 layers"),
+], ids=["sets-list", "set_of-list", "invocations-list", "set-mac-type-none",
+        "set-mac-type-name", "set-ids-list", "set-not-a-pair", "set-repeated", "set_of-minus-one",
+        "set_of-past-the-last-set", "set_of-float", "set_of-bool", "set_of-leaves-set-1-unused",
+        "set_of-out-of-first-use-order", "set_of-leaves-a-third-set-unused",
+        "invocations-one-short"])
+def test_a_malformed_plan_raises_when_built_naming_the_plan(changes, message):
+    """Each plan a field of lenet5's mapped plan makes malformed raises a
+    MappingError naming the plan, and the set where there is one, when built:
+    directly and through ``replace``, before any run prices it."""
+    fields = {"model_name": LENET5.model_name, "sets": LENET5.sets, "set_of": LENET5.set_of,
+              "invocations": LENET5.invocations}
+    for build in (lambda: MappingPlan(**fields | changes), lambda: replace(LENET5, **changes)):
+        with pytest.raises(MappingError) as caught:
+            build()
+        assert str(caught.value) == "plan for 'lenet5': " + message
 
 
 def test_invocations_match_enumeration_on_small_grid():

@@ -13,8 +13,8 @@ from importlib import resources
 import pytest
 
 import cpsim
-from cpsim import (DeviceParams, OpticalPath, SimOptions, build_topology, default_config, replace,
-                   with_kind)
+from cpsim import (DeviceParams, OpticalPath, SimOptions, build_topology, default_config,
+                   default_platform, load_shipped_model, map_model, replace, with_kind)
 from cpsim.config import ConfigError, PlatformSettings, config_from_doc
 
 
@@ -23,7 +23,8 @@ def topology():
     return build_topology(with_kind(default_config(), "siph"))
 
 
-@pytest.mark.parametrize("record", [OpticalPath(1.0), DeviceParams(), PlatformSettings()])
+@pytest.mark.parametrize("record", [OpticalPath(1.0), DeviceParams(), PlatformSettings(),
+                                    map_model(load_shipped_model("lenet5"), default_platform())])
 def test_fields_can_be_neither_assigned_nor_deleted(record):
     name = record._fields[0]
     before = repr(record)

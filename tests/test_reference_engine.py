@@ -17,10 +17,10 @@ losses and every option), runs the shipped and generated models in shuffled
 order on one shared topology per kind, and asserts that
 ``repr(simulate_model(...)) == repr(reference(...))``.
 
-On the same drawn platforms, a plan's cache is held to its contract: it is
-worked out from the plan alone, so a ``map_model`` plan and its hand-built
-and ``_replace`` copies price alike, one plan prices on two topologies and
-two device records in turn as each pair alone would, and the cache keeps no
+On the same drawn platforms, a plan is held to its contract: it is priced
+from its columns alone, so a ``map_model`` plan and its hand-built and
+``replace`` copies price alike, one plan prices on two topologies and two
+device records in turn as each pair alone would, and a plan keeps no
 topology or table alive.
 """
 
@@ -36,7 +36,7 @@ from pathlib import Path
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from cpsim import build_topology, engine, map_model, simulate_model, with_kind
+from cpsim import build_topology, engine, map_model, replace, simulate_model, with_kind
 from cpsim.config import ChipletConfig, PlatformSettings, SimConfig, SimOptions
 from cpsim.devices import DeviceParams, mr_tuning_power, required_laser_power, source_mw
 from cpsim.engine import ENERGY_CATEGORIES, LayerResult, RunMetrics
@@ -72,11 +72,11 @@ def reference(model, topology, plan, params, options) -> RunMetrics:
     previous = ((), 0, 0)   # trailing mode's target before the first layer: none wanted
     link_w = mr_tuning_power(topology.total_mrs(), params)
     results = []
-    for layer, a in zip(model.layers, plan.assignments):
+    for layer, k, invocations in zip(model.layers, plan.set_of, plan.invocations):
         weights, inputs, outputs = traffic(layer)
-        ids = a.chiplet_ids
+        ids, mac_type = plan.sets[k]
         macs = sum(topology.chiplet(c).macs for c in ids)   # the named chiplets' own MACs
-        compute_s = -(-a.invocations // macs) / options.mac_rate_hz
+        compute_s = -(-invocations // macs) / options.mac_rate_hz
         weight_bits = weights * options.weight_refetch_factor
         write_bits = float(outputs)
         overhead_s, joules, watts = 0.0, {}, {}
@@ -142,10 +142,10 @@ def reference(model, topology, plan, params, options) -> RunMetrics:
         energy = dict.fromkeys(ENERGY_CATEGORIES, 0.0) | joules
         for category, w in watts.items():
             energy[category] += w * latency
-        vector_len = a.mac_type.vector_len
+        vector_len = mac_type.vector_len
         energy["tuning"] = (link_w + mr_tuning_power(macs * vector_len, params)) * latency
-        energy["mac"] = a.invocations * (params.dac_energy_pj * vector_len
-                                         + params.adc_energy_pj) * 1e-12
+        energy["mac"] = invocations * (params.dac_energy_pj * vector_len
+                                       + params.adc_energy_pj) * 1e-12
         results.append(LayerResult(layer.index, compute_s, read_s, write_s, overhead_s, latency,
                                    energy, bits))
 
@@ -255,19 +255,18 @@ def test_engine_matches_from_scratch_reference(cfg, devices, options, models):
 @given(platforms(), DEVICES, OPTIONS, MODELS)
 def test_a_mapped_plan_and_its_hand_built_and_replaced_copies_price_alike(cfg, params, options,
                                                                           models):
-    """The columns ``map_model`` hands its plan and those a hand-built or
-    ``_replace`` copy works out from its rows price every model alike."""
+    """A mapped plan, a copy built by hand from its columns and a ``replace``
+    copy are equal, print alike and price every model alike."""
     for kind in ("siph", "elec", "mono"):
         topology = build_topology(with_kind(cfg, kind))
         for model in models:
             plan = map_model(model, topology)
-            copies = (MappingPlan(plan.model_name, plan.assignments),
-                      plan._replace(assignments=plan.assignments))
+            copies = (MappingPlan(plan.model_name, plan.sets, plan.set_of, plan.invocations),
+                      replace(plan))
             assert copies == (plan, plan) and {repr(c) for c in copies} == {repr(plan)}
             metrics = repr(simulate_model(model, topology, plan, params, options))
             for twin in copies:
                 assert repr(simulate_model(model, topology, twin, params, options)) == metrics
-                assert list(twin._columns) == list(plan._columns)
 
 
 @settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
@@ -309,17 +308,16 @@ def test_one_plan_on_two_topologies_and_two_device_records_in_turn(cfg, devices,
 def test_a_plan_cache_keeps_no_topology_or_tables_alive(cfg, params, options, model):
     """With the cyclic collector off, a topology that priced a mapped plan and
     a hand-built one goes, with its tables, at its last reference, while both
-    plans, their caches filled, live on."""
+    plans live on."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         for kind in ("siph", "elec", "mono"):
             topology = build_topology(with_kind(cfg, kind))
             plan = map_model(model, topology)
-            plans = (plan, MappingPlan(plan.model_name, plan.assignments))
+            plans = (plan, MappingPlan(plan.model_name, plan.sets, plan.set_of, plan.invocations))
             for p in plans:
                 simulate_model(model, topology, p, params, options)
-            assert all("_columns" in vars(p) for p in plans)
             refs = [weakref.ref(topology), weakref.ref(engine.pricing_tables(topology, params))]
             del topology
             assert [ref() is None for ref in refs] == [True, True]
